@@ -3,9 +3,10 @@
 Each entry carries whichever of the two forms (polygraph presentation,
 augmented directed complex) is primary for it, plus hand-checked
 classification facts in ``expected`` that the test-suite pins against the
-classifiers.  Simplex-shaped entries use vertex-string names ("01", "012")
-in both forms, so the linearization of the presentation and the directly
-built complex agree on the nose.
+classifiers.  Simplex-shaped entries use vertex-string names ("01", "012";
+"0-1-12" once a vertex number has two digits) in both forms, so the
+linearization of the presentation and the directly built complex agree on
+the nose.
 """
 
 from __future__ import annotations
@@ -127,23 +128,26 @@ def _theta2(params) -> CatalogEntry:
     )
 
 
-def _simplex_name(vertices) -> str:
-    return "".join(str(v) for v in vertices)
+def _simplex_name(vertices, sep) -> str:
+    return sep.join(str(v) for v in vertices)
 
 
 def _oriental_complex(n: int) -> Adc:
+    # from vertex 10 on, run-together digits would give vertex 12 and edge
+    # 1-2 the same name
+    sep = "-" if n >= 10 else ""
     basis = []
     for q in range(n + 1):
-        basis.append([_simplex_name(c) for c in combinations(range(n + 1), q + 1)])
+        basis.append([_simplex_name(c, sep) for c in combinations(range(n + 1), q + 1)])
     diff = {}
     for q in range(1, n + 1):
         for combo in combinations(range(n + 1), q + 1):
             vec = IntVector()
             for i in range(len(combo)):
                 sub = combo[:i] + combo[i + 1:]
-                term = IntVector.unit(_simplex_name(sub))
+                term = IntVector.unit(_simplex_name(sub, sep))
                 vec = vec + (term if i % 2 == 0 else -term)
-            diff[_simplex_name(combo)] = vec
+            diff[_simplex_name(combo, sep)] = vec
     aug = {str(v): 1 for v in range(n + 1)}
     return Adc(basis, diff, aug)
 

@@ -39,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """The type of the size and dimension flags: a non-negative integer."""
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text) from None
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyadc",
                      description="classify complexes and polygraph "
@@ -53,9 +65,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="enumerate cells by closing the atoms")
     p.add_argument("file")
-    p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--max-cells", type=int, default=10000)
-    p.add_argument("--max-coeff", type=int, default=8)
+    p.add_argument("--max-dim", type=_count, default=None)
+    p.add_argument("--max-cells", type=_count, default=10000)
+    p.add_argument("--max-coeff", type=_count, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -73,8 +85,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("roundtrip",
                        help="check that linearizing the cells recovers the complex")
     p.add_argument("file")
-    p.add_argument("--max-cells", type=int, default=10000)
-    p.add_argument("--max-coeff", type=int, default=8)
+    p.add_argument("--max-cells", type=_count, default=10000)
+    p.add_argument("--max-coeff", type=_count, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_roundtrip)
 
@@ -89,8 +101,8 @@ def _build_parser() -> _Parser:
                        help="brute-force the cells of one dimension from "
                             "the cell conditions alone")
     p.add_argument("file")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--dim", type=_count, required=True)
+    p.add_argument("--cap", type=_count, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .adc import Adc, atom_table
@@ -117,9 +118,10 @@ def identity(table: NuTable) -> NuTable:
 
 
 def composable(x: NuTable, y: NuTable, p: int) -> bool:
+    """True when the p-target of x equals the p-source of y."""
     if x.dim != y.dim or not 0 <= p < x.dim:
         return False
-    return face(x, p, +1) == face(y, p, -1)
+    return x.rows[:p] == y.rows[:p] and x.rows[p][1] == y.rows[p][0]
 
 
 def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
@@ -131,7 +133,7 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
         raise NotComposable("tables of dimensions %d and %d" % (x.dim, y.dim))
     if not 0 <= p < x.dim:
         raise NotComposable("no level-%d composition of %d-cells" % (p, x.dim))
-    if face(x, p, +1) != face(y, p, -1):
+    if x.rows[:p] != y.rows[:p] or x.rows[p][1] != y.rows[p][0]:
         raise NotComposable("p-target of the first factor differs from "
                             "p-source of the second (p=%d)" % p)
     rows = []
@@ -143,25 +145,94 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
 
 
 # ---------------------------------------------------------------------------
-# enumeration by closure from the atoms
+# the composition index and the closure from the atoms
+
+class CompositionIndex:
+    """Cells filed under their p-faces, so that the partners of a cell in a
+    composition are one lookup each, in insertion order."""
+
+    def __init__(self, tables=()):
+        self.cells = {}  # dim -> {table: insertion position}
+        self._faces = {}  # (dim, p, rows[:p], sign, row p of that sign) -> tables
+        for table in tables:
+            self.add(table)
+
+    def __contains__(self, table: NuTable) -> bool:
+        return table in self.cells.get(table.dim, ())
+
+    def add(self, table: NuTable):
+        bucket = self.cells.setdefault(table.dim, {})
+        bucket[table] = len(bucket)
+        for p in range(table.dim):
+            for sign, vec in zip((-1, 1), table.rows[p]):
+                key = (table.dim, p, table.rows[:p], sign, vec)
+                self._faces.setdefault(key, []).append(table)
+
+    def right_factors(self, x: NuTable, p: int):
+        """The indexed cells y for which ``compose(x, y, p)`` is defined."""
+        return self._faces.get((x.dim, p, x.rows[:p], -1, x.rows[p][1]), ())
+
+    def left_factors(self, y: NuTable, p: int):
+        """The indexed cells x for which ``compose(x, y, p)`` is defined."""
+        return self._faces.get((y.dim, p, y.rows[:p], 1, y.rows[p][0]), ())
+
+
+def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
+    """Close the seeds under identities up to ``max_dim`` and composition.
+
+    ``admit(table)`` is asked about each new table; False leaves it out and
+    an exception stops the closure.  The composites of a dequeued ``t`` are
+    formed by the partner's insertion position, then p, then ``t`` on the
+    left before ``t`` on the right, so the order depends on the seeds alone.
+    """
+    index = CompositionIndex()
+    queue = deque()
+
+    def add(table: NuTable):
+        if table not in index and admit(table):
+            index.add(table)
+            queue.append(table)
+
+    for table in seeds:
+        add(table)
+    while queue:
+        t = queue.popleft()
+        if t.dim < max_dim:
+            add(identity(t))
+        position = index.cells[t.dim]
+        pairs = []
+        for p in range(t.dim):
+            pairs.extend((position[u], p, 0, u) for u in index.right_factors(t, p))
+            pairs.extend((position[u], p, 1, u) for u in index.left_factors(t, p)
+                         if u is not t)
+        pairs.sort(key=lambda pair: pair[:3])
+        for _, p, t_is_right, u in pairs:
+            add(compose(u, t, p) if t_is_right else compose(t, u, p))
+    return index
+
 
 @dataclass
 class EnumeratedOmegaCat:
-    """The compositional closure of the atom tables, one layer per dimension."""
+    """The compositional closure of the atom tables, one layer per dimension.
+
+    ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
+    built, or one built from ``cells`` on first use.
+    """
 
     complex: Adc
     max_dim: int
     cells: dict  # dim -> tuple of NuTable, in discovery order
     atom_names: dict = field(default_factory=dict)  # NuTable -> generator name
 
-    def __post_init__(self):
-        self._sets = {q: frozenset(ts) for q, ts in self.cells.items()}
+    @cached_property
+    def index(self) -> CompositionIndex:
+        return CompositionIndex(t for q in sorted(self.cells) for t in self.cells[q])
 
     def cell_set(self, q: int) -> frozenset:
-        return self._sets.get(q, frozenset())
+        return frozenset(self.cells.get(q, ()))
 
     def __contains__(self, table: NuTable) -> bool:
-        return table in self.cell_set(table.dim)
+        return table in self.index
 
     def nontrivial(self, q: int) -> tuple:
         return tuple(t for t in self.cells.get(q, ()) if not t.is_trivial())
@@ -175,6 +246,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """Close the atom tables of dimension <= max_dim under identities and
     binary composition.
 
+    The atoms seed :func:`close_under_composition` in degree order, and
+    its index stays on the result for the pair scans that follow.
+
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, and ValueError
     when an atom table is not actually a cell (which happens for complexes
@@ -182,54 +256,42 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """
     if max_dim is None:
         max_dim = complex_.max_degree
-    cells = {q: {} for q in range(max_dim + 1)}  # dict as ordered set
-    total = [0]
-    queue = deque()
+    atom_names = {}
+    count = 0
 
-    def add(table: NuTable):
-        bucket = cells[table.dim]
-        if table in bucket:
-            return
+    def atoms():
+        for q in range(min(max_dim, complex_.max_degree) + 1):
+            for name in complex_.generators(q):
+                table = atom_to_table(complex_, name)
+                ok, cond = is_valid_table(complex_, table)
+                if not ok:
+                    raise ValueError(
+                        "atom table of %r violates cell condition %d; "
+                        "the complex is not unital enough to enumerate" % (name, cond)
+                    )
+                atom_names[table] = name
+                yield table
+
+    def admit(table: NuTable) -> bool:
+        nonlocal count
         if table.max_coeff() > max_coeff:
             raise EnumerationCapExceeded(
                 "coefficient above %d in a %d-cell" % (max_coeff, table.dim)
             )
-        bucket[table] = None
-        total[0] += 1
-        if total[0] > max_cells:
+        count += 1
+        if count > max_cells:
             raise EnumerationCapExceeded("more than %d cells" % max_cells)
-        queue.append(table)
+        return True
 
-    atom_names = {}
-    for q in range(min(max_dim, complex_.max_degree) + 1):
-        for name in complex_.generators(q):
-            table = atom_to_table(complex_, name)
-            ok, cond = is_valid_table(complex_, table)
-            if not ok:
-                raise ValueError(
-                    "atom table of %r violates cell condition %d; "
-                    "the complex is not unital enough to enumerate" % (name, cond)
-                )
-            atom_names[table] = name
-            add(table)
-
-    while queue:
-        t = queue.popleft()
-        if t.dim < max_dim:
-            add(identity(t))
-        for u in list(cells[t.dim]):
-            for p in range(t.dim):
-                if composable(t, u, p):
-                    add(compose(t, u, p))
-                if u is not t and composable(u, t, p):
-                    add(compose(u, t, p))
-
-    return EnumeratedOmegaCat(
+    index = close_under_composition(atoms(), max_dim, admit)
+    enum = EnumeratedOmegaCat(
         complex=complex_,
         max_dim=max_dim,
-        cells={q: tuple(bucket) for q, bucket in cells.items()},
+        cells={q: tuple(index.cells.get(q, ())) for q in range(max_dim + 1)},
         atom_names=atom_names,
     )
+    enum.index = index
+    return enum
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +359,7 @@ def indecomposables(enum: EnumeratedOmegaCat) -> dict:
     out = {}
     for q in range(enum.max_dim + 1):
         candidates = [t for t in enum.cells.get(q, ()) if not t.is_trivial()]
-        split = set()
-        for x in candidates:
-            for y in candidates:
-                for p in range(q):
-                    if composable(x, y, p):
-                        split.add(compose(x, y, p))
+        split = {compose(x, y, p) for x in candidates for p in range(q)
+                 for y in enum.index.right_factors(x, p) if not y.is_trivial()}
         out[q] = tuple(t for t in candidates if t not in split)
     return out

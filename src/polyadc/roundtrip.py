@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import nu
-from .adc import Adc, atom_table, is_strong_steiner_complex, validate_adc
-from .zlin import (
-    IntMatrix,
-    IntVector,
-    determinant,
-    monoid_coordinates,
-    quotient_free_basis,
-)
+from .adc import Adc, is_strong_steiner_complex, validate_adc
+from .zlin import IntVector, determinant, monoid_coordinates, quotient_free_basis
 
 
 @dataclass
@@ -60,9 +54,11 @@ class QuotientLambda:
 def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
     """Quotient the free groups on the enumerated cells by composition.
 
-    One relation per composable pair (composite minus the two factors); the
-    differential of a quotient generator is transported through a section,
-    using the faces of the cells, which must themselves be enumerated.
+    One relation per composable pair (composite minus the two factors),
+    listed by level, then left factor, then right factor, each in cell
+    order; the pairs are read from ``enum.index``.  The differential of a
+    quotient generator is transported through a section, using the faces
+    of the cells, which must themselves be enumerated.
     """
     cells = {q: tuple(ts) for q, ts in enum.cells.items()}
     cell_names = {
@@ -85,14 +81,13 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
         relations = []
         for p in range(q):
             for x in tables:
-                for y in tables:
-                    if nu.composable(x, y, p):
-                        comp = nu.compose(x, y, p)
-                        relations.append(
-                            IntVector.unit(name_of[comp])
-                            - IntVector.unit(name_of[x])
-                            - IntVector.unit(name_of[y])
-                        )
+                for y in enum.index.right_factors(x, p):
+                    comp = nu.compose(x, y, p)
+                    relations.append(
+                        IntVector.unit(name_of[comp])
+                        - IntVector.unit(name_of[x])
+                        - IntVector.unit(name_of[y])
+                    )
         qb = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
         projections[q] = qb.projection
         sections[q] = qb.section
@@ -112,7 +107,7 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
                 src = nu.face(table, q - 1, -1)
                 tgt = nu.face(table, q - 1, +1)
                 for f in (src, tgt):
-                    if f not in enum.cell_set(q - 1):
+                    if f not in enum:
                         raise ValueError(
                             "a face of an enumerated %d-cell was not enumerated; "
                             "the cell set is not face-closed" % q
@@ -152,7 +147,9 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
     Four checks, in order: the candidates generate everything under
     composition; their classes are pairwise distinct; they form a Z-basis
     of each quotient degree; and every cell class is a unique N-combination
-    of candidate classes.
+    of candidate classes.  Generation is decided by the closure that
+    :func:`nu.enumerate_nu` runs (:func:`nu.close_under_composition`),
+    seeded with the candidates and confined to the enumerated cells.
     """
     if quotient is None:
         quotient = lambda_of_enumerated(enum)
@@ -162,31 +159,11 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
             raise ValueError("candidate table is not among the enumerated cells")
         per_dim[table.dim].append(table)
 
-    # generation: close the candidates under identities and composition
-    closure = {q: set() for q in range(enum.max_dim + 1)}
-    queue = []
-    for q, tables in per_dim.items():
-        for t in tables:
-            if t not in closure[q]:
-                closure[q].add(t)
-                queue.append(t)
-    while queue:
-        t = queue.pop()
-        if t.dim < enum.max_dim:
-            ident = nu.identity(t)
-            if ident not in closure[t.dim + 1]:
-                closure[t.dim + 1].add(ident)
-                queue.append(ident)
-        for u in list(closure[t.dim]):
-            for p in range(t.dim):
-                for a, b in ((t, u), (u, t)):
-                    if nu.composable(a, b, p):
-                        c = nu.compose(a, b, p)
-                        if c not in closure[c.dim]:
-                            closure[c.dim].add(c)
-                            queue.append(c)
+    # generation: the candidates' closure inside the enumerated cells
+    seeds = [t for tables in per_dim.values() for t in tables]
+    closure = nu.close_under_composition(seeds, enum.max_dim, enum.__contains__)
     for q in range(enum.max_dim + 1):
-        missing = enum.cell_set(q) - closure[q]
+        missing = enum.cell_set(q).difference(closure.cells.get(q, ()))
         if missing:
             return OmegaBasisReport(
                 ok=False, failed="generation",
@@ -269,8 +246,7 @@ def verify_equivalence(complex_: Adc, max_cells: int = 10000,
     counts = {q: len(ts) for q, ts in enum.cells.items()}
     ranks = {q: quotient.rank(q) for q in range(enum.max_dim + 1)}
 
-    atoms = [nu.atom_to_table(complex_, name) for name in complex_.all_generators()]
-    basis_report = check_omega_basis(enum, atoms, quotient)
+    basis_report = check_omega_basis(enum, list(enum.atom_names), quotient)
     if not basis_report.ok:
         return RoundtripReport(
             ok=False,
@@ -281,9 +257,7 @@ def verify_equivalence(complex_: Adc, max_cells: int = 10000,
 
     # the atom classes must carry the differential and augmentation of the
     # original generators
-    phi = {}
-    for name in complex_.all_generators():
-        phi[name] = quotient.class_of(nu.atom_to_table(complex_, name))
+    phi = {name: quotient.class_of(t) for t, name in enum.atom_names.items()}
     for q in range(1, complex_.max_degree + 1):
         for name in complex_.generators(q):
             image = IntVector()

@@ -1,5 +1,7 @@
 """The built-in catalog: shapes, invariants, and pinned classifications."""
 
+from itertools import combinations
+
 import pytest
 
 from polyadc import (
@@ -69,6 +71,22 @@ def test_oriental_complex_counts_and_validity():
         k = build("oriental", (n,)).as_adc()
         assert [len(level) for level in k.basis] == [comb(n + 1, q + 1) for q in range(n + 1)]
         assert validate_adc(k).ok
+
+
+def test_oriental_names_run_vertices_together_up_to_nine():
+    for n in (3, 9):
+        k = build("oriental", (n,)).as_adc()
+        for q in range(n + 1):
+            assert list(k.generators(q)) == [
+                "".join(str(v) for v in c) for c in combinations(range(n + 1), q + 1)]
+
+
+def test_oriental_names_are_separated_from_ten_on():
+    k = build("oriental", (12,)).as_adc()
+    assert validate_adc(k).ok
+    assert len(list(k.all_generators())) == 2 ** 13 - 1
+    assert "12" in k.generators(0) and "1-2" in k.generators(1)
+    assert k.diff("0-1-12") == IntVector({"1-12": 1, "0-12": -1, "0-1": 1})
 
 
 def test_oriental_presentation_linearizes_to_the_complex():

@@ -33,6 +33,22 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1  # --dim is required
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-dim", "-3"],
+    ["enumerate", "--max-cells", "-1"],
+    ["roundtrip", "--max-coeff", "-2"],
+    ["oracle", "--dim", "-1"],
+    ["oracle", "--dim", "1", "--cap", "-2"],
+], ids=lambda argv: argv[-2])
+def test_negative_sizes_are_usage_errors(argv, capsys, tmp_path):
+    doc = export(tmp_path, "oriental", 2)
+    code, out, err = run(argv + [str(doc)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "usage error: argument %s: expected a non-negative integer, got %r" \
+        % (argv[-2], argv[-1]) in err
+
+
 def test_unreadable_file(capsys, tmp_path):
     code, _, err = run(["check", str(tmp_path / "absent.json")], capsys)
     assert code == 2

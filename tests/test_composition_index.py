@@ -1,0 +1,320 @@
+"""The composition index against the all-pairs scans it replaced.
+
+The reference functions below are the nested ``composable`` loops that the
+index replaced in the enumeration, the relation listing, the
+indecomposables and the generation check.  The indexed code must reproduce
+them exactly: the same cells in the same discovery order, the same
+relation list and therefore the same projections and sections, and the
+same verdicts.
+"""
+
+from collections import deque
+
+import pytest
+
+from conftest import random_presentation
+from polyadc import (
+    EnumerationCapExceeded,
+    IntVector,
+    atom_to_table,
+    brute_force_nu,
+    build,
+    check_omega_basis,
+    compose,
+    composable,
+    enumerate_nu,
+    identity,
+    indecomposables,
+    is_unital,
+    is_valid_table,
+    lambda_of_enumerated,
+    lambda_presentation,
+    quotient_free_basis,
+)
+from polyadc import nu, roundtrip
+
+
+def reference_closure(seeds, max_dim, admit):
+    """Tables per dimension in discovery order, by the all-pairs closure."""
+    cells = {}
+    queue = deque()
+
+    def add(table):
+        bucket = cells.setdefault(table.dim, {})
+        if table not in bucket and admit(table):
+            bucket[table] = None
+            queue.append(table)
+
+    for table in seeds:
+        add(table)
+    while queue:
+        t = queue.popleft()
+        if t.dim < max_dim:
+            add(identity(t))
+        for u in list(cells[t.dim]):
+            for p in range(t.dim):
+                if composable(t, u, p):
+                    add(compose(t, u, p))
+                if u is not t and composable(u, t, p):
+                    add(compose(u, t, p))
+    return cells
+
+
+def reference_enumerate(complex_, max_dim=None, max_cells=10000, max_coeff=8):
+    if max_dim is None:
+        max_dim = complex_.max_degree
+    total = [0]
+
+    def atoms():
+        for q in range(min(max_dim, complex_.max_degree) + 1):
+            for name in complex_.generators(q):
+                table = atom_to_table(complex_, name)
+                ok, cond = is_valid_table(complex_, table)
+                if not ok:
+                    raise ValueError(
+                        "atom table of %r violates cell condition %d; "
+                        "the complex is not unital enough to enumerate" % (name, cond))
+                yield table
+
+    def admit(table):
+        if table.max_coeff() > max_coeff:
+            raise EnumerationCapExceeded(
+                "coefficient above %d in a %d-cell" % (max_coeff, table.dim))
+        total[0] += 1
+        if total[0] > max_cells:
+            raise EnumerationCapExceeded("more than %d cells" % max_cells)
+        return True
+
+    cells = reference_closure(atoms(), max_dim, admit)
+    return {q: tuple(cells.get(q, ())) for q in range(max_dim + 1)}
+
+
+def reference_pairs(tables, q):
+    """Composable pairs of one dimension: level, then left, then right."""
+    return [(p, x, y) for p in range(q) for x in tables for y in tables
+            if composable(x, y, p)]
+
+
+def reference_indecomposables(enum):
+    out = {}
+    for q in range(enum.max_dim + 1):
+        candidates = [t for t in enum.cells.get(q, ()) if not t.is_trivial()]
+        split = {compose(x, y, p) for p, x, y in reference_pairs(candidates, q)}
+        out[q] = tuple(t for t in candidates if t not in split)
+    return out
+
+
+def reference_missing(enum, candidates):
+    """Per dimension, how many cells the candidates do not generate."""
+    closure = {q: set() for q in range(enum.max_dim + 1)}
+    queue = []
+    for t in candidates:
+        if t not in closure[t.dim]:
+            closure[t.dim].add(t)
+            queue.append(t)
+    while queue:
+        t = queue.pop()
+        made = [identity(t)] if t.dim < enum.max_dim else []
+        for u in list(closure[t.dim]):
+            for p in range(t.dim):
+                for a, b in ((t, u), (u, t)):
+                    if composable(a, b, p):
+                        made.append(compose(a, b, p))
+        for c in made:
+            if c not in closure[c.dim]:
+                closure[c.dim].add(c)
+                queue.append(c)
+    return {q: len(enum.cell_set(q) - closure[q]) for q in range(enum.max_dim + 1)}
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (EnumerationCapExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+CATALOG = (
+    [("oriental", (n,)) for n in range(4)]
+    + [("disk", (n,)) for n in range(5)]
+    + [("sphere", (n,)) for n in range(-1, 4)]
+    + [("ordinal", (m,)) for m in range(4)]
+    + [("theta2", (3, 2, 0, 1)), ("theta2", (1, 2)), ("theta2", (2, 1, 1))]
+    + [(name, ()) for name in ("loop", "endo2cell", "square", "forestA")]
+)
+
+
+def random_complexes():
+    return [pytest.param(lambda_presentation(random_presentation(seed)),
+                         id="random%d" % seed)
+            for seed in range(60)]
+
+
+def assert_same_as_reference(complex_, **caps):
+    want = outcome(reference_enumerate, complex_, **caps)
+    enum = outcome(enumerate_nu, complex_, **caps)
+    if isinstance(want, tuple):
+        assert enum == want
+        return None
+    assert enum.cells == want
+    assert indecomposables(enum) == reference_indecomposables(enum)
+    return enum
+
+
+def reference_relations(enum, q):
+    tables = enum.cells[q]
+    name_of = {t: "c%d_%d" % (q, i) for i, t in enumerate(tables)}
+    return [IntVector.unit(name_of[compose(x, y, p)])
+            - IntVector.unit(name_of[x]) - IntVector.unit(name_of[y])
+            for p, x, y in reference_pairs(tables, q)]
+
+
+def assert_same_quotient(enum, monkeypatch, solve=True):
+    """lambda_of_enumerated hands the quotient the all-pairs relation list,
+    in its order, and gets the same projections and sections back.
+
+    With ``solve`` false the relations are recorded but a quotient by no
+    relations stands in for the dense Smith form, for inputs where that
+    takes many seconds.
+    """
+    seen = {}
+    real = roundtrip.quotient_free_basis
+
+    def record(ambient, relations, name_prefix):
+        seen[name_prefix] = list(relations)
+        return real(ambient, relations if solve else [], name_prefix=name_prefix)
+
+    monkeypatch.setattr(roundtrip, "quotient_free_basis", record)
+    quotient = outcome(lambda_of_enumerated, enum)
+    monkeypatch.undo()
+    for q in range(enum.max_dim + 1):
+        relations = reference_relations(enum, q)
+        assert seen["q%d_" % q] == relations
+        if solve and not isinstance(quotient, tuple):
+            ambient = ["c%d_%d" % (q, i) for i in range(len(enum.cells[q]))]
+            want = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
+            assert quotient.projections[q] == want.projection
+            assert quotient.sections[q] == want.section
+
+
+class Enough(Exception):
+    pass
+
+
+def first_admitted(close, complex_, limit=60):
+    """The first tables a closure of the atoms admits, with no caps."""
+    seen = []
+
+    def admit(table):
+        seen.append(table)
+        if len(seen) == limit:
+            raise Enough
+        return True
+
+    seeds = [atom_to_table(complex_, name) for name in complex_.all_generators()]
+    try:
+        close(seeds, complex_.max_degree + 1, admit)
+    except Enough:
+        pass
+    return seen
+
+
+@pytest.mark.parametrize("name, params", [
+    pytest.param(name, params, id=name + "".join("-%d" % x for x in params))
+    for name, params in CATALOG
+])
+def test_catalog_matches_the_all_pairs_scans(name, params, monkeypatch):
+    complex_ = build(name, params).as_adc()
+    enum = assert_same_as_reference(complex_)
+    if enum is not None:
+        # forestA's dense quotient takes about 18 s
+        assert_same_quotient(enum, monkeypatch, solve=name != "forestA")
+    # tight caps stop both at the same cell
+    assert_same_as_reference(complex_, max_cells=7)
+    assert_same_as_reference(complex_, max_dim=complex_.max_degree + 1, max_coeff=2)
+    # cycles make the closure infinite, so its order is compared up to a cap
+    assert first_admitted(nu.close_under_composition, complex_) == \
+        first_admitted(reference_closure, complex_)
+
+
+@pytest.mark.parametrize("complex_", random_complexes())
+def test_random_presentations_match_the_all_pairs_scans(complex_, monkeypatch):
+    enum = assert_same_as_reference(complex_, max_cells=3000)
+    if enum is not None:
+        assert_same_quotient(enum, monkeypatch)
+    assert first_admitted(nu.close_under_composition, complex_) == \
+        first_admitted(reference_closure, complex_)
+
+
+def basis_cases(complex_, enum):
+    """Candidate families for the basis check with their expected verdicts."""
+    atoms = [atom_to_table(complex_, n) for n in complex_.all_generators()]
+    cases = [(atoms, None)]
+    top = complex_.generators(complex_.max_degree)
+    if top:
+        dropped = atom_to_table(complex_, top[-1])
+        cases.append(([t for t in atoms if t != dropped], "generation"))
+    if complex_.max_degree >= 1:
+        vertex = atom_to_table(complex_, complex_.generators(0)[0])
+        cases.append((atoms + [identity(vertex), identity(vertex)], "injectivity"))
+    composites = [compose(x, y, p) for q in range(1, enum.max_dim + 1)
+                  for p, x, y in reference_pairs(enum.nontrivial(q), q)]
+    if composites:
+        cases.append((atoms + composites[:1], "z-basis"))
+    return cases
+
+
+@pytest.mark.parametrize("name, params", [
+    ("oriental", (2,)), ("oriental", (3,)), ("disk", (3,)), ("sphere", (2,)),
+    ("theta2", (3, 2, 0, 1)),
+])
+def test_basis_verdicts_are_unchanged(name, params):
+    complex_ = build(name, params).as_adc()
+    enum = enumerate_nu(complex_)
+    quotient = lambda_of_enumerated(enum)
+    for candidates, failed in basis_cases(complex_, enum):
+        report = check_omega_basis(enum, candidates, quotient)
+        assert report.failed == failed
+        missing = reference_missing(enum, candidates)
+        if failed == "generation":
+            q = min(q for q, n in missing.items() if n)
+            assert report.detail == "%d of the %d-cells are not generated" % (missing[q], q)
+        else:
+            assert not any(missing.values())
+
+
+def test_hand_built_category_gets_an_index():
+    k = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(k, max_coeff=2)
+    rebuilt = nu.EnumeratedOmegaCat(complex=k, max_dim=enum.max_dim, cells=enum.cells)
+    assert rebuilt.index.cells == enum.index.cells
+    for q in range(1, enum.max_dim + 1):
+        for x in enum.cells[q]:
+            for p in range(q):
+                want = [y for y in enum.cells[q] if composable(x, y, p)]
+                assert list(rebuilt.index.right_factors(x, p)) == want
+                assert list(rebuilt.index.left_factors(x, p)) == \
+                    [y for y in enum.cells[q] if composable(y, x, p)]
+    assert lambda_of_enumerated(rebuilt).projections == \
+        lambda_of_enumerated(enum).projections
+
+
+def test_layered_enumeration_equals_brute_force_on_random_unital_complexes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+    @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+    def prop(seed):
+        complex_ = lambda_presentation(random_presentation(seed))
+        hypothesis.assume(is_unital(complex_))
+        try:
+            enum = enumerate_nu(complex_, max_coeff=2, max_cells=2000)
+        except EnumerationCapExceeded:
+            hypothesis.reject()
+        for q in range(complex_.max_degree + 1):
+            assert enum.cell_set(q) == set(brute_force_nu(complex_, q, 2))
+
+    prop()
