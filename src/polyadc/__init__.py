@@ -3,7 +3,6 @@ linearization adjunction between them."""
 
 from .adc import (
     Adc,
-    AtomTable,
     Chain,
     Decomposition,
     RelationGraph,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .zlin import IntVector
+from .zlin import IntVector, _ck
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,11 @@ class Adc:
     def boundary(self, chain: Chain) -> Chain:
         if chain.degree < 1:
             raise ValueError("boundary is only defined in degree >= 1")
-        out = IntVector()
+        acc = {}
         for name, coeff in chain.vector.items():
-            out = out + self._diff[name].scaled(coeff)
-        return Chain(chain.degree - 1, out)
+            for below, c in self._diff[name].items():
+                acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
+        return Chain(chain.degree - 1, IntVector(acc))
 
     def boundary_vec(self, q: int, vector: IntVector) -> IntVector:
         return self.boundary(Chain(q, vector)).vector
@@ -226,20 +227,12 @@ def decompose(complex_: Adc, chain: Chain) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class AtomTable:
-    """The source/target table spanned by a single generator.
+def atom_table(complex_: Adc, name: str) -> tuple:
+    """The rows of the source/target table spanned by a single generator.
 
     ``rows[p]`` holds the pair (negative row, positive row) in degree p,
     for p from 0 up to the generator's dimension.
     """
-
-    name: str
-    dim: int
-    rows: tuple
-
-
-def atom_table(complex_: Adc, name: str) -> AtomTable:
     q = complex_.degree_of(name)
     top = IntVector.unit(name)
     rows = [(top, top)]
@@ -248,7 +241,7 @@ def atom_table(complex_: Adc, name: str) -> AtomTable:
         d_neg = complex_.boundary_vec(p + 1, neg_above)
         d_pos = complex_.boundary_vec(p + 1, pos_above)
         rows.insert(0, (d_neg.negative_part(), d_pos.positive_part()))
-    return AtomTable(name=name, dim=q, rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +251,7 @@ def unitality_failures(complex_: Adc) -> tuple:
     """Generators whose atom rows fail eps = 1 in degree 0."""
     failures = []
     for name in complex_.all_generators():
-        atom = atom_table(complex_, name)
-        neg0, pos0 = atom.rows[0]
+        neg0, pos0 = atom_table(complex_, name)[0]
         en = complex_.eps(neg0)
         ep = complex_.eps(pos0)
         if en != 1 or ep != 1:

@@ -4,9 +4,9 @@ Single-invocation, single-threaded orchestration over the library calls;
 every subcommand reads one document (or builds one from the catalog), runs
 the requested analysis and prints a report.
 
-Exit codes: 0 success, 1 usage, 2 unreadable or malformed document,
-3 validation failure, 4 negative verdict (check/roundtrip), 5 resource cap
-(enumeration cap, torsion, coefficient overflow).
+Exit codes: 0 success, 1 usage, 2 unreadable, malformed or too deeply
+nested document, 3 validation failure, 4 negative verdict (check/roundtrip),
+5 resource cap (enumeration or brute-force cap, torsion, overflow).
 """
 
 from __future__ import annotations

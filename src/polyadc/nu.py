@@ -69,7 +69,7 @@ class NuTable:
 
 
 def atom_to_table(complex_: Adc, name: str) -> NuTable:
-    return NuTable(rows=atom_table(complex_, name).rows)
+    return NuTable(rows=atom_table(complex_, name))
 
 
 def is_valid_table(complex_: Adc, table: NuTable):
@@ -297,15 +297,28 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
 # ---------------------------------------------------------------------------
 # brute-force cell search (the independent oracle for the enumeration)
 
+MAX_BRUTE_FORCE_VECTORS = 10**6
+
+
 def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
     """All q-cells whose coefficients are bounded by ``coeff_cap``.
 
     Generates every candidate table degree by degree straight from the cell
     conditions, with no reference to atoms or composition.  Exponential in
     the basis sizes; useful only as ground truth on small complexes.
+    Raises :class:`EnumerationCapExceeded`, before building anything, when
+    the candidate vectors would outnumber ``MAX_BRUTE_FORCE_VECTORS``.
     """
     if q < 0:
         return ()
+    count = 0
+    for p in range(q + 1):
+        count += (coeff_cap + 1) ** len(complex_.generators(p))
+        if count > MAX_BRUTE_FORCE_VECTORS:
+            raise EnumerationCapExceeded(
+                "brute force needs more than %d candidate vectors by degree %d "
+                "with coefficients up to %d; lower --cap or --dim"
+                % (MAX_BRUTE_FORCE_VECTORS, p, coeff_cap))
 
     def vectors(p):
         gens = complex_.generators(p)

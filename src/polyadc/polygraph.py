@@ -112,7 +112,7 @@ class PolyPresentation:
                         )
 
         self._lambda = None
-        self._table_cache = {}
+        self._tables = {}  # generator -> its NuTable, filed at construction
         self._check_boundaries()
 
     # -- accessors ------------------------------------------------------
@@ -151,14 +151,20 @@ class PolyPresentation:
     # -- construction-time checking --------------------------------------
 
     def _check_boundaries(self):
-        """Evaluate every generator boundary to a table and check it.
+        """Evaluate every generator boundary to a table, check it, and file
+        the generator's table for :func:`eval_table`.
 
         Runs bottom-up in the dimension, so a failure is reported for the
         lowest generator responsible.  Checks validity of both tables,
         parallelism of source and target, and finally the chain complex
-        laws of the linearization.
+        laws of the linearization.  A generator's table is the source table
+        below its top row (which parallelism makes the target's too), then
+        the two top rows, which are the linearized boundaries.
         """
         lam = lambda_presentation(self)
+        for name in self.dims(0):
+            unit = IntVector.unit(name)
+            self._tables[name] = nu.NuTable(rows=((unit, unit),))
         for q in range(1, len(self.generators)):
             for name in self.generators[q]:
                 src, tgt = self._boundary[name]
@@ -179,6 +185,9 @@ class PolyPresentation:
                     raise ValueError(
                         "source and target of %r are not parallel" % name
                     )
+                unit = IntVector.unit(name)
+                self._tables[name] = nu.NuTable(rows=ts.rows[:-1] + (
+                    (ts.rows[-1][0], tt.rows[-1][0]), (unit, unit)))
         check = validate_adc(lam)
         if not check.ok:
             law, gen, detail = check.failures[0]
@@ -281,27 +290,14 @@ def lambda_presentation(pres: PolyPresentation) -> Adc:
 def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
     """Evaluate an expression to a cell table over the linearization.
 
-    A generator's rows come from its declared boundary expressions, not
-    from the differential: the two agree unless the differential cancels
-    (as it does for endo cells), and the declared boundaries are the ones
-    the adjunction unit uses.
+    A generator's table is filed at construction from its declared
+    boundary expressions, not from the differential: the two agree unless
+    the differential cancels (as it does for endo cells), and the declared
+    boundaries are the ones the adjunction unit uses.
     """
-    lambda_presentation(pres)
     if isinstance(expr, Gen):
-        table = pres._table_cache.get(expr.name)
-        if table is None:
-            q = pres.dim_of(expr.name)
-            rows = []
-            for p in range(q):
-                rows.append((
-                    linearize(pres, face_expr(pres, expr, p, -1)).vector,
-                    linearize(pres, face_expr(pres, expr, p, +1)).vector,
-                ))
-            top = IntVector.unit(expr.name)
-            rows.append((top, top))
-            table = nu.NuTable(rows=tuple(rows))
-            pres._table_cache[expr.name] = table
-        return table
+        pres.dim_of(expr.name)  # raises on an unknown name
+        return pres._tables[expr.name]
     if isinstance(expr, Id):
         return nu.identity(eval_table(pres, expr.inner))
     if isinstance(expr, Comp):
@@ -324,12 +320,10 @@ def is_atomic(pres: PolyPresentation) -> AtomicityReport:
     """Sources and targets of every generator have disjoint supports in
     every dimension strictly below the generator."""
     for name in pres.all_generators():
-        q = pres.dim_of(name)
-        for p in range(q):
-            common = (support_expr(pres, face_expr(pres, Gen(name), p, -1))
-                      & support_expr(pres, face_expr(pres, Gen(name), p, +1)))
+        for p, (neg, pos) in enumerate(eval_table(pres, Gen(name)).rows[:-1]):
+            common = neg.support() & pos.support()
             if common:
-                return AtomicityReport(ok=False, witness=(name, p, frozenset(common)))
+                return AtomicityReport(ok=False, witness=(name, p, common))
     return AtomicityReport(ok=True, witness=None)
 
 
@@ -357,17 +351,12 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
     codim1 = set()
     full = set()
     for name in nodes:
-        q = pres.dim_of(name)
-        for p in range(q):
-            src_supp = support_expr(pres, face_expr(pres, Gen(name), p, -1))
-            tgt_supp = support_expr(pres, face_expr(pres, Gen(name), p, +1))
-            for a in src_supp:
-                full.add((a, name))
-            for b in tgt_supp:
-                full.add((name, b))
-            if p == q - 1:
-                codim1.update((a, name) for a in src_supp)
-                codim1.update((name, b) for b in tgt_supp)
+        for p, (neg, pos) in enumerate(eval_table(pres, Gen(name)).rows[:-1]):
+            edges = ({(a, name) for a in neg.support()}
+                     | {(name, b) for b in pos.support()})
+            full |= edges
+            if p == pres.dim_of(name) - 1:
+                codim1 |= edges
     g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
     g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
     ok1, cyc1 = g_codim1.antisymmetry()
@@ -404,13 +393,9 @@ def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
     position = {name: i for i, name in enumerate(nodes)}
     succ = {name: set() for name in nodes}
     for name in nodes:
-        q = pres.dim_of(name)
-        for p in range(q):
-            src_supp = support_expr(pres, face_expr(pres, Gen(name), p, -1))
-            tgt_supp = support_expr(pres, face_expr(pres, Gen(name), p, +1))
-            for a in src_supp:
-                for b in tgt_supp:
-                    succ[a].add(b)
+        for neg, pos in eval_table(pres, Gen(name)).rows[:-1]:
+            for a in neg.support():
+                succ[a].update(pos.support())
     for name in nodes:
         if name in succ[name]:
             return OrderabilityReport(ok=False, order=None, cycle=(name,))

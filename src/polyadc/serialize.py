@@ -75,7 +75,8 @@ def _name_dim(record, label):
 def parse_document(text: str):
     """Parse a JSON document into an Adc or a PolyPresentation.
 
-    Schema problems raise :class:`DocumentError`; semantically invalid data
+    Schema problems and nesting too deep to walk raise
+    :class:`DocumentError`; semantically invalid data
     (broken chain complex laws, ill-typed boundaries) surfaces as the
     ValueError of the corresponding constructor.
     """
@@ -83,6 +84,8 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc) from exc
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
@@ -129,11 +132,14 @@ def parse_document(text: str):
         return Adc(basis, diff, aug)
 
     boundary = {}
-    for record in records:
-        name, dim = record["name"], record["dim"]
-        if dim >= 1:
-            boundary[name] = (obj_to_expr(record["src"]), obj_to_expr(record["tgt"]))
-    return PolyPresentation(basis, boundary)
+    try:
+        for record in records:
+            name, dim = record["name"], record["dim"]
+            if dim >= 1:
+                boundary[name] = (obj_to_expr(record["src"]), obj_to_expr(record["tgt"]))
+        return PolyPresentation(basis, boundary)
+    except RecursionError:
+        raise DocumentError("expressions nested too deeply") from None
 
 
 def serialize_adc(complex_: Adc) -> dict:

@@ -110,9 +110,9 @@ def test_decompose_splits_signs():
 
 
 def test_atom_table_of_the_triangle():
-    at = atom_table(simplex2(), "012")
-    assert at.dim == 2
-    assert at.rows == (
+    rows = atom_table(simplex2(), "012")
+    assert len(rows) - 1 == 2
+    assert rows == (
         (IntVector({"0": 1}), IntVector({"2": 1})),
         (IntVector({"02": 1}), IntVector({"01": 1, "12": 1})),
         (IntVector({"012": 1}), IntVector({"012": 1})),

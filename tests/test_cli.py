@@ -223,6 +223,57 @@ def test_oracle_counts(capsys, tmp_path):
     assert json.loads(out) == {"dim": 1, "cap": 2, "cells": 7, "nontrivial": 4}
 
 
+def test_oracle_refuses_a_huge_candidate_space(capsys, tmp_path):
+    # 9**5 vectors in degree 0 and 9**10 in degree 1: refused before any is built
+    doc = export(tmp_path, "oriental", 4)
+    code, out, err = run(["oracle", "--dim", "1", "--cap", "8", str(doc)], capsys)
+    assert code == 5
+    assert out == ""
+    assert ("resource error [ENUM_CAP]: brute force needs more than 1000000 "
+            "candidate vectors by degree 1 with coefficients up to 8; "
+            "lower --cap or --dim") in err
+
+
+@pytest.mark.parametrize("opening, closing", [
+    ('{"comp": [0, ', ', {"gen": "01"}]}'),
+    ('{"id": ', '}'),
+], ids=("comp", "id"))
+def test_deeply_nested_documents_are_document_errors(opening, closing, capsys,
+                                                     tmp_path):
+    depth = 100000
+    expr = opening * depth + '{"gen": "01"}' + closing * depth
+    doc = tmp_path / "deep.json"
+    doc.write_text(
+        '{"kind": "polygraph", "generators": [{"name": "0", "dim": 0}, '
+        '{"name": "01", "dim": 1, "src": {"gen": "0"}, "tgt": {"gen": "0"}}, '
+        '{"name": "a", "dim": 2, "src": %s, "tgt": %s}]}' % (expr, expr))
+    code, out, err = run(["check", str(doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "document error: JSON nested too deeply" in err
+
+
+def test_nesting_near_the_recursion_limit(capsys, tmp_path):
+    # Walking down from above the JSON decoder's limit, every depth is a
+    # document error until one classifies; the depths the decoder accepts
+    # but the recursive expression walks do not are among them.
+    messages = set()
+    for depth in range(1200, 0, -1):
+        expr = '{"id": ' * depth + '{"gen": "0"}' + '}' * depth
+        doc = tmp_path / "deep.json"
+        doc.write_text(
+            '{"kind": "polygraph", "generators": [{"name": "0", "dim": 0}, '
+            '{"name": "x", "dim": %d, "src": %s, "tgt": %s}]}'
+            % (depth + 1, expr, expr))
+        code, _, err = run(["check", str(doc)], capsys)
+        if code != 2:
+            break
+        assert "nested too deeply" in err
+        messages.add(err)
+    assert code == 4  # an endo cell is not strong Steiner
+    assert "document error: expressions nested too deeply\n" in messages
+
+
 def test_catalog_errors(capsys):
     code, _, err = run(["catalog", "gizmo"], capsys)
     assert code == 1

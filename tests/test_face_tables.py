@@ -1,0 +1,208 @@
+"""Generator tables filed at construction against the expression walks.
+
+The reference classifiers below are the ``face_expr``/``support_expr``
+double loops that the filed tables replaced in ``is_atomic``,
+``preorder_report`` and ``is_steiner_orderable``; the reference generator
+table is the ``linearize(face_expr(...))`` rows that ``eval_table`` built
+on first use; the reference boundary is the vector-by-vector sum that
+``Adc.boundary`` replaced.  The library must reproduce them exactly.
+"""
+
+import json
+
+import pytest
+
+from conftest import catalog_presentations, random_presentation
+from polyadc import (
+    Adc,
+    CoefficientOverflow,
+    Gen,
+    IntVector,
+    NuTable,
+    atom_table,
+    build,
+    classify,
+    eval_table,
+    face_expr,
+    is_atomic,
+    is_steiner_orderable,
+    lambda_presentation,
+    linearize,
+    preorder_report,
+    support_expr,
+    unitality_failures,
+)
+from polyadc import polygraph
+from polyadc.adc import RelationGraph
+
+
+def faces(pres, name):
+    """(p, source support, target support) for every level p below name."""
+    for p in range(pres.dim_of(name)):
+        yield (p, support_expr(pres, face_expr(pres, Gen(name), p, -1)),
+               support_expr(pres, face_expr(pres, Gen(name), p, +1)))
+
+
+def reference_is_atomic(pres):
+    for name in pres.all_generators():
+        for p, src_supp, tgt_supp in faces(pres, name):
+            common = src_supp & tgt_supp
+            if common:
+                return polygraph.AtomicityReport(
+                    ok=False, witness=(name, p, frozenset(common)))
+    return polygraph.AtomicityReport(ok=True, witness=None)
+
+
+def reference_preorder_report(pres):
+    nodes = tuple(pres.all_generators())
+    codim1 = set()
+    full = set()
+    for name in nodes:
+        q = pres.dim_of(name)
+        for p, src_supp, tgt_supp in faces(pres, name):
+            full.update((a, name) for a in src_supp)
+            full.update((name, b) for b in tgt_supp)
+            if p == q - 1:
+                codim1.update((a, name) for a in src_supp)
+                codim1.update((name, b) for b in tgt_supp)
+    g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
+    g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
+    ok1, cyc1 = g_codim1.antisymmetry()
+    okf, cycf = g_full.antisymmetry()
+    return polygraph.PreorderReport(
+        codim1=g_codim1, full=g_full,
+        codim1_antisymmetric=ok1, codim1_cycle=cyc1,
+        full_antisymmetric=okf, full_cycle=cycf,
+    )
+
+
+def reference_is_steiner_orderable(pres):
+    nodes = tuple(pres.all_generators())
+    position = {name: i for i, name in enumerate(nodes)}
+    succ = {name: set() for name in nodes}
+    for name in nodes:
+        for _, src_supp, tgt_supp in faces(pres, name):
+            for a in src_supp:
+                for b in tgt_supp:
+                    succ[a].add(b)
+    for name in nodes:
+        if name in succ[name]:
+            return polygraph.OrderabilityReport(ok=False, order=None, cycle=(name,))
+    indeg = {name: 0 for name in nodes}
+    for a in nodes:
+        for b in succ[a]:
+            indeg[b] += 1
+    ready = {name for name in nodes if indeg[name] == 0}
+    order = []
+    while ready:
+        name = min(ready, key=position.__getitem__)
+        ready.discard(name)
+        order.append(name)
+        for b in succ[name]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.add(b)
+    if len(order) == len(nodes):
+        return polygraph.OrderabilityReport(ok=True, order=tuple(order), cycle=None)
+    member = {name for name in nodes if indeg[name] > 0}
+    preds = {name: [] for name in member}
+    for a in member:
+        for b in succ[a]:
+            if b in member:
+                preds[b].append(a)
+    start = min(member, key=position.__getitem__)
+    seen = {}
+    node = start
+    path = []
+    while node not in seen:
+        seen[node] = len(path)
+        path.append(node)
+        node = min(preds[node], key=position.__getitem__)
+    cycle = tuple(reversed(path[seen[node]:]))
+    return polygraph.OrderabilityReport(ok=False, order=None, cycle=cycle)
+
+
+def reference_generator_table(pres, name):
+    rows = tuple(
+        (linearize(pres, face_expr(pres, Gen(name), p, -1)).vector,
+         linearize(pres, face_expr(pres, Gen(name), p, +1)).vector)
+        for p in range(pres.dim_of(name)))
+    top = IntVector.unit(name)
+    return NuTable(rows=rows + ((top, top),))
+
+
+def reference_boundary(complex_, vector):
+    out = IntVector()
+    for name, coeff in vector.items():
+        out = out + complex_.diff(name).scaled(coeff)
+    return out
+
+
+def reference_atom_rows(complex_, name):
+    top = IntVector.unit(name)
+    rows = [(top, top)]
+    for _ in range(complex_.degree_of(name)):
+        neg_above, pos_above = rows[0]
+        rows.insert(0, (reference_boundary(complex_, neg_above).negative_part(),
+                        reference_boundary(complex_, pos_above).positive_part()))
+    return tuple(rows)
+
+
+def reference_verdict(pres, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(polygraph, "is_atomic", reference_is_atomic)
+        patch.setattr(polygraph, "preorder_report", reference_preorder_report)
+        patch.setattr(polygraph, "is_steiner_orderable",
+                      reference_is_steiner_orderable)
+        return classify(pres)
+
+
+def presentations():
+    """The criterion-7 sweep plus the large classify inputs."""
+    out = [("catalog %d" % i, pres) for i, pres in enumerate(catalog_presentations())]
+    for name, params in (("ordinal", (200,)), ("disk", (20,)),
+                         ("theta2", (2, 25, 30))):
+        out.append(("%s%r" % (name, params), build(name, params).as_presentation()))
+    out += [("random %d" % seed, random_presentation(seed)) for seed in range(120)]
+    return out
+
+
+PRESENTATIONS = presentations()
+
+
+@pytest.mark.parametrize("label, pres", PRESENTATIONS,
+                         ids=[label for label, _ in PRESENTATIONS])
+def test_classifiers_match_the_expression_walks(label, pres, monkeypatch):
+    for name in pres.all_generators():
+        assert eval_table(pres, Gen(name)) == reference_generator_table(pres, name)
+    assert is_atomic(pres) == reference_is_atomic(pres)
+    assert preorder_report(pres) == reference_preorder_report(pres)
+    assert is_steiner_orderable(pres) == reference_is_steiner_orderable(pres)
+    assert (json.dumps(classify(pres).as_dict(), sort_keys=True)
+            == json.dumps(reference_verdict(pres, monkeypatch).as_dict(),
+                          sort_keys=True))
+
+
+def test_atom_tables_match_the_vector_by_vector_boundary():
+    complexes = [build("oriental", (7,)).as_adc()]
+    complexes += [lambda_presentation(pres) for _, pres in PRESENTATIONS]
+    for complex_ in complexes:
+        for name in complex_.all_generators():
+            assert atom_table(complex_, name) == reference_atom_rows(complex_, name)
+        failures = tuple(
+            (name, complex_.eps(rows[0][0]), complex_.eps(rows[0][1]))
+            for name in complex_.all_generators()
+            for rows in [reference_atom_rows(complex_, name)]
+            if complex_.eps(rows[0][0]) != 1 or complex_.eps(rows[0][1]) != 1)
+        assert unitality_failures(complex_) == failures
+
+
+def test_boundary_checks_intermediate_coefficients():
+    # d(x + y) cancels to zero, but each term leaves the 64-bit window
+    big = 2**62
+    complex_ = Adc([["v"], ["x", "y"]],
+                   {"x": IntVector({"v": big}), "y": IntVector({"v": -big})},
+                   {"v": 1})
+    with pytest.raises(CoefficientOverflow):
+        complex_.boundary_vec(1, IntVector({"x": 4, "y": 4}))
+    assert complex_.boundary_vec(1, IntVector({"x": 1, "y": 1})).is_zero()
