@@ -131,7 +131,7 @@ class Adc:
         for name, coeff in chain.vector.items():
             for below, c in self._diff[name].items():
                 acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
-        return Chain(chain.degree - 1, IntVector(acc))
+        return Chain(chain.degree - 1, IntVector._of(acc))
 
     def boundary_vec(self, q: int, vector: IntVector) -> IntVector:
         return self.boundary(Chain(q, vector)).vector

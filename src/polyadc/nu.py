@@ -250,14 +250,15 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     its index stays on the result for the pair scans that follow.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
-    tables appear or some coefficient exceeds ``max_coeff``, and ValueError
+    tables appear or some coefficient exceeds ``max_coeff``, with the
+    count reached and the flag to raise in its message, and ValueError
     when an atom table is not actually a cell (which happens for complexes
     that are not unital).
     """
     if max_dim is None:
         max_dim = complex_.max_degree
     atom_names = {}
-    count = 0
+    counts = {}  # dim -> tables admitted so far
 
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
@@ -273,14 +274,19 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
                 yield table
 
     def admit(table: NuTable) -> bool:
-        nonlocal count
-        if table.max_coeff() > max_coeff:
+        top = table.max_coeff()
+        admitted = sum(counts.values())
+        if top > max_coeff:
             raise EnumerationCapExceeded(
-                "coefficient above %d in a %d-cell" % (max_coeff, table.dim)
+                "coefficient %d above %d in a %d-cell (after %d cells); "
+                "raise --max-coeff" % (top, max_coeff, table.dim, admitted)
             )
-        count += 1
-        if count > max_cells:
-            raise EnumerationCapExceeded("more than %d cells" % max_cells)
+        if admitted == max_cells:
+            raise EnumerationCapExceeded(
+                "more than %d cells (degree %d had reached %d); raise --max-cells"
+                % (max_cells, table.dim, counts.get(table.dim, 0))
+            )
+        counts[table.dim] = counts.get(table.dim, 0) + 1
         return True
 
     index = close_under_composition(atoms(), max_dim, admit)

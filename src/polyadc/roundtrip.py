@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import nu
 from .adc import Adc, is_strong_steiner_complex, validate_adc
-from .zlin import IntVector, determinant, monoid_coordinates, quotient_free_basis
+from .zlin import IntVector, _ck, determinant, quotient_free_basis, unimodular_inverse
 
 
 @dataclass
@@ -33,19 +33,18 @@ class QuotientLambda:
     sections: dict       # q -> IntMatrix (cell names x quotient basis)
 
     def __post_init__(self):
-        self._index = {}
-        for q, tables in self.cells.items():
-            names = self.cell_names[q]
-            for table, name in zip(tables, names):
-                self._index[table] = (q, name)
+        self._classes = {}
+        for q, projection in self.projections.items():
+            columns = projection.columns()
+            for table, name in zip(self.cells.get(q, ()), self.cell_names.get(q, ())):
+                self._classes[table] = columns[name]
 
     def class_of(self, table: nu.NuTable) -> IntVector:
         """The image of a cell in the quotient basis of its degree."""
-        entry = self._index.get(table)
-        if entry is None:
+        cls = self._classes.get(table)
+        if cls is None:
             raise ValueError("table is not among the enumerated cells")
-        q, name = entry
-        return self.projections[q].column(name)
+        return cls
 
     def rank(self, q: int) -> int:
         return len(self.complex.generators(q))
@@ -83,21 +82,20 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
             for x in tables:
                 for y in enum.index.right_factors(x, p):
                     comp = nu.compose(x, y, p)
-                    relations.append(
-                        IntVector.unit(name_of[comp])
-                        - IntVector.unit(name_of[x])
-                        - IntVector.unit(name_of[y])
-                    )
+                    relations.append(IntVector((
+                        (name_of[comp], 1), (name_of[x], -1), (name_of[y], -1))))
         qb = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
         projections[q] = qb.projection
         sections[q] = qb.section
         basis_levels.append(qb.basis)
 
+    classes = {q: projection.columns() for q, projection in projections.items()}
     differential = {}
     augmentation = {}
     for q, level in enumerate(basis_levels):
+        section_cols = sections[q].columns()
         for gen in level:
-            section_col = sections[q].column(gen)
+            section_col = section_cols[gen]
             if q == 0:
                 augmentation[gen] = sum(c for _, c in section_col.items())
                 continue
@@ -112,8 +110,7 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
                             "a face of an enumerated %d-cell was not enumerated; "
                             "the cell set is not face-closed" % q
                         )
-                step = (projections[q - 1].column(name_of[tgt])
-                        - projections[q - 1].column(name_of[src]))
+                step = classes[q - 1][name_of[tgt]] - classes[q - 1][name_of[src]]
                 dvec = dvec + step.scaled(coeff)
             differential[gen] = dvec
 
@@ -180,6 +177,7 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
             )
 
     # Z-basis degreewise: square and unimodular
+    matrices = {}
     for q in range(enum.max_dim + 1):
         tables = per_dim[q]
         rank = quotient.rank(q)
@@ -201,13 +199,20 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
                 ok=False, failed="z-basis",
                 detail="candidate classes are not unimodular in degree %d" % q,
             )
+        matrices[q] = (basis_names, dense)
 
-    # N-basis: every cell class is a (necessarily unique) N-combination
-    for q in range(enum.max_dim + 1):
-        gens = [quotient.class_of(t) for t in per_dim[q]]
+    # N-basis: the coordinates of a cell class over the candidate classes
+    # are the inverse matrix times the class; all must be non-negative
+    for q, (basis_names, dense) in matrices.items():
+        inverse = unimodular_inverse(dense)
+        column_of = {name: [row[j] for row in inverse]
+                     for j, name in enumerate(basis_names)}
         for table in enum.cells.get(q, ()):
-            coords = monoid_coordinates(quotient.class_of(table), gens)
-            if coords is None:
+            coords = [0] * len(inverse)
+            for name, c in quotient.class_of(table).items():
+                for i, v in enumerate(column_of[name]):
+                    coords[i] = _ck(coords[i] + _ck(v * c))
+            if any(c < 0 for c in coords):
                 return OmegaBasisReport(
                     ok=False, failed="n-basis",
                     detail="a %d-cell class is not a non-negative combination" % q,

@@ -9,8 +9,11 @@ number that would mask a modelling mistake.
 
 The Smith normal form is deliberately pedestrian: deterministic pivoting
 (smallest absolute value, ties broken by row then column), explicit
-unimodular bookkeeping, and a divisibility fix-up loop.  On the matrix
-sizes this package deals with (dozens of rows at most) that is plenty.
+unimodular bookkeeping, and a divisibility fix-up loop.  Quotients do not
+feed it the whole relation matrix: they first reduce, eliminating one
+generator for every relation with a coefficient of +-1 by sparse
+substitution, and run the dense normal form only on the few relations
+left (reduce-then-SNF, as in Kaczynski, Mrozek and Slusarek 1998).
 """
 
 from __future__ import annotations
@@ -74,6 +77,15 @@ class IntVector:
         self._hash = None
 
     @classmethod
+    def _of(cls, data: dict) -> "IntVector":
+        """A vector from a dict already known to map names to ints: zeros
+        are dropped and the range is checked, the type checks are not."""
+        vec = object.__new__(cls)
+        vec._entries = {k: _ck(v) for k, v in data.items() if v}
+        vec._hash = None
+        return vec
+
+    @classmethod
     def unit(cls, name: str) -> "IntVector":
         return cls(((name, 1),))
 
@@ -103,31 +115,31 @@ class IntVector:
         return sum(abs(c) for c in self._entries.values())
 
     def positive_part(self) -> "IntVector":
-        return IntVector((k, c) for k, c in self._entries.items() if c > 0)
+        return IntVector._of({k: c for k, c in self._entries.items() if c > 0})
 
     def negative_part(self) -> "IntVector":
         """The vector n with self = positive_part - n; n has coefficients > 0."""
-        return IntVector((k, -c) for k, c in self._entries.items() if c < 0)
+        return IntVector._of({k: -c for k, c in self._entries.items() if c < 0})
 
     def __add__(self, other: "IntVector") -> "IntVector":
         data = dict(self._entries)
         for k, c in other._entries.items():
             data[k] = data.get(k, 0) + c
-        return IntVector(data)
+        return IntVector._of(data)
 
     def __sub__(self, other: "IntVector") -> "IntVector":
         data = dict(self._entries)
         for k, c in other._entries.items():
             data[k] = data.get(k, 0) - c
-        return IntVector(data)
+        return IntVector._of(data)
 
     def __neg__(self) -> "IntVector":
-        return IntVector((k, -c) for k, c in self._entries.items())
+        return IntVector._of({k: -c for k, c in self._entries.items()})
 
     def scaled(self, factor: int) -> "IntVector":
         if factor == 0:
             return IntVector()
-        return IntVector((k, c * factor) for k, c in self._entries.items())
+        return IntVector._of({k: c * factor for k, c in self._entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, IntVector):
@@ -213,6 +225,13 @@ class IntMatrix:
     def column(self, c: str) -> IntVector:
         return IntVector((r, v) for (r, ci), v in self._entries.items() if ci == c)
 
+    def columns(self) -> dict:
+        """Every column, keyed by its name, from one pass over the entries."""
+        data = {c: {} for c in self.col_names}
+        for (r, c), v in self._entries.items():
+            data[c][r] = v
+        return {c: IntVector._of(col) for c, col in data.items()}
+
     def to_dense(self):
         return [
             [self._entries.get((r, c), 0) for c in self.col_names]
@@ -221,8 +240,9 @@ class IntMatrix:
 
     def apply(self, vector: IntVector) -> IntVector:
         """Matrix times column vector; the vector lives over the column names."""
+        cols = set(self.col_names)
         for name in vector.support():
-            if name not in set(self.col_names):
+            if name not in cols:
                 raise ValueError("vector entry %r outside the column names" % name)
         out = {}
         for (r, c), v in self._entries.items():
@@ -333,20 +353,27 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     """
     if isinstance(matrix, IntMatrix):
         a = [list(row) for row in matrix.to_dense()]
-        m, n = matrix.shape
+        n = matrix.shape[1]
     else:
         a = [list(row) for row in matrix]
-        m = len(a)
         n = len(a[0]) if a else 0
         if any(len(row) != n for row in a):
             raise ValueError("ragged input matrix")
     for row in a:
         for v in row:
             _ck(v)
+    return _smith(a, n, keep_v=True)
 
+
+def _smith(a, n, keep_v):
+    """The normal form of the m x n dense matrix ``a``, reduced in place.
+
+    Without ``keep_v`` the column transform is not tracked and ``V`` is
+    empty; the quotients, which never read it, save most of the work."""
+    m = len(a)
     U = _dense_identity(m)
     Ui = _dense_identity(m)
-    V = _dense_identity(n)
+    V = _dense_identity(n) if keep_v else []
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -571,45 +598,97 @@ def quotient_free_basis(ambient: Sequence[str], relations: Iterable[IntVector],
                         name_prefix: str = "q") -> QuotientBasis:
     """Present Z[ambient]/<relations> by a free basis.
 
+    Reduce, then take the Smith normal form.  Duplicate relations are
+    dropped.  Each relation, once the generators eliminated so far are
+    substituted into it, either vanishes, or has a coefficient +-1 and
+    eliminates its last such generator (in ambient order), which is then
+    substituted into the earlier eliminations too, or is set aside.  The
+    dense normal form runs only on the set-aside relations, over the
+    generators that survive.  Unit pivots are unimodular steps, so the
+    invariant factors, and with them the rank and any torsion, are those
+    of the whole relation matrix.
+
     Raises :class:`TorsionError` when the quotient has a finite part, since
     callers always expect a free group.
     """
     ambient = tuple(ambient)
-    relations = [IntVector(r) for r in relations]
-    amb_set = set(ambient)
+    if len(set(ambient)) != len(ambient):
+        raise ValueError("duplicate ambient generators")
+    relations = list(dict.fromkeys(IntVector(r) for r in relations))
+    position = {name: i for i, name in enumerate(ambient)}
     for r in relations:
-        extra = r.support() - amb_set
+        extra = [g for g in r._entries if g not in position]
         if extra:
             raise ValueError("relation mentions unknown generators %s" % sorted(extra))
-    rel_names = tuple("r%d" % i for i in range(len(relations)))
-    mat = IntMatrix(
-        ambient,
-        rel_names,
-        {(nm, rn): relations[j][nm]
-         for j, rn in enumerate(rel_names) for nm in relations[j].support()},
-    )
-    snf = smith_normal_form(mat)
-    n = len(ambient)
+
+    expr = {}  # eliminated generator -> its value over the surviving ones
+    users = {}  # generator -> eliminated generators whose value mentions it
+    set_aside = []
+    for r in relations:
+        row = _substitute(r._entries, expr)
+        units = [g for g, c in row.items() if c == 1 or c == -1]
+        if not units:
+            if row:
+                set_aside.append(row)
+            continue
+        g = max(units, key=position.__getitem__)
+        sign = row.pop(g)
+        value = {h: -sign * c for h, c in row.items()}
+        for user in users.pop(g, ()):
+            target = expr[user]
+            coeff = target.pop(g, 0)
+            if not coeff:
+                continue  # cancelled out of this value since it was filed
+            for h, c in value.items():
+                total = _ck(target.get(h, 0) + _ck(coeff * c))
+                if total:
+                    target[h] = total
+                    users.setdefault(h, {})[user] = None
+                else:
+                    target.pop(h, None)
+        expr[g] = value
+        for h in value:
+            users.setdefault(h, {})[g] = None
+
+    survivors = [g for g in ambient if g not in expr]
+    remainder = [row for row in (_substitute(r, expr) for r in set_aside) if row]
+    snf = _smith([[row.get(g, 0) for row in remainder] for g in survivors],
+                 len(remainder), keep_v=False)
     diag = snf.diagonal
     for d in diag:
         if d not in (0, 1):
             raise TorsionError("invariant factor %d in quotient" % d)
-    free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
+    free = [i for i in range(len(survivors)) if i >= len(diag) or diag[i] == 0]
     basis = tuple("%s%d" % (name_prefix, k) for k in range(len(free)))
-    proj_entries = {}
-    for k, i in enumerate(free):
-        for j, amb in enumerate(ambient):
-            v = snf.U[i][j]
-            if v:
-                proj_entries[(basis[k], amb)] = v
-    sect_entries = {}
-    for k, i in enumerate(free):
-        for j, amb in enumerate(ambient):
-            v = snf.U_inv[j][i]
-            if v:
-                sect_entries[(amb, basis[k])] = v
+
+    classes = {}
+    for j, g in enumerate(survivors):
+        classes[g] = {b: snf.U[i][j] for b, i in zip(basis, free) if snf.U[i][j]}
+    for g, value in expr.items():
+        acc = {}
+        for h, c in value.items():
+            for b, v in classes[h].items():
+                acc[b] = _ck(acc.get(b, 0) + _ck(c * v))
+        classes[g] = acc
+    proj_entries = {(b, g): v for g in ambient for b, v in classes[g].items() if v}
+    sect_entries = {(g, b): snf.U_inv[j][i]
+                    for b, i in zip(basis, free)
+                    for j, g in enumerate(survivors) if snf.U_inv[j][i]}
     return QuotientBasis(
         basis=basis,
         projection=IntMatrix(basis, ambient, proj_entries),
         section=IntMatrix(ambient, basis, sect_entries),
     )
+
+
+def _substitute(row: dict, expr: dict) -> dict:
+    """``row`` with each eliminated generator replaced by its value."""
+    out = {}
+    for g, c in row.items():
+        value = expr.get(g)
+        if value is None:
+            out[g] = _ck(out.get(g, 0) + c)
+        else:
+            for h, v in value.items():
+                out[h] = _ck(out.get(h, 0) + _ck(c * v))
+    return {g: c for g, c in out.items() if c}

@@ -211,6 +211,20 @@ def test_roundtrip_outcomes(capsys, tmp_path):
     assert "more than 10 cells" in err
 
 
+def test_cap_errors_say_how_far_the_run_got(capsys, tmp_path):
+    doc = export(tmp_path, "oriental", 4)
+    code, out, err = run(["roundtrip", str(doc), "--max-cells", "50"], capsys)
+    assert (code, out) == (5, "")
+    assert err == ("resource error [ENUM_CAP]: more than 50 cells "
+                   "(degree 1 had reached 23); raise --max-cells\n")
+
+    doc = export(tmp_path, "loop", form="polygraph")
+    code, out, err = run(["enumerate", str(doc), "--max-coeff", "1"], capsys)
+    assert (code, out) == (5, "")
+    assert err == ("resource error [ENUM_CAP]: coefficient 2 above 1 in a "
+                   "1-cell (after 8 cells); raise --max-coeff\n")
+
+
 def test_oracle_counts(capsys, tmp_path):
     doc = export(tmp_path, "oriental", 2)
     code, out, _ = run(["oracle", "--dim", "1", "--cap", "2", str(doc)], capsys)

@@ -63,7 +63,7 @@ def reference_closure(seeds, max_dim, admit):
 def reference_enumerate(complex_, max_dim=None, max_cells=10000, max_coeff=8):
     if max_dim is None:
         max_dim = complex_.max_degree
-    total = [0]
+    counts = {}
 
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
@@ -77,12 +77,16 @@ def reference_enumerate(complex_, max_dim=None, max_cells=10000, max_coeff=8):
                 yield table
 
     def admit(table):
+        total = sum(counts.values())
         if table.max_coeff() > max_coeff:
             raise EnumerationCapExceeded(
-                "coefficient above %d in a %d-cell" % (max_coeff, table.dim))
-        total[0] += 1
-        if total[0] > max_cells:
-            raise EnumerationCapExceeded("more than %d cells" % max_cells)
+                "coefficient %d above %d in a %d-cell (after %d cells); raise --max-coeff"
+                % (table.max_coeff(), max_coeff, table.dim, total))
+        if total == max_cells:
+            raise EnumerationCapExceeded(
+                "more than %d cells (degree %d had reached %d); raise --max-cells"
+                % (max_cells, table.dim, counts.get(table.dim, 0)))
+        counts[table.dim] = counts.get(table.dim, 0) + 1
         return True
 
     cells = reference_closure(atoms(), max_dim, admit)
@@ -170,20 +174,15 @@ def reference_relations(enum, q):
             for p, x, y in reference_pairs(tables, q)]
 
 
-def assert_same_quotient(enum, monkeypatch, solve=True):
+def assert_same_quotient(enum, monkeypatch):
     """lambda_of_enumerated hands the quotient the all-pairs relation list,
-    in its order, and gets the same projections and sections back.
-
-    With ``solve`` false the relations are recorded but a quotient by no
-    relations stands in for the dense Smith form, for inputs where that
-    takes many seconds.
-    """
+    in its order, and gets the same projections and sections back."""
     seen = {}
     real = roundtrip.quotient_free_basis
 
     def record(ambient, relations, name_prefix):
         seen[name_prefix] = list(relations)
-        return real(ambient, relations if solve else [], name_prefix=name_prefix)
+        return real(ambient, relations, name_prefix=name_prefix)
 
     monkeypatch.setattr(roundtrip, "quotient_free_basis", record)
     quotient = outcome(lambda_of_enumerated, enum)
@@ -191,7 +190,7 @@ def assert_same_quotient(enum, monkeypatch, solve=True):
     for q in range(enum.max_dim + 1):
         relations = reference_relations(enum, q)
         assert seen["q%d_" % q] == relations
-        if solve and not isinstance(quotient, tuple):
+        if not isinstance(quotient, tuple):
             ambient = ["c%d_%d" % (q, i) for i in range(len(enum.cells[q]))]
             want = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
             assert quotient.projections[q] == want.projection
@@ -228,8 +227,7 @@ def test_catalog_matches_the_all_pairs_scans(name, params, monkeypatch):
     complex_ = build(name, params).as_adc()
     enum = assert_same_as_reference(complex_)
     if enum is not None:
-        # forestA's dense quotient takes about 18 s
-        assert_same_quotient(enum, monkeypatch, solve=name != "forestA")
+        assert_same_quotient(enum, monkeypatch)
     # tight caps stop both at the same cell
     assert_same_as_reference(complex_, max_cells=7)
     assert_same_as_reference(complex_, max_dim=complex_.max_degree + 1, max_coeff=2)

@@ -5,7 +5,9 @@ import pytest
 from polyadc import (
     EnumeratedOmegaCat,
     EnumerationCapExceeded,
+    IntMatrix,
     IntVector,
+    QuotientLambda,
     atom_to_table,
     build,
     check_omega_basis,
@@ -128,3 +130,70 @@ def test_equivalence_precondition_is_reported_not_raised():
 def test_equivalence_propagates_enumeration_caps():
     with pytest.raises(EnumerationCapExceeded):
         verify_equivalence(build("oriental", (3,)).as_adc(), max_cells=10)
+
+
+def with_classes(ql, q, classes):
+    """``ql`` with the degree-q class of each cell name replaced as given."""
+    old = ql.projections[q]
+    projection = IntMatrix(old.row_names, old.col_names,
+                           {(b, c): v for c, col in classes.items() for b, v in col.items()})
+    return QuotientLambda(complex=ql.complex, cells=ql.cells, cell_names=ql.cell_names,
+                          projections={**ql.projections, q: projection},
+                          sections=ql.sections)
+
+
+def test_basis_check_flags_negative_coordinates():
+    k = triangle()
+    enum = enumerate_nu(k, max_coeff=2)
+    ql = lambda_of_enumerated(enum)
+    # the composite 01 . 12 given the class [01] - [12] instead of
+    # [01] + [12]: the atom classes are still a Z-basis, but that
+    # composite's coordinates over them are (1, -1, 0)
+    a01, a12 = atom_to_table(k, "01"), atom_to_table(k, "12")
+    both = ql.cell_names[1][ql.cells[1].index(compose(a01, a12, 0))]
+    classes = ql.projections[1].columns()
+    classes[both] = ql.class_of(a01) - ql.class_of(a12)
+    rep = check_omega_basis(enum, all_atoms(k), with_classes(ql, 1, classes))
+    assert (rep.ok, rep.failed, rep.detail) == \
+        (False, "n-basis", "a 1-cell class is not a non-negative combination")
+
+
+def test_basis_check_is_blind_to_a_change_of_quotient_basis():
+    # coordinates over the candidate classes do not depend on the basis the
+    # classes are written in; b0 -> b0 + b1 + b2, b1 -> b1 + b2 is unimodular
+    k = triangle()
+    enum = enumerate_nu(k, max_coeff=2)
+    ql = lambda_of_enumerated(enum)
+    b0, b1, b2 = ql.complex.generators(1)
+    shear = {b0: IntVector({b0: 1, b1: 1, b2: 1}), b1: IntVector({b1: 1, b2: 1}),
+             b2: IntVector.unit(b2)}
+    classes = {}
+    for name, cls in ql.projections[1].columns().items():
+        classes[name] = IntVector()
+        for b, c in cls.items():
+            classes[name] = classes[name] + shear[b].scaled(c)
+    rep = check_omega_basis(enum, all_atoms(k), with_classes(ql, 1, classes))
+    assert rep.ok
+
+
+def theta2_counts(m, *widths):
+    """Cells per dimension of theta2(m, k1..km) in closed form: a 1-cell is
+    an identity or one of the k+1 edges in each column of an interval, a
+    2-cell the same with an ordered pair of edges."""
+    ones = twos = m + 1
+    for i in range(m):
+        p1 = p2 = 1
+        for k in widths[i:]:
+            p1 *= k + 1
+            p2 *= (k + 1) * (k + 2) // 2
+            ones += p1
+            twos += p2
+    return {0: m + 1, 1: ones, 2: twos}
+
+
+def test_equivalence_on_theta2_3_2_2_2():
+    # 2,354 relations in degree 2; the dense Smith form took about 70 s
+    rep = verify_equivalence(build("theta2", (3, 2, 2, 2)).as_adc())
+    assert rep.ok
+    assert rep.cell_counts == theta2_counts(3, 2, 2, 2) == {0: 4, 1: 58, 2: 310}
+    assert rep.ranks == {0: 4, 1: 9, 2: 6}

@@ -66,6 +66,8 @@ def test_matrix_construction_and_apply():
     assert m.entry("r0", "c1") == 2
     assert m.row("r1") == IntVector({"c1": -3})
     assert m.column("c0") == IntVector({"r0": 1})
+    assert m.columns() == {"c0": IntVector({"r0": 1}), "c1": IntVector({"r0": 2, "r1": -3})}
+    assert IntMatrix(("r",), ("c",)).columns() == {"c": IntVector()}
     assert m.apply(IntVector({"c0": 1, "c1": 1})) == IntVector({"r0": 3, "r1": -3})
     eye = IntMatrix.identity(("x", "y"))
     v = IntVector({"x": 7, "y": -2})
@@ -132,6 +134,36 @@ def test_smith_normal_form_randomized():
             if b:
                 assert a and b % a == 0
         assert diag == minors_diagonal(dense)
+
+
+def test_smith_normal_form_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(6)
+    overflowed = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        dense = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                 for _ in range(m)]
+        try:
+            snf = smith_normal_form(dense)
+        except CoefficientOverflow:
+            overflowed += 1
+            continue
+        want = sympy_snf(sympy.Matrix(dense), domain=sympy.ZZ)
+        assert snf.diagonal == tuple(abs(int(want[i, i])) for i in range(min(m, n)))
+        assert mat_mul(mat_mul(snf.U, dense), snf.V) == [list(r) for r in snf.D]
+        assert mat_mul(snf.U, snf.U_inv) == [[int(i == j) for j in range(m)]
+                                             for i in range(m)]
+    assert overflowed == 0
+
+    # invariant factors 2**62 and 2**63: the second leaves the window
+    big = [[2**62, 2**62], [2**62, -2**62]]
+    want = sympy_snf(sympy.Matrix(big), domain=sympy.ZZ)
+    assert (abs(int(want[0, 0])), abs(int(want[1, 1]))) == (2**62, 2**63)
+    with pytest.raises(CoefficientOverflow):
+        smith_normal_form(big)
 
 
 def test_unimodular_inverse():
@@ -213,3 +245,5 @@ def test_quotient_torsion_and_bad_relations():
         quotient_free_basis(["x"], [IntVector({"x": 2})])
     with pytest.raises(ValueError):
         quotient_free_basis(["x"], [IntVector({"z": 1})])
+    with pytest.raises(ValueError):
+        quotient_free_basis(["x", "x"], [])
