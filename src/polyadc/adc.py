@@ -90,6 +90,7 @@ class Adc:
                 if name not in aug:
                     raise ValueError("missing augmentation for generator %r" % name)
         self._aug = aug
+        self._atom_tables = {}  # name -> rows, filled by atom_table
 
     # -- basic accessors ----------------------------------------------------
 
@@ -231,8 +232,12 @@ def atom_table(complex_: Adc, name: str) -> tuple:
     """The rows of the source/target table spanned by a single generator.
 
     ``rows[p]`` holds the pair (negative row, positive row) in degree p,
-    for p from 0 up to the generator's dimension.
+    for p from 0 up to the generator's dimension.  The complex does not
+    change, so each generator's rows are built once and kept on it.
     """
+    kept = complex_._atom_tables.get(name)
+    if kept is not None:
+        return kept
     q = complex_.degree_of(name)
     top = IntVector.unit(name)
     rows = [(top, top)]
@@ -241,7 +246,8 @@ def atom_table(complex_: Adc, name: str) -> tuple:
         d_neg = complex_.boundary_vec(p + 1, neg_above)
         d_pos = complex_.boundary_vec(p + 1, pos_above)
         rows.insert(0, (d_neg.negative_part(), d_pos.positive_part()))
-    return tuple(rows)
+    kept = complex_._atom_tables[name] = tuple(rows)
+    return kept
 
 
 # ---------------------------------------------------------------------------

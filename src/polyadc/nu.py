@@ -31,11 +31,21 @@ class EnumerationCapExceeded(Exception):
     code = "ENUM_CAP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NuTable:
-    """An immutable source/target table; ``rows[p]`` is (negative, positive)."""
+    """An immutable source/target table; ``rows[p]`` is (negative, positive).
+
+    The hash is computed on first use and kept; it takes no part in ``==``
+    or ``repr``.
+    """
 
     rows: tuple
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.rows))
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -149,10 +159,20 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
 
 class CompositionIndex:
     """Cells filed under their p-faces, so that the partners of a cell in a
-    composition are one lookup each, in insertion order."""
+    composition are one lookup each, in insertion order.
+
+    The index also records the products among its cells by position:
+    ``products[dim][(p, pos x, pos y)]`` is the position of
+    ``compose(x, y, p)``, or None when the composite is not indexed, and
+    ``identities[dim][pos t]`` is the position of ``identity(t)`` one
+    dimension up.  :func:`close_under_composition` fills the record as it
+    forms the products.
+    """
 
     def __init__(self, tables=()):
         self.cells = {}  # dim -> {table: insertion position}
+        self.products = {}  # dim -> {(p, pos x, pos y): pos of the composite or None}
+        self.identities = {}  # dim -> {pos t: pos of identity(t) in dim + 1}
         self._faces = {}  # (dim, p, rows[:p], sign, row p of that sign) -> tables
         for table in tables:
             self.add(table)
@@ -184,30 +204,50 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     an exception stops the closure.  The composites of a dequeued ``t`` are
     formed by the partner's insertion position, then p, then ``t`` on the
     left before ``t`` on the right, so the order depends on the seeds alone.
+
+    Each composable pair is composed once, when the first of its two cells
+    is dequeued if the other is indexed by then, else when the second is,
+    and filed in the index's ``products`` record; the identity links go to
+    ``identities``.
     """
     index = CompositionIndex()
     queue = deque()
+    # dim -> per position, how many cells of that dim were indexed when the
+    # cell was dequeued; those are the partners it has been composed with
+    reached = {}
 
     def add(table: NuTable):
         if table not in index and admit(table):
             index.add(table)
             queue.append(table)
+        return index.cells.get(table.dim, {}).get(table)
 
     for table in seeds:
         add(table)
     while queue:
         t = queue.popleft()
-        if t.dim < max_dim:
-            add(identity(t))
         position = index.cells[t.dim]
+        i = position[t]
+        if t.dim < max_dim:
+            j = add(identity(t))
+            if j is not None:
+                index.identities.setdefault(t.dim, {})[i] = j
+        seen = reached.setdefault(t.dim, [])
+        seen.append(len(position))  # cells of a dim are dequeued in position order
+        filed = index.products.setdefault(t.dim, {})
         pairs = []
         for p in range(t.dim):
             pairs.extend((position[u], p, 0, u) for u in index.right_factors(t, p))
             pairs.extend((position[u], p, 1, u) for u in index.left_factors(t, p)
                          if u is not t)
         pairs.sort(key=lambda pair: pair[:3])
-        for _, p, t_is_right, u in pairs:
-            add(compose(u, t, p) if t_is_right else compose(t, u, p))
+        for j, p, t_is_right, u in pairs:
+            if j < i < seen[j]:
+                continue  # composed when u was dequeued
+            if t_is_right:
+                filed[(p, j, i)] = add(compose(u, t, p))
+            else:
+                filed[(p, i, j)] = add(compose(t, u, p))
     return index
 
 
@@ -216,7 +256,11 @@ class EnumeratedOmegaCat:
     """The compositional closure of the atom tables, one layer per dimension.
 
     ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
-    built, or one built from ``cells`` on first use.
+    built, with the record of every product and identity among the cells
+    that its closure filed.  For cells given by hand it is built on first
+    use by the same closure, seeded with ``cells`` and confined to them, so
+    a composite outside the cells is recorded as None.  Positions in the
+    index are positions in ``cells[dim]``.
     """
 
     complex: Adc
@@ -226,7 +270,8 @@ class EnumeratedOmegaCat:
 
     @cached_property
     def index(self) -> CompositionIndex:
-        return CompositionIndex(t for q in sorted(self.cells) for t in self.cells[q])
+        given = [t for q in sorted(self.cells) for t in self.cells[q]]
+        return close_under_composition(given, self.max_dim, set(given).__contains__)
 
     def cell_set(self, q: int) -> frozenset:
         return frozenset(self.cells.get(q, ()))
@@ -247,7 +292,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     binary composition.
 
     The atoms seed :func:`close_under_composition` in degree order, and
-    its index stays on the result for the pair scans that follow.
+    its index, with the record of every product it formed, stays on the
+    result for the relation list, the generation check and the
+    indecomposables.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
@@ -373,12 +420,14 @@ def indecomposables(enum: EnumeratedOmegaCat) -> dict:
     """Per dimension, the non-identity cells with no two-factor splitting.
 
     A cell counts as decomposable only when it is a composite of two
-    non-identity cells; padding with identities does not count.
+    non-identity cells; padding with identities does not count.  The
+    splittings are read from the products recorded in ``enum.index``.
     """
     out = {}
     for q in range(enum.max_dim + 1):
-        candidates = [t for t in enum.cells.get(q, ()) if not t.is_trivial()]
-        split = {compose(x, y, p) for x in candidates for p in range(q)
-                 for y in enum.index.right_factors(x, p) if not y.is_trivial()}
-        out[q] = tuple(t for t in candidates if t not in split)
+        tables = enum.cells.get(q, ())
+        split = {k for (_, i, j), k in enum.index.products.get(q, {}).items()
+                 if not tables[i].is_trivial() and not tables[j].is_trivial()}
+        out[q] = tuple(t for k, t in enumerate(tables)
+                       if not t.is_trivial() and k not in split)
     return out

@@ -55,9 +55,11 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
 
     One relation per composable pair (composite minus the two factors),
     listed by level, then left factor, then right factor, each in cell
-    order; the pairs are read from ``enum.index``.  The differential of a
+    order; the pairs and their composites are read from the products
+    recorded in ``enum.index``, not composed again.  The differential of a
     quotient generator is transported through a section, using the faces
-    of the cells, which must themselves be enumerated.
+    of the cells.  Raises ValueError when a composite or a face of the
+    enumerated cells was not itself enumerated.
     """
     cells = {q: tuple(ts) for q, ts in enum.cells.items()}
     cell_names = {
@@ -76,14 +78,17 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
     basis_levels = []
     for q in range(enum.max_dim + 1):
         ambient = cell_names.get(q, ())
-        tables = cells.get(q, ())
         relations = []
-        for p in range(q):
-            for x in tables:
-                for y in enum.index.right_factors(x, p):
-                    comp = nu.compose(x, y, p)
-                    relations.append(IntVector((
-                        (name_of[comp], 1), (name_of[x], -1), (name_of[y], -1))))
+        for (_, i, j), k in sorted(enum.index.products.get(q, {}).items()):
+            if k is None:
+                raise ValueError(
+                    "a composite of two enumerated %d-cells was not enumerated; "
+                    "the cell set is not closed under composition" % q
+                )
+            relation = {ambient[k]: 1}
+            relation[ambient[i]] = relation.get(ambient[i], 0) - 1
+            relation[ambient[j]] = relation.get(ambient[j], 0) - 1
+            relations.append(IntVector._of(relation))
         qb = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
         projections[q] = qb.projection
         sections[q] = qb.section
@@ -130,6 +135,38 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
 # ---------------------------------------------------------------------------
 # basis checking
 
+def _generated(index: nu.CompositionIndex, per_dim: dict) -> dict:
+    """Per dimension, a flag for each indexed cell position: is the cell
+    generated by the candidates under identities and the recorded products?"""
+    uses = {}  # (dim, pos) -> [(pos of the other factor, pos of the composite)]
+    for q, filed in index.products.items():
+        for (_, i, j), k in filed.items():
+            if k is not None:
+                uses.setdefault((q, i), []).append((j, k))
+                if j != i:
+                    uses.setdefault((q, j), []).append((i, k))
+    generated = {q: bytearray(len(cells)) for q, cells in index.cells.items()}
+    stack = []
+
+    def mark(q, i):
+        if not generated[q][i]:
+            generated[q][i] = 1
+            stack.append((q, i))
+
+    for q, tables in per_dim.items():
+        for table in tables:
+            mark(q, index.cells[q][table])
+    while stack:
+        q, i = stack.pop()
+        j = index.identities.get(q, {}).get(i)
+        if j is not None:
+            mark(q + 1, j)
+        for other, k in uses.get((q, i), ()):
+            if generated[q][other]:
+                mark(q, k)
+    return generated
+
+
 @dataclass(frozen=True)
 class OmegaBasisReport:
     ok: bool
@@ -144,9 +181,10 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
     Four checks, in order: the candidates generate everything under
     composition; their classes are pairwise distinct; they form a Z-basis
     of each quotient degree; and every cell class is a unique N-combination
-    of candidate classes.  Generation is decided by the closure that
-    :func:`nu.enumerate_nu` runs (:func:`nu.close_under_composition`),
-    seeded with the candidates and confined to the enumerated cells.
+    of candidate classes.  Generation is decided by forward chaining over
+    the products and identities recorded in ``enum.index``: a cell is
+    generated when it is a candidate, the identity of a generated cell, or
+    the composite of a recorded pair whose two factors are generated.
     """
     if quotient is None:
         quotient = lambda_of_enumerated(enum)
@@ -156,15 +194,13 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
             raise ValueError("candidate table is not among the enumerated cells")
         per_dim[table.dim].append(table)
 
-    # generation: the candidates' closure inside the enumerated cells
-    seeds = [t for tables in per_dim.values() for t in tables]
-    closure = nu.close_under_composition(seeds, enum.max_dim, enum.__contains__)
+    generated = _generated(enum.index, per_dim)
     for q in range(enum.max_dim + 1):
-        missing = enum.cell_set(q).difference(closure.cells.get(q, ()))
+        missing = len(enum.index.cells.get(q, ())) - sum(generated.get(q, ()))
         if missing:
             return OmegaBasisReport(
                 ok=False, failed="generation",
-                detail="%d of the %d-cells are not generated" % (len(missing), q),
+                detail="%d of the %d-cells are not generated" % (missing, q),
             )
 
     # injectivity of classes on the candidate family

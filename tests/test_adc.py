@@ -10,6 +10,7 @@ from polyadc import (
     atom_table,
     build,
     decompose,
+    enumerate_nu,
     generating_relation,
     is_strong_steiner_complex,
     is_unital,
@@ -117,6 +118,19 @@ def test_atom_table_of_the_triangle():
         (IntVector({"02": 1}), IntVector({"01": 1, "12": 1})),
         (IntVector({"012": 1}), IntVector({"012": 1})),
     )
+
+
+def test_atom_tables_are_built_once_per_complex():
+    k = build("oriental", (3,)).as_adc()
+    first = {name: atom_table(k, name) for name in k.all_generators()}
+    assert is_strong_steiner_complex(k)
+    enum = enumerate_nu(k)
+    assert all(atom_table(k, name) is rows for name, rows in first.items())
+    assert all(table.rows is first[name] for table, name in enum.atom_names.items())
+    # an equal complex built anew builds its own
+    again = build("oriental", (3,)).as_adc()
+    assert again == k and atom_table(again, "0123") is not first["0123"]
+    assert atom_table(again, "0123") == first["0123"]
 
 
 def test_unitality():

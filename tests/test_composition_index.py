@@ -5,7 +5,8 @@ index replaced in the enumeration, the relation listing, the
 indecomposables and the generation check.  The indexed code must reproduce
 them exactly: the same cells in the same discovery order, the same
 relation list and therefore the same projections and sections, and the
-same verdicts.
+same verdicts.  The record of products the closure keeps must list every
+composable pair of the all-pairs scan, each composed once.
 """
 
 from collections import deque
@@ -31,7 +32,7 @@ from polyadc import (
     lambda_presentation,
     quotient_free_basis,
 )
-from polyadc import nu, roundtrip
+from polyadc import nu, roundtrip, verify_equivalence
 
 
 def reference_closure(seeds, max_dim, admit):
@@ -108,8 +109,32 @@ def reference_indecomposables(enum):
     return out
 
 
+def reference_record(enum):
+    """The products and identity links among the cells, by position, from
+    the all-pairs scan; a composite outside the cells is None."""
+    products, identities = {}, {}
+    for q, tables in enum.cells.items():
+        position = {t: i for i, t in enumerate(tables)}
+        above = {t: i for i, t in enumerate(enum.cells.get(q + 1, ()))}
+        filed = {(p, position[x], position[y]): position.get(compose(x, y, p))
+                 for p, x, y in reference_pairs(tables, q)}
+        links = {i: above[identity(t)] for i, t in enumerate(tables)
+                 if q < enum.max_dim and identity(t) in above}
+        if filed:
+            products[q] = filed
+        if links:
+            identities[q] = links
+    return products, identities
+
+
+def recorded(enum):
+    return ({q: filed for q, filed in enum.index.products.items() if filed},
+            {q: links for q, links in enum.index.identities.items() if links})
+
+
 def reference_missing(enum, candidates):
-    """Per dimension, how many cells the candidates do not generate."""
+    """Per dimension, how many cells the candidates do not generate inside
+    the cell set; composites outside the set are ignored."""
     closure = {q: set() for q in range(enum.max_dim + 1)}
     queue = []
     for t in candidates:
@@ -125,7 +150,7 @@ def reference_missing(enum, candidates):
                     if composable(a, b, p):
                         made.append(compose(a, b, p))
         for c in made:
-            if c not in closure[c.dim]:
+            if c in enum and c not in closure[c.dim]:
                 closure[c.dim].add(c)
                 queue.append(c)
     return {q: len(enum.cell_set(q) - closure[q]) for q in range(enum.max_dim + 1)}
@@ -162,6 +187,11 @@ def assert_same_as_reference(complex_, **caps):
         assert enum == want
         return None
     assert enum.cells == want
+    record = reference_record(enum)
+    assert recorded(enum) == record
+    rebuilt = nu.EnumeratedOmegaCat(complex=complex_, max_dim=enum.max_dim,
+                                    cells=enum.cells)
+    assert recorded(rebuilt) == record
     assert indecomposables(enum) == reference_indecomposables(enum)
     return enum
 
@@ -195,6 +225,29 @@ def assert_same_quotient(enum, monkeypatch):
             want = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
             assert quotient.projections[q] == want.projection
             assert quotient.sections[q] == want.section
+    return quotient
+
+
+def generation_detail(missing):
+    """The detail of a generation failure for per-dimension missing counts."""
+    for q, n in sorted(missing.items()):
+        if n:
+            return "%d of the %d-cells are not generated" % (n, q)
+    return None
+
+
+def assert_same_generation(enum, families, quotient):
+    for candidates in families:
+        report = check_omega_basis(enum, candidates, quotient)
+        found = report.detail if report.failed == "generation" else None
+        assert found == generation_detail(reference_missing(enum, candidates))
+
+
+def assert_same_quotient_and_generation(complex_, enum, monkeypatch):
+    quotient = assert_same_quotient(enum, monkeypatch)
+    if not isinstance(quotient, tuple):
+        families = [c for c, _ in basis_cases(complex_, enum)]
+        assert_same_generation(enum, families, quotient)
 
 
 class Enough(Exception):
@@ -227,7 +280,7 @@ def test_catalog_matches_the_all_pairs_scans(name, params, monkeypatch):
     complex_ = build(name, params).as_adc()
     enum = assert_same_as_reference(complex_)
     if enum is not None:
-        assert_same_quotient(enum, monkeypatch)
+        assert_same_quotient_and_generation(complex_, enum, monkeypatch)
     # tight caps stop both at the same cell
     assert_same_as_reference(complex_, max_cells=7)
     assert_same_as_reference(complex_, max_dim=complex_.max_degree + 1, max_coeff=2)
@@ -240,7 +293,7 @@ def test_catalog_matches_the_all_pairs_scans(name, params, monkeypatch):
 def test_random_presentations_match_the_all_pairs_scans(complex_, monkeypatch):
     enum = assert_same_as_reference(complex_, max_cells=3000)
     if enum is not None:
-        assert_same_quotient(enum, monkeypatch)
+        assert_same_quotient_and_generation(complex_, enum, monkeypatch)
     assert first_admitted(nu.close_under_composition, complex_) == \
         first_admitted(reference_closure, complex_)
 
@@ -316,3 +369,67 @@ def test_layered_enumeration_equals_brute_force_on_random_unital_complexes():
             assert enum.cell_set(q) == set(brute_force_nu(complex_, q, 2))
 
     prop()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("oriental", (3,)), ("disk", (4,)), ("sphere", (3,)), ("theta2", (3, 2, 0, 1)),
+    ("theta2", (2, 2, 3)),
+])
+def test_verify_equivalence_composes_each_pair_once(name, params, monkeypatch):
+    complex_ = build(name, params).as_adc()
+    calls = []
+    real = nu.compose
+
+    def counting(x, y, p):
+        calls.append((x, y, p))
+        return real(x, y, p)
+
+    monkeypatch.setattr(nu, "compose", counting)
+    assert verify_equivalence(complex_).ok
+    monkeypatch.undo()
+    enum = enumerate_nu(complex_)
+    pairs = {(x, y, p) for q, tables in enum.cells.items()
+             for p, x, y in reference_pairs(tables, q)}
+    assert len(calls) == len(pairs)
+    assert set(calls) == pairs
+
+
+def test_a_cell_set_not_closed_under_composition_is_refused():
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    quotient = lambda_of_enumerated(enum)
+    p, x, y = reference_pairs(enum.nontrivial(1), 1)[0]
+    composite = compose(x, y, p)
+    cells = dict(enum.cells)
+    cells[1] = tuple(t for t in cells[1] if t != composite)
+    holed = nu.EnumeratedOmegaCat(complex=complex_, max_dim=enum.max_dim, cells=cells)
+    assert recorded(holed) == reference_record(holed)
+    with pytest.raises(ValueError, match="a composite of two enumerated 1-cells was "
+                                         "not enumerated; the cell set is not closed "
+                                         "under composition"):
+        lambda_of_enumerated(holed)
+    assert indecomposables(holed) == reference_indecomposables(holed)
+    # generation runs before the quotient is read, and ignores the missing
+    # composite as the closure confined to the cells did
+    families = [c for c, _ in basis_cases(complex_, enum)
+                if all(t in holed for t in c)]
+    assert len(families) == 3
+    assert_same_generation(holed, families, quotient)
+
+
+def test_table_hash_is_kept_and_plays_no_part_in_equality_or_repr():
+    complex_ = build("oriental", (2,)).as_adc()
+    atom = atom_to_table(complex_, "01")
+    vertex = atom_to_table(complex_, "0")
+    padded = compose(identity(vertex), atom, 0)  # the same table, built anew
+    rebuilt = nu.NuTable(rows=tuple(list(atom.rows)))
+    assert padded is not atom and padded == atom == rebuilt
+    assert padded._hash is None and rebuilt._hash is None
+    assert hash(atom) == hash(padded) == hash(rebuilt) == hash(atom.rows)
+    assert atom._hash is not None and rebuilt._hash is not None
+    assert repr(atom) == repr(rebuilt) == "NuTable(dim=1, top=IntVector(+1*01))"
+    # a table carrying a hash equals one that does not yet
+    fresh = nu.NuTable(rows=atom.rows)
+    assert fresh._hash is None and fresh == atom and atom == fresh
+    assert {atom: 1}[fresh] == 1
+    assert not hasattr(atom, "__dict__")

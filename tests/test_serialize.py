@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import random_presentation
 from polyadc import (
     Adc,
     Comp,
@@ -122,3 +123,26 @@ def test_dot_export():
     fg = generating_relation(forest)
     quoted = to_dot(fg, {n: forest.degree_of(n) for n in fg.nodes})
     assert '"alpha\'" [label="alpha\':2"];' in quoted
+
+
+def test_random_documents_round_trip_to_equal_objects_and_stable_bytes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+    def prop(seed):
+        pres = random_presentation(seed)
+        text = serialize_document(pres)
+        back = parse_document(text)
+        assert isinstance(back, PolyPresentation)
+        assert back.generators == pres.generators
+        assert all(back.boundary_of(n) == pres.boundary_of(n)
+                   for level in pres.generators[1:] for n in level)
+        assert serialize_document(back) == text
+        k = lambda_presentation(pres)
+        text = serialize_document(k)
+        assert parse_document(text) == k
+        assert serialize_document(parse_document(text)) == text
+
+    prop()
