@@ -56,6 +56,7 @@ from .roundtrip import (
     QuotientLambda,
     check_omega_basis,
     lambda_of_enumerated,
+    top_row_certificate,
     verify_equivalence,
 )
 from .serialize import (

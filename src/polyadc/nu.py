@@ -167,12 +167,18 @@ class CompositionIndex:
     ``identities[dim][pos t]`` is the position of ``identity(t)`` one
     dimension up.  :func:`close_under_composition` fills the record as it
     forms the products.
+
+    ``provenance[dim][pos]`` says how a cell first entered the index: None
+    for a cell added as it stands (a seed), ``(pos t,)`` for the identity
+    of the cell at ``pos t`` one dimension down, and ``(p, pos x, pos y)``
+    for ``compose(x, y, p)``.
     """
 
     def __init__(self, tables=()):
         self.cells = {}  # dim -> {table: insertion position}
         self.products = {}  # dim -> {(p, pos x, pos y): pos of the composite or None}
         self.identities = {}  # dim -> {pos t: pos of identity(t) in dim + 1}
+        self.provenance = {}  # dim -> per position, None, (pos t,) or (p, pos x, pos y)
         self._faces = {}  # (dim, p, rows[:p], sign, row p of that sign) -> tables
         for table in tables:
             self.add(table)
@@ -180,9 +186,10 @@ class CompositionIndex:
     def __contains__(self, table: NuTable) -> bool:
         return table in self.cells.get(table.dim, ())
 
-    def add(self, table: NuTable):
+    def add(self, table: NuTable, origin=None):
         bucket = self.cells.setdefault(table.dim, {})
         bucket[table] = len(bucket)
+        self.provenance.setdefault(table.dim, []).append(origin)
         for p in range(table.dim):
             for sign, vec in zip((-1, 1), table.rows[p]):
                 key = (table.dim, p, table.rows[:p], sign, vec)
@@ -208,7 +215,9 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     Each composable pair is composed once, when the first of its two cells
     is dequeued if the other is indexed by then, else when the second is,
     and filed in the index's ``products`` record; the identity links go to
-    ``identities``.
+    ``identities``.  Each admitted cell's ``provenance`` is the seed, the
+    identity or the pair that produced it first, so it names cells indexed
+    before it and traces back to the seeds without a cycle.
     """
     index = CompositionIndex()
     queue = deque()
@@ -216,20 +225,20 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     # cell was dequeued; those are the partners it has been composed with
     reached = {}
 
-    def add(table: NuTable):
+    def add(table: NuTable, origin):
         if table not in index and admit(table):
-            index.add(table)
+            index.add(table, origin)
             queue.append(table)
         return index.cells.get(table.dim, {}).get(table)
 
     for table in seeds:
-        add(table)
+        add(table, None)
     while queue:
         t = queue.popleft()
         position = index.cells[t.dim]
         i = position[t]
         if t.dim < max_dim:
-            j = add(identity(t))
+            j = add(identity(t), (i,))
             if j is not None:
                 index.identities.setdefault(t.dim, {})[i] = j
         seen = reached.setdefault(t.dim, [])
@@ -245,9 +254,11 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
             if j < i < seen[j]:
                 continue  # composed when u was dequeued
             if t_is_right:
-                filed[(p, j, i)] = add(compose(u, t, p))
+                key = (p, j, i)
+                filed[key] = add(compose(u, t, p), key)
             else:
-                filed[(p, i, j)] = add(compose(t, u, p))
+                key = (p, i, j)
+                filed[key] = add(compose(t, u, p), key)
     return index
 
 
@@ -260,13 +271,19 @@ class EnumeratedOmegaCat:
     that its closure filed.  For cells given by hand it is built on first
     use by the same closure, seeded with ``cells`` and confined to them, so
     a composite outside the cells is recorded as None.  Positions in the
-    index are positions in ``cells[dim]``.
+    index are positions in ``cells[dim]``, so a table listed twice in one
+    ``cells[dim]`` is refused with ValueError.
     """
 
     complex: Adc
     max_dim: int
     cells: dict  # dim -> tuple of NuTable, in discovery order
     atom_names: dict = field(default_factory=dict)  # NuTable -> generator name
+
+    def __post_init__(self):
+        for q, tables in self.cells.items():
+            if len(set(tables)) != len(tables):
+                raise ValueError("cells[%d] lists a table more than once" % q)
 
     @cached_property
     def index(self) -> CompositionIndex:
@@ -292,9 +309,10 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     binary composition.
 
     The atoms seed :func:`close_under_composition` in degree order, and
-    its index, with the record of every product it formed, stays on the
-    result for the relation list, the generation check and the
-    indecomposables.
+    its index, with the record of every product it formed and the
+    provenance of every cell, stays on the result for the relation list,
+    the generation check, the indecomposables and the roundtrip's
+    certificate.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the

@@ -52,8 +52,6 @@ def obj_to_expr(obj) -> CellExpr:
 
 
 def _check_keys(record, required, label):
-    if not isinstance(record, dict):
-        raise DocumentError("%s must be an object" % label)
     missing = required - set(record)
     extra = set(record) - required
     if missing:
@@ -63,6 +61,8 @@ def _check_keys(record, required, label):
 
 
 def _name_dim(record, label):
+    if not isinstance(record, dict):
+        raise DocumentError("%s must be an object" % label)
     name = record.get("name")
     dim = record.get("dim")
     if not isinstance(name, str) or not name:
@@ -78,7 +78,9 @@ def parse_document(text: str):
     Schema problems and nesting too deep to walk raise
     :class:`DocumentError`; semantically invalid data
     (broken chain complex laws, ill-typed boundaries) surfaces as the
-    ValueError of the corresponding constructor.
+    ValueError of the corresponding constructor.  A presentation whose
+    highest dimension no chain of its generators and identity expressions
+    can reach raises ValueError before its levels are laid out.
     """
     try:
         doc = json.loads(text)
@@ -109,9 +111,9 @@ def parse_document(text: str):
         records.append(record)
 
     max_dim = max(levels) if levels else -1
-    basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
 
     if kind == "adc":
+        basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
         diff = {}
         aug = {}
         for record in records:
@@ -137,9 +139,37 @@ def parse_document(text: str):
             name, dim = record["name"], record["dim"]
             if dim >= 1:
                 boundary[name] = (obj_to_expr(record["src"]), obj_to_expr(record["tgt"]))
+        # A generator's dimension is one more than its source's, which is a
+        # lower generator's raised by the identities on any one path of the
+        # source expression; so no generator of a valid presentation lies
+        # above this bound, and checking it first keeps an absurd dimension
+        # from sizing the list of levels.
+        reach = len(records) - 1 + sum(_identities(expr) for pair in boundary.values()
+                                       for expr in pair)
+        if max_dim > reach:
+            name = next(r["name"] for r in records if r["dim"] == max_dim)
+            raise ValueError(
+                "dimension %d of %r is out of reach: %d generators and their "
+                "identity expressions reach dimension %d at most"
+                % (max_dim, name, len(records), reach))
+        basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
         return PolyPresentation(basis, boundary)
     except RecursionError:
         raise DocumentError("expressions nested too deeply") from None
+
+
+def _identities(expr: CellExpr) -> int:
+    """The number of identity nodes in an expression."""
+    count = 0
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Id):
+            count += 1
+            stack.append(node.inner)
+        elif isinstance(node, Comp):
+            stack.extend((node.left, node.right))
+    return count
 
 
 def serialize_adc(complex_: Adc) -> dict:

@@ -1,0 +1,250 @@
+"""The top-row certificate against the Smith-form quotient it replaced on
+the roundtrip path.
+
+On every enumeration the tests can reach, the certificate passes exactly
+where the quotient has the generator counts as ranks and the atoms pass the
+basis check.  Broken cell sets (a composition that does not add top rows,
+an atom left unnamed, an identity over the wrong cell, a missing face) must
+be caught by the certificate itself.
+"""
+
+import pytest
+
+from conftest import random_presentation
+from polyadc import (
+    Adc,
+    EnumerationCapExceeded,
+    EnumeratedOmegaCat,
+    atom_to_table,
+    build,
+    check_omega_basis,
+    compose,
+    enumerate_nu,
+    identity,
+    is_strong_steiner_complex,
+    lambda_of_enumerated,
+    lambda_presentation,
+    top_row_certificate,
+    verify_equivalence,
+)
+from polyadc import nu
+from polyadc.zlin import ZERO
+
+CATALOG = (
+    [("oriental", (n,)) for n in range(5)]
+    + [("disk", (n,)) for n in range(6)]
+    + [("sphere", (n,)) for n in range(-1, 5)]
+    + [("ordinal", (m,)) for m in range(4)]
+    + [("theta2", (3, 2, 0, 1)), ("theta2", (1, 2)), ("theta2", (2, 1, 1)),
+       ("theta2", (3, 2, 2, 2))]
+    + [(name, ()) for name in ("loop", "endo2cell", "square", "forestA")]
+)
+
+
+def complexes():
+    out = [pytest.param(build(name, params).as_adc(),
+                        id=name + "".join("-%d" % x for x in params))
+           for name, params in CATALOG]
+    out += [pytest.param(lambda_presentation(random_presentation(seed)),
+                         id="random%d" % seed)
+            for seed in range(120)]
+    return out
+
+
+def smith_form_verdict(enum):
+    """The verdict of the quotient path: ranks equal to the generator
+    counts and the atoms a basis."""
+    quotient = lambda_of_enumerated(enum)
+    ranks = {q: quotient.rank(q) for q in range(enum.max_dim + 1)}
+    counts = {q: len(enum.complex.generators(q)) for q in range(enum.max_dim + 1)}
+    return ranks == counts and check_omega_basis(enum, list(enum.atom_names), quotient).ok
+
+
+@pytest.mark.parametrize("complex_", complexes())
+def test_certificate_agrees_with_the_smith_form_quotient(complex_):
+    try:
+        enum = enumerate_nu(complex_, max_cells=3000)
+    except (EnumerationCapExceeded, ValueError):
+        # not unital, or a loop makes the closure infinite
+        assert not is_strong_steiner_complex(complex_)
+        return
+    certified = top_row_certificate(enum) is None
+    assert certified == smith_form_verdict(enum)
+    if is_strong_steiner_complex(complex_):
+        assert certified
+        report = verify_equivalence(complex_, max_cells=3000)
+        assert report.ok
+        assert report.ranks == {q: lambda_of_enumerated(enum).rank(q)
+                                for q in range(enum.max_dim + 1)}
+
+
+@pytest.mark.parametrize("complex_", complexes())
+def test_provenance_reproduces_every_cell(complex_):
+    try:
+        enum = enumerate_nu(complex_, max_cells=3000)
+    except (EnumerationCapExceeded, ValueError):
+        return
+    index = enum.index
+    for q, tables in enum.cells.items():
+        provenance = index.provenance.get(q, [])
+        assert len(provenance) == len(tables)
+        for k, (x, origin) in enumerate(zip(tables, provenance)):
+            if origin is None:
+                assert x in enum.atom_names
+            elif len(origin) == 1:
+                (i,) = origin
+                assert identity(enum.cells[q - 1][i]) == x
+                assert index.identities[q - 1][i] == k
+            else:
+                p, i, j = origin
+                assert i < k and j < k
+                assert compose(tables[i], tables[j], p) == x
+                assert index.products[q][origin] == k
+    assert set(enum.atom_names) == {t for q, tables in enum.cells.items()
+                                    for t, o in zip(tables, index.provenance[q])
+                                    if o is None}
+
+
+def test_a_hand_built_index_has_only_seeds():
+    k = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(k)
+    rebuilt = EnumeratedOmegaCat(complex=k, max_dim=enum.max_dim, cells=enum.cells,
+                                 atom_names=enum.atom_names)
+    assert all(origin is None for q in rebuilt.index.provenance
+               for origin in rebuilt.index.provenance[q])
+    # the first non-atom cell is a seed but not an atom
+    assert top_row_certificate(rebuilt) == "1-cell 3 has no provenance"
+
+
+# ---------------------------------------------------------------------------
+# broken cell sets
+
+MUTANT_INPUTS = [("oriental", (2,)), ("oriental", (3,)), ("disk", (3,)),
+                 ("sphere", (2,)), ("theta2", (3, 2, 0, 1))]
+
+
+@pytest.mark.parametrize("name, params", MUTANT_INPUTS)
+def test_a_composition_that_does_not_add_top_rows_is_caught(name, params,
+                                                            monkeypatch):
+    complex_ = build(name, params).as_adc()
+    real = nu.compose
+
+    def first_factor_on_top(x, y, p):
+        rows = real(x, y, p).rows
+        top = x.rows[-1][1]
+        return nu.NuTable(rows=rows[:-1] + ((top, top),))
+
+    monkeypatch.setattr(nu, "compose", first_factor_on_top)
+    report = verify_equivalence(complex_)
+    assert not report.ok
+    assert report.reason.startswith("atoms are not a basis (certificate: the top "
+                                    "row of 1-cell ")
+    assert report.reason.endswith(" disagrees with its provenance)")
+
+
+@pytest.mark.parametrize("name, params", MUTANT_INPUTS)
+def test_an_unnamed_atom_is_caught(name, params):
+    complex_ = build(name, params).as_adc()
+    enum = enumerate_nu(complex_)
+    q = complex_.max_degree
+    dropped = atom_to_table(complex_, complex_.generators(q)[-1])
+    del enum.atom_names[dropped]
+    assert top_row_certificate(enum) == \
+        "the %d-atoms are not the %d-generators one each" % (q, q)
+    # the oracle agrees
+    assert check_omega_basis(enum, list(enum.atom_names)).failed == "generation"
+
+
+def test_an_atom_named_after_the_wrong_generator_is_caught():
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    enum.atom_names[atom_to_table(complex_, "01")] = "12"
+    enum.atom_names[atom_to_table(complex_, "12")] = "01"
+    assert top_row_certificate(enum) == \
+        "the top row of 1-cell 0 disagrees with its provenance"
+
+
+def test_an_identity_over_the_wrong_cell_is_caught(monkeypatch):
+    complex_ = build("oriental", (2,)).as_adc()
+    a01, a02 = atom_to_table(complex_, "01"), atom_to_table(complex_, "02")
+    real = nu.identity
+
+    def misdirected(t):
+        return real(a02 if t == a01 else t)
+
+    monkeypatch.setattr(nu, "identity", misdirected)
+    report = verify_equivalence(complex_)
+    assert not report.ok
+    assert report.reason.startswith("atoms are not a basis (certificate: 2-cell ")
+    assert report.reason.endswith(" differs below its top row from the cell it "
+                                  "is the identity of)")
+
+
+def test_a_missing_face_is_caught():
+    complex_ = build("oriental", (2,)).as_adc()
+    atoms = [atom_to_table(complex_, n) for n in complex_.all_generators()]
+    target = compose(atom_to_table(complex_, "01"), atom_to_table(complex_, "12"), 0)
+    assert nu.face(atom_to_table(complex_, "012"), 1, +1) == target
+    index = nu.close_under_composition(atoms, 2, lambda table: table != target)
+    enum = EnumeratedOmegaCat(
+        complex=complex_, max_dim=2,
+        cells={q: tuple(index.cells.get(q, ())) for q in range(3)},
+        atom_names={t: n for t, n in zip(atoms, complex_.all_generators())},
+    )
+    enum.index = index
+    assert top_row_certificate(enum) == "a 1-face of 2-cell 0 was not enumerated"
+    # the oracle refuses the cell set too
+    with pytest.raises(ValueError, match="not closed under composition"):
+        lambda_of_enumerated(enum)
+
+
+def with_atom_replaced(enum, atom, table):
+    """``enum`` with one atom swapped for another table in place, keeping
+    its position, its name and the index."""
+    k = enum.cells[atom.dim].index(atom)
+    cells = dict(enum.cells)
+    cells[atom.dim] = cells[atom.dim][:k] + (table,) + cells[atom.dim][k + 1:]
+    names = {(table if t == atom else t): n for t, n in enum.atom_names.items()}
+    broken = EnumeratedOmegaCat(complex=enum.complex, max_dim=enum.max_dim,
+                                cells=cells, atom_names=names)
+    broken.index = enum.index
+    return broken, k
+
+
+def test_a_boundary_that_misses_the_faces_is_caught():
+    complex_ = build("oriental", (2,)).as_adc()
+    # source and target of the atom 01 swapped: its faces are still
+    # enumerated 0-cells, but its boundary points the other way
+    a01 = atom_to_table(complex_, "01")
+    (neg, pos), top = a01.rows
+    broken, k = with_atom_replaced(enumerate_nu(complex_), a01,
+                                   nu.NuTable(rows=((pos, neg), top)))
+    assert top_row_certificate(broken) == \
+        "the boundary of the top row of 1-cell %d is not the difference of its faces" % k
+
+
+def test_two_different_top_entries_are_caught():
+    complex_ = build("oriental", (2,)).as_adc()
+    a01 = atom_to_table(complex_, "01")
+    (bottom, (_, top)) = a01.rows
+    broken, k = with_atom_replaced(enumerate_nu(complex_), a01,
+                                   nu.NuTable(rows=(bottom, (ZERO, top))))
+    assert top_row_certificate(broken) == \
+        "the top row of 1-cell %d disagrees with its provenance" % k
+
+
+def test_a_provenance_that_is_not_earlier_is_caught():
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    provenance = enum.index.provenance[1]
+    k = next(k for k, origin in enumerate(provenance)
+             if origin is not None and len(origin) == 3)
+    provenance[k] = (0, k, k)
+    assert top_row_certificate(enum) == "1-cell %d is composed of cells not filed before it" % k
+
+
+def test_a_vertex_of_augmentation_other_than_one_is_caught():
+    interval = build("oriental", (1,)).as_adc()
+    enum = enumerate_nu(interval)
+    enum.complex = Adc(interval.basis, {"01": interval.diff("01")}, {"0": 2, "1": 1})
+    assert top_row_certificate(enum) == "0-cell 0 has augmentation 2"

@@ -248,6 +248,51 @@ def test_oracle_refuses_a_huge_candidate_space(capsys, tmp_path):
             "lower --cap or --dim") in err
 
 
+READERS = [["check"], ["enumerate"], ["lambda"], ["preorder"], ["roundtrip"],
+           ["oracle", "--dim", "0"]]
+
+
+@pytest.mark.parametrize("entry", ["1", "null", "[]", '"x"'])
+@pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+def test_non_object_generator_entries_are_document_errors(command, entry, capsys,
+                                                          tmp_path):
+    doc = tmp_path / "entry.json"
+    doc.write_text('{"kind": "adc", "generators": [%s]}' % entry)
+    code, out, err = run(command + [str(doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "document error: generator record 0 must be an object\n"
+
+
+@pytest.mark.parametrize("dim", [10**6, 2**70])
+@pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+def test_presentation_dimensions_out_of_reach_are_validation_errors(command, dim,
+                                                                    capsys, tmp_path):
+    path = export(tmp_path, "oriental", 2, form="polygraph")
+    doc = json.loads(path.read_text())
+    for record in doc["generators"]:
+        if record["name"] == "02":
+            record["dim"] = dim
+    path.write_text(json.dumps(doc))
+    code, out, err = run(command + [str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("validation error: dimension %d of '02' is out of reach: 7 "
+                   "generators and their identity expressions reach dimension 6 "
+                   "at most\n" % dim)
+
+
+def test_a_lone_high_degree_generator_is_a_valid_complex(capsys, tmp_path):
+    doc = tmp_path / "high.json"
+    doc.write_text('{"kind": "adc", "generators": '
+                   '[{"name": "a", "dim": 40, "boundary": {}}]}')
+    code, out, err = run(["check", str(doc)], capsys)
+    # a verdict, not a validation error: the degree is not bounded by the
+    # number of generators in a complex
+    assert (code, err) == (4, "")
+    assert "unital: no" in out
+
+
 @pytest.mark.parametrize("opening, closing", [
     ('{"comp": [0, ', ', {"gen": "01"}]}'),
     ('{"id": ', '}'),

@@ -3,6 +3,7 @@
 import pytest
 
 from polyadc import (
+    EnumeratedOmegaCat,
     EnumerationCapExceeded,
     IntVector,
     NotComposable,
@@ -180,3 +181,13 @@ def test_indecomposables_of_the_triangle():
     assert set(ind[0]) == {atom_to_table(k, n) for n in ("0", "1", "2")}
     assert set(ind[1]) == {atom_to_table(k, n) for n in ("01", "02", "12")}
     assert set(ind[2]) == {atom_to_table(k, "012")}
+
+
+@pytest.mark.parametrize("where", ["front", "end"])
+def test_a_cell_set_listing_a_table_twice_is_refused(where):
+    k = triangle()
+    enum = enumerate_nu(k)
+    first = enum.cells[1][0]
+    ones = (first,) + enum.cells[1] if where == "front" else enum.cells[1] + (first,)
+    with pytest.raises(ValueError, match=r"cells\[1\] lists a table more than once"):
+        EnumeratedOmegaCat(complex=k, max_dim=2, cells={**enum.cells, 1: ones})

@@ -88,6 +88,46 @@ def test_document_schema_errors():
         )
 
 
+@pytest.mark.parametrize("entry", ["1", "null", "[]", '"x"'])
+@pytest.mark.parametrize("kind", ["adc", "polygraph"])
+def test_generator_entries_must_be_objects(kind, entry):
+    with pytest.raises(DocumentError, match="generator record 0 must be an object"):
+        parse_document('{"kind": "%s", "generators": [%s]}' % (kind, entry))
+
+
+def with_dim(name, dim):
+    """The presentation document of oriental 2 with one generator's dim set."""
+    doc = json.loads(serialize_document(build("oriental", (2,)).as_presentation()))
+    for record in doc["generators"]:
+        if record["name"] == name:
+            record["dim"] = dim
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("dim", [7, 10**6, 2**70])
+def test_a_presentation_dimension_out_of_reach_is_refused_before_layout(dim):
+    # seven generators and no identity expressions reach dimension 6 at most;
+    # at 2**70 laying out the levels first would exhaust memory
+    with pytest.raises(ValueError, match="dimension %d of '02' is out of reach: "
+                                         "7 generators and their identity "
+                                         "expressions reach dimension 6 at most" % dim):
+        parse_document(with_dim("02", dim))
+
+
+def test_identity_expressions_extend_the_reach():
+    # endo2cell's 2-generator sits above its two generators on identities
+    text = serialize_document(build("endo2cell").as_presentation())
+    assert serialize_document(parse_document(text)) == text
+    up = {"kind": "polygraph", "generators": [
+        {"name": "x", "dim": 0},
+        {"name": "a", "dim": 4, "src": {"id": {"id": {"id": {"gen": "x"}}}},
+         "tgt": {"id": {"id": {"id": {"gen": "x"}}}}}]}
+    assert parse_document(json.dumps(up)).max_dim == 4
+    up["generators"][1]["dim"] = 8
+    with pytest.raises(ValueError, match="reach dimension 7 at most"):
+        parse_document(json.dumps(up))
+
+
 def test_semantic_errors_are_value_errors():
     dup = {
         "kind": "adc",
