@@ -90,7 +90,7 @@ class Adc:
                 if name not in aug:
                     raise ValueError("missing augmentation for generator %r" % name)
         self._aug = aug
-        self._atom_tables = {}  # name -> rows, filled by atom_table
+        self._atom_tables = {}  # name -> (rows, fault), filled by atom_table
 
     # -- basic accessors ----------------------------------------------------
 
@@ -235,18 +235,44 @@ def atom_table(complex_: Adc, name: str) -> tuple:
     for p from 0 up to the generator's dimension.  The complex does not
     change, so each generator's rows are built once and kept on it.
     """
+    return _atom(complex_, name)[0]
+
+
+def atom_fault(complex_: Adc, name: str) -> int | None:
+    """The first cell condition the atom table of ``name`` violates, or None.
+
+    The conditions are numbered as in :func:`polyadc.nu.is_valid_table`.
+    Positivity (1) and equal top rows (4) hold by construction.  The
+    boundary condition (2) holds exactly when the two rows of each degree
+    p >= 1 have one boundary, which building the rows computes anyway, and
+    the augmentation (3) is read off row 0.
+    """
+    return _atom(complex_, name)[1]
+
+
+def _atom(complex_: Adc, name: str) -> tuple:
+    """(rows, fault) of a generator's atom table, built once per complex."""
     kept = complex_._atom_tables.get(name)
     if kept is not None:
         return kept
     q = complex_.degree_of(name)
     top = IntVector.unit(name)
     rows = [(top, top)]
+    fault = None
     for p in range(q - 1, -1, -1):
         neg_above, pos_above = rows[0]
         d_neg = complex_.boundary_vec(p + 1, neg_above)
-        d_pos = complex_.boundary_vec(p + 1, pos_above)
+        if pos_above is neg_above:
+            d_pos = d_neg
+        else:
+            d_pos = complex_.boundary_vec(p + 1, pos_above)
+            if d_pos != d_neg:
+                fault = 2
         rows.insert(0, (d_neg.negative_part(), d_pos.positive_part()))
-    kept = complex_._atom_tables[name] = tuple(rows)
+    neg0, pos0 = rows[0]
+    if fault is None and (complex_.eps(neg0) != 1 or complex_.eps(pos0) != 1):
+        fault = 3
+    kept = complex_._atom_tables[name] = (tuple(rows), fault)
     return kept
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .adc import Adc, atom_table
+from .adc import Adc, atom_fault, atom_table
 from .zlin import IntVector
 
 
@@ -63,11 +63,11 @@ class NuTable:
 
     def max_coeff(self) -> int:
         best = 0
-        for neg, pos in self.rows:
-            for _, c in neg.items():
-                best = max(best, abs(c))
-            for _, c in pos.items():
-                best = max(best, abs(c))
+        for row in self.rows:
+            for vec in row:
+                for c in vec._entries.values():
+                    if c > best or -c > best:
+                        best = abs(c)
         return best
 
     def key(self):
@@ -158,15 +158,14 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
 # the composition index and the closure from the atoms
 
 class CompositionIndex:
-    """Cells filed under their p-faces, so that the partners of a cell in a
-    composition are one lookup each, in insertion order.
+    """The cells a closure filed, and the record of how they were made.
 
-    The index also records the products among its cells by position:
+    ``cells[dim]`` maps each table to its insertion position.
     ``products[dim][(p, pos x, pos y)]`` is the position of
     ``compose(x, y, p)``, or None when the composite is not indexed, and
     ``identities[dim][pos t]`` is the position of ``identity(t)`` one
-    dimension up.  :func:`close_under_composition` fills the record as it
-    forms the products.
+    dimension up; :func:`close_under_composition` fills the record with
+    every product and identity it forms.
 
     ``provenance[dim][pos]`` says how a cell first entered the index: None
     for a cell added as it stands (a seed), ``(pos t,)`` for the identity
@@ -174,34 +173,70 @@ class CompositionIndex:
     for ``compose(x, y, p)``.
     """
 
-    def __init__(self, tables=()):
+    def __init__(self):
         self.cells = {}  # dim -> {table: insertion position}
         self.products = {}  # dim -> {(p, pos x, pos y): pos of the composite or None}
         self.identities = {}  # dim -> {pos t: pos of identity(t) in dim + 1}
         self.provenance = {}  # dim -> per position, None, (pos t,) or (p, pos x, pos y)
-        self._faces = {}  # (dim, p, rows[:p], sign, row p of that sign) -> tables
-        for table in tables:
-            self.add(table)
 
     def __contains__(self, table: NuTable) -> bool:
         return table in self.cells.get(table.dim, ())
 
-    def add(self, table: NuTable, origin=None):
-        bucket = self.cells.setdefault(table.dim, {})
-        bucket[table] = len(bucket)
-        self.provenance.setdefault(table.dim, []).append(origin)
-        for p in range(table.dim):
-            for sign, vec in zip((-1, 1), table.rows[p]):
-                key = (table.dim, p, table.rows[:p], sign, vec)
-                self._faces.setdefault(key, []).append(table)
 
-    def right_factors(self, x: NuTable, p: int):
-        """The indexed cells y for which ``compose(x, y, p)`` is defined."""
-        return self._faces.get((x.dim, p, x.rows[:p], -1, x.rows[p][1]), ())
+class RowCodes:
+    """The row vectors of one closure, each interned once to a small int.
 
-    def left_factors(self, y: NuTable, p: int):
-        """The indexed cells x for which ``compose(x, y, p)`` is defined."""
-        return self._faces.get((y.dim, p, y.rows[:p], 1, y.rows[p][0]), ())
+    A q-cell is coded by the flat tuple ``(neg_0, pos_0, ..., neg_q,
+    pos_q)`` of its rows' ids, so that cells and their faces hash and
+    compare as tuples of ints.  :meth:`compose` and :meth:`identity` are
+    :func:`compose` and :func:`identity` on codes.  The row sums of
+    composites are memoized by the ids of their terms; each new sum goes
+    through :meth:`IntVector.__add__` and its 64-bit check.
+    """
+
+    __slots__ = ("vectors", "_ids", "_sums", "_zero")
+
+    def __init__(self):
+        self.vectors = []  # id -> IntVector
+        self._ids = {}  # IntVector -> id
+        self._sums = []  # id a -> {id b: id of a + b}
+        self._zero = self.intern(IntVector())
+
+    def intern(self, vec: IntVector) -> int:
+        i = self._ids.get(vec)
+        if i is None:
+            i = self._ids[vec] = len(self.vectors)
+            self.vectors.append(vec)
+            self._sums.append({})
+        return i
+
+    def encode(self, table: NuTable) -> tuple:
+        return tuple(self.intern(vec) for row in table.rows for vec in row)
+
+    def decode(self, code: tuple) -> NuTable:
+        vectors = self.vectors
+        pairs = iter(code)
+        return NuTable(rows=tuple((vectors[a], vectors[b]) for a, b in zip(pairs, pairs)))
+
+    def identity(self, code: tuple) -> tuple:
+        return code + (self._zero, self._zero)
+
+    def compose(self, x: tuple, y: tuple, p: int) -> tuple:
+        """The code of ``compose(x, y, p)`` for codes x and y that the
+        caller has matched along their p-face: x's rows below p, x's
+        negative and y's positive row p, and the sums of the rows above."""
+        k = 2 * p + 1
+        above = tuple(map(dict.get, map(self._sums.__getitem__, x[k + 1:]), y[k + 1:]))
+        if None in above:
+            above = tuple(self._sum(a, b) for a, b in zip(x[k + 1:], y[k + 1:]))
+        return x[:k] + (y[k],) + above
+
+    def _sum(self, a: int, b: int) -> int:
+        with_a = self._sums[a]
+        c = with_a.get(b)
+        if c is None:
+            c = with_a[b] = self.intern(self.vectors[a] + self.vectors[b])
+        return c
 
 
 def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
@@ -218,47 +253,83 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     ``identities``.  Each admitted cell's ``provenance`` is the seed, the
     identity or the pair that produced it first, so it names cells indexed
     before it and traces back to the seeds without a cycle.
+
+    The closure runs on the integer codes of :class:`RowCodes`.  Each cell
+    is filed under its p-source ``code[:2p + 1]`` and its p-target
+    ``code[:2p] + (code[2p + 1],)`` for every p below its dimension, so the
+    partners of a cell are one lookup each and match by that very key.  A
+    table is built only for a code not yet indexed, to ask ``admit``; the
+    codes, the face maps and the row sums are dropped on return.
     """
     index = CompositionIndex()
-    queue = deque()
+    interned = RowCodes()
+    compose_codes, identity_code = interned.compose, interned.identity
+    queue = deque()  # (dim, pos) of the cells to compose, in admission order
+    codes = {}  # dim -> per position, the cell's code
+    located = {}  # dim -> {code: position}
+    sources = {}  # dim -> {p-source key: positions}
+    targets = {}  # dim -> {p-target key: positions}
     # dim -> per position, how many cells of that dim were indexed when the
     # cell was dequeued; those are the partners it has been composed with
     reached = {}
 
-    def add(table: NuTable, origin):
-        if table not in index and admit(table):
-            index.add(table, origin)
-            queue.append(table)
-        return index.cells.get(table.dim, {}).get(table)
+    def add(q: int, code: tuple, origin, table=None):
+        position = located.get(q)
+        if position is None:
+            position = located[q] = {}
+            codes[q], sources[q], targets[q], reached[q] = [], {}, {}, []
+        j = position.get(code)
+        if j is not None:
+            return j
+        if table is None:
+            table = interned.decode(code)
+        if not admit(table):
+            return None
+        j = position[code] = len(codes[q])
+        codes[q].append(code)
+        index.cells.setdefault(q, {})[table] = j
+        index.provenance.setdefault(q, []).append(origin)
+        source, target = sources[q], targets[q]
+        for k in range(1, 2 * q, 2):
+            source.setdefault(code[:k], []).append(j)
+            target.setdefault(code[:k - 1] + (code[k],), []).append(j)
+        queue.append((q, j))
+        return j
 
     for table in seeds:
-        add(table, None)
+        add(table.dim, interned.encode(table), None, table)
     while queue:
-        t = queue.popleft()
-        position = index.cells[t.dim]
-        i = position[t]
-        if t.dim < max_dim:
-            j = add(identity(t), (i,))
+        q, i = queue.popleft()
+        coded = codes[q]
+        t = coded[i]
+        if q < max_dim:
+            j = add(q + 1, identity_code(t), (i,))
             if j is not None:
-                index.identities.setdefault(t.dim, {})[i] = j
-        seen = reached.setdefault(t.dim, [])
-        seen.append(len(position))  # cells of a dim are dequeued in position order
-        filed = index.products.setdefault(t.dim, {})
+                index.identities.setdefault(q, {})[i] = j
+        seen = reached[q]
+        seen.append(len(coded))  # cells of a dim are dequeued in position order
+        filed = index.products.setdefault(q, {})
+        source, target = sources[q], targets[q]
+        # the partner at j is skipped when it was dequeued with t indexed:
+        # the pair was composed then
         pairs = []
-        for p in range(t.dim):
-            pairs.extend((position[u], p, 0, u) for u in index.right_factors(t, p))
-            pairs.extend((position[u], p, 1, u) for u in index.left_factors(t, p)
-                         if u is not t)
-        pairs.sort(key=lambda pair: pair[:3])
-        for j, p, t_is_right, u in pairs:
-            if j < i < seen[j]:
-                continue  # composed when u was dequeued
+        for k in range(1, 2 * q, 2):
+            p = k // 2
+            pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
+                      if not j < i < seen[j]]
+            pairs += [(j, p, 1) for j in target.get(t[:k], ())
+                      if j != i and not j < i < seen[j]]
+        pairs.sort()
+        position = located[q]
+        for j, p, t_is_right in pairs:
             if t_is_right:
                 key = (p, j, i)
-                filed[key] = add(compose(u, t, p), key)
+                code = compose_codes(coded[j], t, p)
             else:
                 key = (p, i, j)
-                filed[key] = add(compose(t, u, p), key)
+                code = compose_codes(t, coded[j], p)
+            found = position.get(code)
+            filed[key] = add(q, code, key) if found is None else found
     return index
 
 
@@ -318,7 +389,10 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     tables appear or some coefficient exceeds ``max_coeff``, with the
     count reached and the flag to raise in its message, and ValueError
     when an atom table is not actually a cell (which happens for complexes
-    that are not unital).
+    that are not unital).  The atoms are not run through
+    :func:`is_valid_table`: :func:`polyadc.adc.atom_fault` reads the
+    violated condition off the boundaries that building the atom's rows
+    computed.
     """
     if max_dim is None:
         max_dim = complex_.max_degree
@@ -328,13 +402,13 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
             for name in complex_.generators(q):
-                table = atom_to_table(complex_, name)
-                ok, cond = is_valid_table(complex_, table)
-                if not ok:
+                cond = atom_fault(complex_, name)
+                if cond is not None:
                     raise ValueError(
                         "atom table of %r violates cell condition %d; "
                         "the complex is not unital enough to enumerate" % (name, cond)
                     )
+                table = atom_to_table(complex_, name)
                 atom_names[table] = name
                 yield table
 

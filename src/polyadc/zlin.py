@@ -64,7 +64,7 @@ class IntVector:
             self._entries = entries._entries
             self._hash = entries._hash
             return
-        if isinstance(entries, Mapping):
+        if isinstance(entries, dict) or isinstance(entries, Mapping):
             entries = entries.items()
         data = {}
         for name, coeff in entries:
@@ -87,7 +87,9 @@ class IntVector:
 
     @classmethod
     def unit(cls, name: str) -> "IntVector":
-        return cls(((name, 1),))
+        if not isinstance(name, str):
+            raise TypeError("generator names must be strings, got %r" % (name,))
+        return cls._of({name: 1})
 
     def items(self) -> tuple:
         """Entries as (name, coefficient) pairs, sorted by name."""

@@ -127,14 +127,14 @@ MUTANT_INPUTS = [("oriental", (2,)), ("oriental", (3,)), ("disk", (3,)),
 def test_a_composition_that_does_not_add_top_rows_is_caught(name, params,
                                                             monkeypatch):
     complex_ = build(name, params).as_adc()
-    real = nu.compose
+    real = nu.RowCodes.compose
 
-    def first_factor_on_top(x, y, p):
-        rows = real(x, y, p).rows
-        top = x.rows[-1][1]
-        return nu.NuTable(rows=rows[:-1] + ((top, top),))
+    def first_factor_on_top(self, x, y, p):
+        code = real(self, x, y, p)
+        top = x[-1]
+        return code[:-2] + (top, top)
 
-    monkeypatch.setattr(nu, "compose", first_factor_on_top)
+    monkeypatch.setattr(nu.RowCodes, "compose", first_factor_on_top)
     report = verify_equivalence(complex_)
     assert not report.ok
     assert report.reason.startswith("atoms are not a basis (certificate: the top "
@@ -167,12 +167,12 @@ def test_an_atom_named_after_the_wrong_generator_is_caught():
 def test_an_identity_over_the_wrong_cell_is_caught(monkeypatch):
     complex_ = build("oriental", (2,)).as_adc()
     a01, a02 = atom_to_table(complex_, "01"), atom_to_table(complex_, "02")
-    real = nu.identity
+    real = nu.RowCodes.identity
 
-    def misdirected(t):
-        return real(a02 if t == a01 else t)
+    def misdirected(self, code):
+        return real(self, self.encode(a02) if self.decode(code) == a01 else code)
 
-    monkeypatch.setattr(nu, "identity", misdirected)
+    monkeypatch.setattr(nu.RowCodes, "identity", misdirected)
     report = verify_equivalence(complex_)
     assert not report.ok
     assert report.reason.startswith("atoms are not a basis (certificate: 2-cell ")

@@ -35,29 +35,36 @@ from polyadc import (
 from polyadc import nu, roundtrip, verify_equivalence
 
 
-def reference_closure(seeds, max_dim, admit):
-    """Tables per dimension in discovery order, by the all-pairs closure."""
+def reference_closure(seeds, max_dim, admit, origins=None):
+    """Tables per dimension in discovery order, by the all-pairs closure.
+
+    Given a dict, ``origins`` receives what first made each admitted table:
+    None for a seed, ``(t,)`` for ``identity(t)`` and ``(p, x, y)`` for
+    ``compose(x, y, p)``."""
     cells = {}
     queue = deque()
+    if origins is None:
+        origins = {}
 
-    def add(table):
+    def add(table, origin):
         bucket = cells.setdefault(table.dim, {})
         if table not in bucket and admit(table):
             bucket[table] = None
+            origins[table] = origin
             queue.append(table)
 
     for table in seeds:
-        add(table)
+        add(table, None)
     while queue:
         t = queue.popleft()
         if t.dim < max_dim:
-            add(identity(t))
+            add(identity(t), (t,))
         for u in list(cells[t.dim]):
             for p in range(t.dim):
                 if composable(t, u, p):
-                    add(compose(t, u, p))
+                    add(compose(t, u, p), (p, t, u))
                 if u is not t and composable(u, t, p):
-                    add(compose(u, t, p))
+                    add(compose(u, t, p), (p, u, t))
     return cells
 
 
@@ -335,18 +342,52 @@ def test_basis_verdicts_are_unchanged(name, params):
             assert not any(missing.values())
 
 
+def reference_provenance(complex_, enum):
+    """The provenance of the cells by position, from the all-pairs closure."""
+    seeds = [atom_to_table(complex_, name) for q in range(enum.max_dim + 1)
+             for name in complex_.generators(q)]
+    origins = {}
+    reference_closure(seeds, enum.max_dim, lambda table: True, origins)
+    position = {t: k for tables in enum.cells.values() for k, t in enumerate(tables)}
+    return {q: [None if origins[t] is None else
+                tuple(x if isinstance(x, int) else position[x] for x in origins[t])
+                for t in tables]
+            for q, tables in enum.cells.items() if tables}
+
+
+ORIENTAL_COUNTS = {4: (5, 31, 74, 90, 91), 5: (6, 63, 262, 439, 475, 476)}
+
+
+@pytest.mark.parametrize("n", sorted(ORIENTAL_COUNTS))
+def test_oriental_cell_counts(n):
+    enum = enumerate_nu(build("oriental", (n,)).as_adc())
+    assert tuple(len(enum.cells[q]) for q in range(n + 1)) == ORIENTAL_COUNTS[n]
+
+
+def test_oriental_4_matches_the_all_pairs_closure():
+    complex_ = build("oriental", (4,)).as_adc()
+    enum = assert_same_as_reference(complex_)
+    assert enum.index.provenance == reference_provenance(complex_, enum)
+    assert_same_as_reference(complex_, max_cells=40)
+    assert_same_as_reference(complex_, max_coeff=1)
+    assert first_admitted(nu.close_under_composition, complex_, limit=300) == \
+        first_admitted(reference_closure, complex_, limit=300)
+
+
 def test_hand_built_category_gets_an_index():
     k = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(k, max_coeff=2)
     rebuilt = nu.EnumeratedOmegaCat(complex=k, max_dim=enum.max_dim, cells=enum.cells)
     assert rebuilt.index.cells == enum.index.cells
     for q in range(1, enum.max_dim + 1):
-        for x in enum.cells[q]:
+        tables = enum.cells[q]
+        filed = sorted(rebuilt.index.products[q])
+        for i, x in enumerate(tables):
             for p in range(q):
-                want = [y for y in enum.cells[q] if composable(x, y, p)]
-                assert list(rebuilt.index.right_factors(x, p)) == want
-                assert list(rebuilt.index.left_factors(x, p)) == \
-                    [y for y in enum.cells[q] if composable(y, x, p)]
+                want = [y for y in tables if composable(x, y, p)]
+                assert [tables[j] for level, k, j in filed if (level, k) == (p, i)] == want
+                assert [tables[k] for level, k, j in filed if (level, j) == (p, i)] == \
+                    [y for y in tables if composable(y, x, p)]
     assert lambda_of_enumerated(rebuilt).projections == \
         lambda_of_enumerated(enum).projections
 
@@ -378,13 +419,13 @@ def test_layered_enumeration_equals_brute_force_on_random_unital_complexes():
 def test_verify_equivalence_composes_each_pair_once(name, params, monkeypatch):
     complex_ = build(name, params).as_adc()
     calls = []
-    real = nu.compose
+    real = nu.RowCodes.compose
 
-    def counting(x, y, p):
-        calls.append((x, y, p))
-        return real(x, y, p)
+    def counting(self, x, y, p):
+        calls.append((self.decode(x), self.decode(y), p))
+        return real(self, x, y, p)
 
-    monkeypatch.setattr(nu, "compose", counting)
+    monkeypatch.setattr(nu.RowCodes, "compose", counting)
     assert verify_equivalence(complex_).ok
     monkeypatch.undo()
     enum = enumerate_nu(complex_)

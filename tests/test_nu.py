@@ -1,8 +1,12 @@
 """Cell tables over a complex: validity, operations, enumeration, oracle."""
 
+import random
+
 import pytest
 
+from conftest import random_presentation
 from polyadc import (
+    Adc,
     EnumeratedOmegaCat,
     EnumerationCapExceeded,
     IntVector,
@@ -20,6 +24,7 @@ from polyadc import (
     is_valid_table,
     lambda_presentation,
 )
+from polyadc.adc import atom_fault
 
 
 def triangle():
@@ -129,6 +134,14 @@ def test_compose_rejects_mismatches():
         compose(a012, a012, 5)
 
 
+def test_max_coeff_reads_every_entry_of_every_row():
+    small, big = IntVector({"a": 1}), IntVector({"a": 1, "b": 3})
+    assert NuTable(rows=((big, small), (small, small))).max_coeff() == 3
+    assert NuTable(rows=((small, small), (small, big))).max_coeff() == 3
+    assert NuTable(rows=((IntVector({"a": -5}), small),)).max_coeff() == 5
+    assert NuTable(rows=((IntVector(), IntVector()),)).max_coeff() == 0
+
+
 def test_enumeration_of_the_triangle():
     enum = enumerate_nu(triangle(), max_coeff=2)
     assert {q: len(cells) for q, cells in enum.cells.items()} == {0: 3, 1: 7, 2: 8}
@@ -155,8 +168,53 @@ def test_enumeration_caps():
 
 def test_enumeration_needs_valid_atoms():
     endo = lambda_presentation(build("endo2cell").as_presentation())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^atom table of 'alpha' violates cell condition 3; "
+                                         "the complex is not unital enough to enumerate$"):
         enumerate_nu(endo)
+    # d(012) = 12 + 02 + 01 squares to 2*2 - 2*0, so the atom's two rows
+    # in degree 1 have different boundaries
+    broken = Adc(
+        [["0", "1", "2"], ["01", "02", "12"], ["012"]],
+        {"01": IntVector({"1": 1, "0": -1}), "02": IntVector({"2": 1, "0": -1}),
+         "12": IntVector({"2": 1, "1": -1}), "012": IntVector({"12": 1, "02": 1, "01": 1})},
+        {"0": 1, "1": 1, "2": 1},
+    )
+    with pytest.raises(ValueError, match="^atom table of '012' violates cell condition 2"):
+        enumerate_nu(broken)
+
+
+def random_adc(seed):
+    """A small complex with arbitrary boundaries and augmentations, so that
+    the chain complex laws and unitality may fail."""
+    rng = random.Random(seed)
+    basis = [["g%d_%d" % (q, i) for i in range(rng.randint(1, 3))]
+             for q in range(rng.randint(1, 4))]
+    differential = {name: IntVector({below: rng.randint(-2, 2) for below in basis[q - 1]})
+                    for q in range(1, len(basis)) for name in basis[q]}
+    augmentation = {name: rng.choice((-1, 0, 1, 1, 1, 2)) for name in basis[0]}
+    return Adc(basis, differential, augmentation)
+
+
+ATOM_FAULT_CATALOG = (
+    [("oriental", (n,)) for n in range(6)] + [("disk", (n,)) for n in range(6)]
+    + [("sphere", (n,)) for n in range(-1, 5)] + [("ordinal", (m,)) for m in range(5)]
+    + [("theta2", (3, 2, 0, 1)), ("theta2", (1, 2)), ("theta2", (2, 1, 1)),
+       ("theta2", (3, 2, 2, 2))]
+    + [(name, ()) for name in ("loop", "endo2cell", "square", "forestA")]
+)
+
+
+def test_atom_faults_agree_with_the_cell_conditions():
+    complexes = [build(name, params).as_adc() for name, params in ATOM_FAULT_CATALOG]
+    complexes += [lambda_presentation(random_presentation(seed)) for seed in range(120)]
+    complexes += [random_adc(seed) for seed in range(200)]
+    faults = set()
+    for k in complexes:
+        for name in k.all_generators():
+            ok, cond = is_valid_table(k, atom_to_table(k, name))
+            assert atom_fault(k, name) == cond
+            faults.add(cond)
+    assert faults == {None, 2, 3}
 
 
 def test_brute_force_agrees_with_enumeration():

@@ -48,6 +48,9 @@ def test_vector_rejects_bad_entries():
         IntVector({1: 1})
     with pytest.raises(TypeError):
         IntVector({"a": True})
+    with pytest.raises(TypeError, match="generator names must be strings"):
+        IntVector.unit(1)
+    assert IntVector.unit("a") == IntVector({"a": 1})
 
 
 def test_coefficients_are_checked_64_bit():
