@@ -16,7 +16,7 @@ from .adc import (
     unitality_failures,
     validate_adc,
 )
-from .catalog import CatalogEntry, build
+from .catalog import CatalogCapExceeded, CatalogEntry, build
 from .nu import (
     EnumeratedOmegaCat,
     EnumerationCapExceeded,

@@ -9,18 +9,27 @@ non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .zlin import IntVector, _ck
+from .zlin import IntVector, Record, _ck, _setattr
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A degree together with a vector over that degree's generators."""
 
-    degree: int
-    vector: IntVector
+    __slots__ = _fields = ("degree", "vector")
+
+    def __init__(self, degree: int, vector: IntVector):
+        _setattr(self, "degree", degree)
+        _setattr(self, "vector", vector)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree and self.vector == other.vector
+
+    def __hash__(self):
+        return hash((self.degree, self.vector))
 
     def support(self) -> frozenset:
         return self.vector.support()
@@ -65,8 +74,7 @@ class Adc:
             if q == 0:
                 raise ValueError("degree-0 generator %r cannot have a differential" % name)
             vec = IntVector(vec)
-            below = set(self.basis[q - 1])
-            extra = vec.support() - below
+            extra = [g for g in vec._entries if degree.get(g) != q - 1]
             if extra:
                 raise ValueError(
                     "differential of %r mentions non-generators %s" % (name, sorted(extra))
@@ -128,6 +136,8 @@ class Adc:
     def boundary(self, chain: Chain) -> Chain:
         if chain.degree < 1:
             raise ValueError("boundary is only defined in degree >= 1")
+        # sorted: _ck checks every partial sum, so the order of the terms
+        # decides whether and where CoefficientOverflow is raised
         acc = {}
         for name, coeff in chain.vector.items():
             for below, c in self._diff[name].items():
@@ -138,7 +148,7 @@ class Adc:
         return self.boundary(Chain(q, vector)).vector
 
     def eps(self, vector: IntVector) -> int:
-        return sum(self._aug[name] * coeff for name, coeff in vector.items())
+        return sum(self._aug[name] * coeff for name, coeff in vector._entries.items())
 
     def chain(self, q: int, vector) -> Chain:
         vec = IntVector(vector)
@@ -175,10 +185,11 @@ def truncate_adc(complex_: Adc, n: int) -> Adc:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class AdcValidation:
-    ok: bool
-    failures: tuple  # (law, generator, detail)
+class AdcValidation(Record):
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple):  # of (law, generator, detail)
+        self._fill(ok, failures)
 
 
 def validate_adc(complex_: Adc) -> AdcValidation:
@@ -200,12 +211,22 @@ def validate_adc(complex_: Adc) -> AdcValidation:
 # ---------------------------------------------------------------------------
 # canonical decomposition and atoms
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """c = positive - negative with both parts in the positivity cone."""
 
-    positive: Chain
-    negative: Chain
+    __slots__ = _fields = ("positive", "negative")
+
+    def __init__(self, positive: Chain, negative: Chain):
+        _setattr(self, "positive", positive)
+        _setattr(self, "negative", negative)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.positive == other.positive and self.negative == other.negative
+
+    def __hash__(self):
+        return hash((self.positive, self.negative))
 
     @property
     def positive_support(self) -> frozenset:
@@ -298,12 +319,13 @@ def is_unital(complex_: Adc) -> bool:
 # ---------------------------------------------------------------------------
 # the generating relation and loop-freeness
 
-@dataclass(frozen=True)
-class RelationGraph:
+class RelationGraph(Record):
     """A directed graph on generator names, in a fixed node order."""
 
-    nodes: tuple
-    edges: frozenset  # of (source, target) pairs
+    __slots__ = _fields = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple, edges: frozenset):  # of (source, target) pairs
+        self._fill(nodes, edges)
 
     def successors(self):
         succ = {n: [] for n in self.nodes}
@@ -411,11 +433,12 @@ class RelationGraph:
         return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class LoopFreeReport:
-    graph: RelationGraph
-    is_partial_order: bool
-    cycle: tuple | None
+class LoopFreeReport(Record):
+    __slots__ = _fields = ("graph", "is_partial_order", "cycle")
+
+    def __init__(self, graph: RelationGraph, is_partial_order: bool,
+                 cycle: tuple | None):
+        self._fill(graph, is_partial_order, cycle)
 
 
 def generating_relation(complex_: Adc) -> RelationGraph:

@@ -11,23 +11,55 @@ the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .adc import Adc
 from .polygraph import Comp, Gen, Id, PolyPresentation, lambda_presentation
-from .zlin import IntVector
+from .zlin import IntVector, Record
+
+# The most generators a family entry may have.  Each family's count is
+# worked out in closed form before anything is built; at this many, the
+# largest disk, sphere, ordinal, theta2 and oriental entries each build and
+# serialize in a few seconds and under 1 GB (the disk and sphere tables hold
+# a row per degree below each generator, so they grow with its square).
+MAX_GENERATORS = 2**14
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    params: tuple
-    presentation: PolyPresentation | None
-    complex: Adc | None
-    native: str  # "polygraph" or "adc"
-    expressions: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
+class CatalogCapExceeded(Exception):
+    """A catalog entry would have more than ``MAX_GENERATORS`` generators."""
+
+    code = "CATALOG_CAP"
+
+
+def _refuse_above_cap(name: str, params: tuple, count: int):
+    if count > MAX_GENERATORS:
+        shown = "%d" % count if count <= 10**18 else "more than 10**18"
+        raise CatalogCapExceeded(
+            "catalog entry %s %s has %s generators; the limit is %d"
+            % (name, " ".join(str(p) for p in params), shown, MAX_GENERATORS))
+
+
+class CatalogEntry(Record):
+    """One built example; ``expressions`` and ``expected`` are empty dicts
+    when not given."""
+
+    __slots__ = _fields = ("name", "params", "presentation", "complex", "native",
+                           "expressions", "expected")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, params: tuple,
+                 presentation: PolyPresentation | None, complex: Adc | None,
+                 native: str,  # "polygraph" or "adc"
+                 expressions: dict | None = None, expected: dict | None = None):
+        self.name = name
+        self.params = params
+        self.presentation = presentation
+        self.complex = complex
+        self.native = native
+        self.expressions = {} if expressions is None else expressions
+        self.expected = {} if expected is None else expected
 
     def as_adc(self) -> Adc:
         if self.complex is not None:
@@ -45,6 +77,7 @@ class CatalogEntry:
 def _disk(n: int) -> CatalogEntry:
     if n < 0:
         raise ValueError("disk needs a dimension >= 0")
+    _refuse_above_cap("disk", (n,), 2 * n + 1)
     levels = [["s%d" % q, "t%d" % q] for q in range(n)]
     levels.append(["c%d" % n])
     boundary = {}
@@ -65,6 +98,7 @@ def _disk(n: int) -> CatalogEntry:
 def _sphere(n: int) -> CatalogEntry:
     if n < -1:
         raise ValueError("sphere needs a dimension >= -1")
+    _refuse_above_cap("sphere", (n,), 2 * n + 2)
     levels = [["s%d" % q, "t%d" % q] for q in range(n + 1)]
     boundary = {}
     for q in range(1, n + 1):
@@ -82,6 +116,7 @@ def _sphere(n: int) -> CatalogEntry:
 def _ordinal(m: int) -> CatalogEntry:
     if m < 0:
         raise ValueError("ordinal needs m >= 0")
+    _refuse_above_cap("ordinal", (m,), 2 * m + 1)
     levels = [["v%d" % i for i in range(m + 1)]]
     boundary = {}
     if m >= 1:
@@ -102,6 +137,7 @@ def _theta2(params) -> CatalogEntry:
     m, ks = params[0], params[1:]
     if m < 0 or len(ks) != m or any(k < 0 for k in ks):
         raise ValueError("theta2 parameters must be m followed by m widths")
+    _refuse_above_cap("theta2", params, 2 * m + 1 + 2 * sum(ks))
     levels = [["v%d" % i for i in range(m + 1)]]
     ones = []
     twos = []
@@ -202,6 +238,8 @@ def _oriental_presentation(n: int):
 def _oriental(n: int) -> CatalogEntry:
     if n < 0:
         raise ValueError("oriental needs a dimension >= 0")
+    # 2**(n + 1) - 1 nonempty vertex sets, not computed past 64 bits
+    _refuse_above_cap("oriental", (n,), 2 ** min(n + 1, 64) - 1)
     return CatalogEntry(
         name="oriental", params=(n,),
         presentation=_oriental_presentation(n),

@@ -11,12 +11,11 @@ compute with.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
 from .adc import Adc, atom_fault, atom_table
-from .zlin import IntVector
+from .zlin import IntVector, Record, _setattr
 
 
 class NotComposable(Exception):
@@ -31,20 +30,28 @@ class EnumerationCapExceeded(Exception):
     code = "ENUM_CAP"
 
 
-@dataclass(frozen=True, slots=True)
-class NuTable:
+class NuTable(Record):
     """An immutable source/target table; ``rows[p]`` is (negative, positive).
 
     The hash is computed on first use and kept; it takes no part in ``==``
     or ``repr``.
     """
 
-    rows: tuple
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("rows", "_hash")
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
+        _setattr(self, "rows", rows)
+        _setattr(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.rows))
+            _setattr(self, "_hash", hash(self.rows))
         return self._hash
 
     @property
@@ -333,8 +340,7 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     return index
 
 
-@dataclass
-class EnumeratedOmegaCat:
+class EnumeratedOmegaCat(Record):
     """The compositional closure of the atom tables, one layer per dimension.
 
     ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
@@ -343,16 +349,26 @@ class EnumeratedOmegaCat:
     use by the same closure, seeded with ``cells`` and confined to them, so
     a composite outside the cells is recorded as None.  Positions in the
     index are positions in ``cells[dim]``, so a table listed twice in one
-    ``cells[dim]`` is refused with ValueError.
+    ``cells[dim]`` is refused with ValueError.  ``atom_names`` maps each
+    atom table to its generator's name, an empty dict when not given.
     """
 
-    complex: Adc
-    max_dim: int
-    cells: dict  # dim -> tuple of NuTable, in discovery order
-    atom_names: dict = field(default_factory=dict)  # NuTable -> generator name
+    # no __slots__: the cached index lives in the instance __dict__
+    _fields = ("complex", "max_dim", "cells", "atom_names")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+    # copies keep the index, with the provenance that enumerate_nu recorded
+    __reduce__ = object.__reduce__
 
-    def __post_init__(self):
-        for q, tables in self.cells.items():
+    def __init__(self, complex: Adc, max_dim: int,
+                 cells: dict,  # dim -> tuple of NuTable, in discovery order
+                 atom_names: dict | None = None):
+        self.complex = complex
+        self.max_dim = max_dim
+        self.cells = cells
+        self.atom_names = {} if atom_names is None else atom_names
+        for q, tables in cells.items():
             if len(set(tables)) != len(tables):
                 raise ValueError("cells[%d] lists a table more than once" % q)
 

@@ -11,8 +11,7 @@ package cares about and is what makes later classification trustworthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import nu
 from .adc import (
@@ -22,7 +21,7 @@ from .adc import (
     loop_free_report,
     validate_adc,
 )
-from .zlin import IntVector
+from .zlin import IntVector, Record, _setattr
 
 
 class InconsistentClassification(Exception):
@@ -34,29 +33,60 @@ class InconsistentClassification(Exception):
 # ---------------------------------------------------------------------------
 # cell expressions
 
-class CellExpr:
+class CellExpr(Record):
     """Base class for the expression language; see Gen, Id and Comp."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Gen(CellExpr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Id(CellExpr):
-    inner: CellExpr
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: CellExpr):
+        _setattr(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.inner == other.inner
+
+    def __hash__(self):
+        return hash((self.inner,))
 
 
-@dataclass(frozen=True)
 class Comp(CellExpr):
     """Composition of two equal-dimensional cells along a shared p-face."""
 
-    level: int
-    left: CellExpr
-    right: CellExpr
+    __slots__ = _fields = ("level", "left", "right")
+
+    def __init__(self, level: int, left: CellExpr, right: CellExpr):
+        _setattr(self, "level", level)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level == other.level and self.left == other.left
+                and self.right == other.right)
+
+    def __hash__(self):
+        return hash((self.level, self.left, self.right))
 
 
 class PolyPresentation:
@@ -160,6 +190,12 @@ class PolyPresentation:
         laws of the linearization.  A generator's table is the source table
         below its top row (which parallelism makes the target's too), then
         the two top rows, which are the linearized boundaries.
+
+        A boundary that is a bare generator is not checked again: its table
+        was filed from checked, parallel tables whose top rows are the
+        linearized boundaries, so it is a cell.  Skipping it keeps the check
+        linear in the size of the tables, where re-checking each filed
+        table would make a long chain of generators cost its length squared.
         """
         lam = lambda_presentation(self)
         for name in self.dims(0):
@@ -175,7 +211,9 @@ class PolyPresentation:
                     raise ValueError(
                         "boundary of %r is not composable: %s" % (name, exc)
                     ) from exc
-                for side, table in (("source", ts), ("target", tt)):
+                for side, expr, table in (("source", src, ts), ("target", tgt, tt)):
+                    if isinstance(expr, Gen):
+                        continue  # a filed table is a cell: see the docstring
                     ok, cond = nu.is_valid_table(lam, table)
                     if not ok:
                         raise ValueError(
@@ -310,10 +348,12 @@ def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
 # ---------------------------------------------------------------------------
 # atomicity
 
-@dataclass(frozen=True)
-class AtomicityReport:
-    ok: bool
-    witness: tuple | None  # (generator, level, common support)
+class AtomicityReport(Record):
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool,
+                 witness: tuple | None):  # (generator, level, common support)
+        self._fill(ok, witness)
 
 
 def is_atomic(pres: PolyPresentation) -> AtomicityReport:
@@ -330,14 +370,15 @@ def is_atomic(pres: PolyPresentation) -> AtomicityReport:
 # ---------------------------------------------------------------------------
 # the two categorical preorders
 
-@dataclass(frozen=True)
-class PreorderReport:
-    codim1: RelationGraph
-    full: RelationGraph
-    codim1_antisymmetric: bool
-    codim1_cycle: tuple | None
-    full_antisymmetric: bool
-    full_cycle: tuple | None
+class PreorderReport(Record):
+    __slots__ = _fields = ("codim1", "full", "codim1_antisymmetric", "codim1_cycle",
+                           "full_antisymmetric", "full_cycle")
+
+    def __init__(self, codim1: RelationGraph, full: RelationGraph,
+                 codim1_antisymmetric: bool, codim1_cycle: tuple | None,
+                 full_antisymmetric: bool, full_cycle: tuple | None):
+        self._fill(codim1, full, codim1_antisymmetric, codim1_cycle,
+                   full_antisymmetric, full_cycle)
 
 
 def preorder_report(pres: PolyPresentation) -> PreorderReport:
@@ -379,11 +420,14 @@ def is_algebraically_loop_free(pres: PolyPresentation) -> bool:
 # ---------------------------------------------------------------------------
 # orderability in the sense of Steiner
 
-@dataclass(frozen=True)
-class OrderabilityReport:
-    ok: bool
-    order: tuple | None  # witness linear order on all generators
-    cycle: tuple | None  # constraint cycle; length 1 means a self-constraint
+class OrderabilityReport(Record):
+    """``order`` is a witness linear order on all generators; ``cycle`` a
+    constraint cycle, where length 1 means a self-constraint."""
+
+    __slots__ = _fields = ("ok", "order", "cycle")
+
+    def __init__(self, ok: bool, order: tuple | None, cycle: tuple | None):
+        self._fill(ok, order, cycle)
 
 
 def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
@@ -440,21 +484,23 @@ def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Everything the classifiers can say about one presentation."""
 
-    atomic: bool
-    atomic_witness: tuple | None
-    codim1_antisymmetric: bool
-    codim1_cycle: tuple | None
-    full_antisymmetric: bool
-    full_cycle: tuple | None
-    strongly_loop_free_algebraic: bool
-    algebraic_cycle: tuple | None
-    steiner_orderable: bool
-    steiner_order: tuple | None
-    steiner_cycle: tuple | None
+    __slots__ = _fields = (
+        "atomic", "atomic_witness", "codim1_antisymmetric", "codim1_cycle",
+        "full_antisymmetric", "full_cycle", "strongly_loop_free_algebraic",
+        "algebraic_cycle", "steiner_orderable", "steiner_order", "steiner_cycle")
+
+    def __init__(self, atomic: bool, atomic_witness: tuple | None,
+                 codim1_antisymmetric: bool, codim1_cycle: tuple | None,
+                 full_antisymmetric: bool, full_cycle: tuple | None,
+                 strongly_loop_free_algebraic: bool, algebraic_cycle: tuple | None,
+                 steiner_orderable: bool, steiner_order: tuple | None,
+                 steiner_cycle: tuple | None):
+        self._fill(atomic, atomic_witness, codim1_antisymmetric, codim1_cycle,
+                   full_antisymmetric, full_cycle, strongly_loop_free_algebraic,
+                   algebraic_cycle, steiner_orderable, steiner_order, steiner_cycle)
 
     @property
     def strongly_loop_free_categorical(self) -> bool:

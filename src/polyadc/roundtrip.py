@@ -14,15 +14,20 @@ and their provenance, that it is an isomorphism of augmented complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import nu
 from .adc import Adc, is_strong_steiner_complex, validate_adc
-from .zlin import ZERO, IntVector, _ck, determinant, quotient_free_basis, unimodular_inverse
+from .zlin import (
+    ZERO,
+    IntVector,
+    Record,
+    _ck,
+    determinant,
+    quotient_free_basis,
+    unimodular_inverse,
+)
 
 
-@dataclass
-class QuotientLambda:
+class QuotientLambda(Record):
     """The degreewise quotient of an enumerated cell set.
 
     ``complex`` carries the induced differential and augmentation on the
@@ -30,17 +35,23 @@ class QuotientLambda:
     degree-q cells onto the degree-q part.
     """
 
-    complex: Adc
-    cells: dict          # q -> tuple of NuTable, ambient order
-    cell_names: dict     # q -> tuple of str, aligned with cells
-    projections: dict    # q -> IntMatrix (quotient basis x cell names)
-    sections: dict       # q -> IntMatrix (cell names x quotient basis)
+    __slots__ = ("complex", "cells", "cell_names", "projections", "sections",
+                 "_classes")
+    _fields = __slots__[:-1]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, complex: Adc,
+                 cells: dict,        # q -> tuple of NuTable, ambient order
+                 cell_names: dict,   # q -> tuple of str, aligned with cells
+                 projections: dict,  # q -> IntMatrix (quotient basis x cell names)
+                 sections: dict):    # q -> IntMatrix (cell names x quotient basis)
+        self._fill(complex, cells, cell_names, projections, sections)
         self._classes = {}
-        for q, projection in self.projections.items():
+        for q, projection in projections.items():
             columns = projection.columns()
-            for table, name in zip(self.cells.get(q, ()), self.cell_names.get(q, ())):
+            for table, name in zip(cells.get(q, ()), cell_names.get(q, ())):
                 self._classes[table] = columns[name]
 
     def class_of(self, table: nu.NuTable) -> IntVector:
@@ -171,11 +182,13 @@ def _generated(index: nu.CompositionIndex, per_dim: dict) -> dict:
     return generated
 
 
-@dataclass(frozen=True)
-class OmegaBasisReport:
-    ok: bool
-    failed: str | None   # generation | injectivity | z-basis | n-basis
-    detail: str | None
+class OmegaBasisReport(Record):
+    __slots__ = _fields = ("ok", "failed", "detail")
+
+    def __init__(self, ok: bool,
+                 failed: str | None,  # generation | injectivity | z-basis | n-basis
+                 detail: str | None):
+        self._fill(ok, failed, detail)
 
 
 def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
@@ -336,12 +349,11 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
 # ---------------------------------------------------------------------------
 # the full equivalence check
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    ok: bool
-    reason: str | None
-    cell_counts: dict
-    ranks: dict
+class RoundtripReport(Record):
+    __slots__ = _fields = ("ok", "reason", "cell_counts", "ranks")
+
+    def __init__(self, ok: bool, reason: str | None, cell_counts: dict, ranks: dict):
+        self._fill(ok, reason, cell_counts, ranks)
 
 
 def verify_equivalence(complex_: Adc, max_cells: int = 10000,

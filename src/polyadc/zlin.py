@@ -18,10 +18,56 @@ left (reduce-then-SNF, as in Kaczynski, Mrozek and Slusarek 1998).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 INT64_MAX = 2**63 - 1
+
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's plain value and report records.
+
+    A record lists its fields, in constructor order, in ``_fields``, which
+    is also its ``__slots__`` unless it keeps other state.  It compares
+    equal field by field, and only to a record of the very same class;
+    hashes and prints as the tuple of its fields; copies and pickles
+    through its constructor; and refuses assignment once built.  A mutable
+    record puts ``object``'s ``__setattr__`` and ``__delattr__`` back and
+    sets ``__hash__`` to None.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _fill(self, *values):
+        """Set the fields, in ``_fields`` order; for ``__init__``."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 class CoefficientOverflow(Exception):
@@ -321,8 +367,7 @@ def determinant(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
     ``U_inv`` is carried along because quotient constructions need a section
@@ -330,10 +375,10 @@ class SmithDecomposition:
     bookkeeping.
     """
 
-    U: tuple
-    D: tuple
-    V: tuple
-    U_inv: tuple
+    __slots__ = _fields = ("U", "D", "V", "U_inv")
+
+    def __init__(self, U: tuple, D: tuple, V: tuple, U_inv: tuple):
+        self._fill(U, D, V, U_inv)
 
     @property
     def diagonal(self) -> tuple:
@@ -578,8 +623,7 @@ def _search_monoid(vector, gens):
 # ---------------------------------------------------------------------------
 # free quotients
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(Record):
     """Free basis of Z[ambient]/<relations> plus the projection onto it.
 
     ``projection`` has one row per new basis name and one column per ambient
@@ -588,9 +632,10 @@ class QuotientBasis:
     defined on the ambient group down to the quotient.
     """
 
-    basis: tuple
-    projection: IntMatrix
-    section: IntMatrix
+    __slots__ = _fields = ("basis", "projection", "section")
+
+    def __init__(self, basis: tuple, projection: IntMatrix, section: IntMatrix):
+        self._fill(basis, projection, section)
 
     def class_of(self, vector: IntVector) -> IntVector:
         return self.projection.apply(vector)

@@ -4,12 +4,15 @@ from itertools import combinations
 
 import pytest
 
+from conftest import random_presentation
 from polyadc import (
+    Gen,
     IntVector,
     build,
     catalog,
     classify,
     eval_table,
+    is_valid_table,
     lambda_presentation,
     linearize,
     loop_free_report,
@@ -149,3 +152,31 @@ def test_forest_interchange_expressions():
     want = IntVector({"A": 1, "B": 1})
     assert linearize(pres, h1).vector == want
     assert linearize(pres, h2).vector == want
+
+
+SIZED = [("disk", (3,)), ("sphere", (2,)), ("ordinal", (4,)),
+         ("theta2", (2, 1, 3)), ("oriental", (3,))]
+
+
+@pytest.mark.parametrize("name, params", SIZED)
+def test_the_size_cap_counts_generators_exactly(monkeypatch, name, params):
+    count = len(list(build(name, params).as_adc().all_generators()))
+    monkeypatch.setattr(catalog, "MAX_GENERATORS", count)
+    build(name, params)
+    monkeypatch.setattr(catalog, "MAX_GENERATORS", count - 1)
+    with pytest.raises(catalog.CatalogCapExceeded,
+                       match="has %d generators; the limit is %d" % (count, count - 1)):
+        build(name, params)
+
+
+def test_every_filed_generator_table_is_a_cell():
+    # construction re-checks no boundary that is a bare generator, on the
+    # strength of this
+    entries = [build(name, params) for name, params in SIZED]
+    entries += [build(name) for name in ("loop", "endo2cell", "square", "forestA")]
+    presentations = [e.presentation for e in entries if e.presentation is not None]
+    presentations += [random_presentation(seed) for seed in range(120)]
+    for pres in presentations:
+        lam = lambda_presentation(pres)
+        for name in pres.all_generators():
+            assert is_valid_table(lam, eval_table(pres, Gen(name))) == (True, None)

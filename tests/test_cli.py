@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -350,3 +354,40 @@ def test_catalog_errors(capsys):
     code, _, err = run(["catalog", "oriental", "x"], capsys)
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["disk", "8192"], "16385"),
+    (["sphere", "8192"], "16386"),
+    (["ordinal", "8192"], "16385"),
+    (["theta2", "1", "8191"], "16385"),
+    (["oriental", "14"], "32767"),
+    (["ordinal", "1000000000"], "2000000001"),
+    (["disk", "100000000"], "200000001"),
+    (["theta2", "1", "100000000"], "200000003"),
+    (["oriental", "100000"], "more than 10**18"),
+])
+def test_catalog_refuses_entries_past_the_size_cap(capsys, argv, count):
+    tracemalloc.start()
+    try:
+        code, out, err = run(["catalog"] + argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    assert out == ""
+    assert err == ("resource error [CATALOG_CAP]: catalog entry %s has %s "
+                   "generators; the limit is 16384\n" % (" ".join(argv), count))
+    assert peak < 10**6  # refused before anything is built
+
+
+def test_the_command_line_starts_without_the_dataclass_machinery():
+    # -S keeps site from importing these modules on its own
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = ("import sys, polyadc.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
