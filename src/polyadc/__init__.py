@@ -60,6 +60,7 @@ from .roundtrip import (
     verify_equivalence,
 )
 from .serialize import (
+    DegreeCapExceeded,
     DocumentError,
     parse_document,
     serialize_document,

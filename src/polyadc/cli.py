@@ -6,8 +6,8 @@ the requested analysis and prints a report.
 
 Exit codes: 0 success, 1 usage, 2 unreadable, malformed or too deeply
 nested document, 3 validation failure, 4 negative verdict (check/roundtrip),
-5 resource cap (enumeration, brute-force or catalog size cap, torsion,
-overflow).
+5 resource cap (enumeration, brute-force or catalog size cap, ADC degree
+cap, torsion, overflow).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .polygraph import (
     preorder_report,
 )
 from .roundtrip import verify_equivalence
-from .serialize import DocumentError, parse_document, serialize_document, to_dot
+from .serialize import (DegreeCapExceeded, DocumentError, parse_document,
+                        serialize_document, to_dot)
 from .zlin import CoefficientOverflow, TorsionError
 
 
@@ -329,8 +330,8 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print("document error: %s" % exc, file=sys.stderr)
         return 2
-    except (nu.EnumerationCapExceeded, catalog_mod.CatalogCapExceeded, TorsionError,
-            CoefficientOverflow) as exc:
+    except (nu.EnumerationCapExceeded, catalog_mod.CatalogCapExceeded,
+            DegreeCapExceeded, TorsionError, CoefficientOverflow) as exc:
         print("resource error [%s]: %s" % (exc.code, exc), file=sys.stderr)
         return 5
     except InconsistentClassification as exc:

@@ -99,10 +99,11 @@ def is_valid_table(complex_: Adc, table: NuTable):
       4. the two top entries coincide.
     """
     q = table.dim
+    degree = complex_._degree
     for p in range(q + 1):
-        gens = set(complex_.generators(p))
         for vec in table.rows[p]:
-            if not vec.is_nonnegative() or (vec.support() - gens):
+            if not vec.is_nonnegative() or any(degree.get(g) != p
+                                               for g in vec._entries):
                 return False, 1
     for p in range(1, q + 1):
         below_neg, below_pos = table.rows[p - 1]

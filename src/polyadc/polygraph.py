@@ -142,6 +142,7 @@ class PolyPresentation:
                         )
 
         self._lambda = None
+        self._preorder = None  # the PreorderReport, built on first request
         self._tables = {}  # generator -> its NuTable, filed at construction
         self._check_boundaries()
 
@@ -386,8 +387,10 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
     The codimension-1 graph relates a generator to the supports of its
     immediate source and target; the full graph does the same for faces of
-    every lower dimension.
+    every lower dimension.  The report is built once per presentation.
     """
+    if pres._preorder is not None:
+        return pres._preorder
     nodes = tuple(pres.all_generators())
     codim1 = set()
     full = set()
@@ -400,16 +403,9 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
                 codim1 |= edges
     g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
     g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
-    ok1, cyc1 = g_codim1.antisymmetry()
-    okf, cycf = g_full.antisymmetry()
-    return PreorderReport(
-        codim1=g_codim1,
-        full=g_full,
-        codim1_antisymmetric=ok1,
-        codim1_cycle=cyc1,
-        full_antisymmetric=okf,
-        full_cycle=cycf,
-    )
+    pres._preorder = PreorderReport(g_codim1, g_full, *g_codim1.antisymmetry(),
+                                    *g_full.antisymmetry())
+    return pres._preorder
 
 
 def is_algebraically_loop_free(pres: PolyPresentation) -> bool:

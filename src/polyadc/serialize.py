@@ -1,15 +1,20 @@
 """JSON documents for complexes and presentations, plus DOT export.
 
 A document is an object with a "kind" ("adc" or "polygraph") and a list of
-generators in declaration order.  Serialization is canonical: generators
-are emitted dimension by dimension in declaration order, keys are sorted,
-and the text ends with a newline, so serialize(parse(serialize(x))) is the
-identity on the text.
+generators.  Serialization is canonical, so serialize(parse(serialize(x)))
+is the identity on the text.  The text is written by hand in the layout of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline: one key or
+item per line, two spaces deeper per level, ``","`` ending an item and
+``": "`` after a key, ``[]``/``{}`` for an empty list/object, keys sorted
+(boundary names as strings), strings ASCII with JSON escapes, and the
+generators dimension by dimension in declaration order.  An expression is
+``{"gen": name}``, ``{"id": expr}`` or ``{"comp": [level, left, right]}``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str
 
 from .adc import Adc, RelationGraph
 from .polygraph import CellExpr, Comp, Gen, Id, PolyPresentation
@@ -20,6 +25,15 @@ class DocumentError(Exception):
     """The text is not a well-formed document (schema level)."""
 
     code = "SCHEMA"
+
+
+MAX_DEGREE = 2**14  # ADC levels are laid out as a list; catalog complexes stay below
+
+
+class DegreeCapExceeded(Exception):
+    """An ADC document names a degree above ``MAX_DEGREE``."""
+
+    code = "DEGREE_CAP"
 
 
 def expr_to_obj(expr: CellExpr):
@@ -113,6 +127,11 @@ def parse_document(text: str):
     max_dim = max(levels) if levels else -1
 
     if kind == "adc":
+        if max_dim > MAX_DEGREE:
+            name = next(r["name"] for r in records if r["dim"] == max_dim)
+            shown = "%d" % max_dim if max_dim <= 10**18 else "more than 10**18"
+            raise DegreeCapExceeded("generator %r has degree %s; the limit is %d"
+                                    % (name, shown, MAX_DEGREE))
         basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
         diff = {}
         aug = {}
@@ -172,40 +191,53 @@ def _identities(expr: CellExpr) -> int:
     return count
 
 
-def serialize_adc(complex_: Adc) -> dict:
-    gens = []
-    for q, level in enumerate(complex_.basis):
-        for name in level:
-            if q == 0:
-                gens.append({"name": name, "dim": 0,
-                             "augmentation": complex_.eps_gen(name)})
-            else:
-                gens.append({"name": name, "dim": q,
-                             "boundary": dict(complex_.diff(name).items())})
-    return {"kind": "adc", "generators": gens}
-
-
-def serialize_presentation(pres: PolyPresentation) -> dict:
-    gens = []
-    for q, level in enumerate(pres.generators):
-        for name in level:
-            if q == 0:
-                gens.append({"name": name, "dim": 0})
-            else:
-                src, tgt = pres.boundary_of(name)
-                gens.append({"name": name, "dim": q,
-                             "src": expr_to_obj(src), "tgt": expr_to_obj(tgt)})
-    return {"kind": "polygraph", "generators": gens}
-
-
 def serialize_document(obj) -> str:
+    """The canonical text of an Adc or a PolyPresentation, written without
+    the pure-Python encoder that ``json.dumps`` falls back to for ``indent``."""
+    records = []
     if isinstance(obj, Adc):
-        doc = serialize_adc(obj)
+        kind = "adc"
+        for q, level in enumerate(obj.basis):
+            for name in level:
+                if q == 0:
+                    head = '"augmentation": %d' % obj._aug[name]
+                else:
+                    terms = ",\n".join("        %s: %d" % (_str(k), v)
+                                       for k, v in obj._diff[name].items())
+                    head = '"boundary": %s' % ("{\n%s\n      }" % terms if terms else "{}")
+                records.append('    {\n      %s,\n      "dim": %d,\n      "name": %s\n    }'
+                               % (head, q, _str(name)))
     elif isinstance(obj, PolyPresentation):
-        doc = serialize_presentation(obj)
+        kind = "polygraph"
+        for q, level in enumerate(obj.generators):
+            for name in level:
+                tail = ""
+                if q:
+                    src, tgt = obj._boundary[name]
+                    tail = ',\n      "src": %s,\n      "tgt": %s' % (
+                        _expr_text(src, "      "), _expr_text(tgt, "      "))
+                records.append('    {\n      "dim": %d,\n      "name": %s%s\n    }'
+                               % (q, _str(name), tail))
     else:
         raise TypeError("cannot serialize %r" % (obj,))
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    body = "[\n%s\n  ]" % ",\n".join(records) if records else "[]"
+    return '{\n  "generators": %s,\n  "kind": "%s"\n}\n' % (body, kind)
+
+
+def _expr_text(expr: CellExpr, indent: str) -> str:
+    """The object form of an expression, laid out as a value on a line
+    indented by ``indent``."""
+    inner = indent + "  "
+    if isinstance(expr, Gen):
+        return '{\n%s"gen": %s\n%s}' % (inner, _str(expr.name), indent)
+    if isinstance(expr, Id):
+        return '{\n%s"id": %s\n%s}' % (inner, _expr_text(expr.inner, inner), indent)
+    if isinstance(expr, Comp):
+        item = inner + "  "
+        return '{\n%s"comp": [\n%s%d,\n%s%s,\n%s%s\n%s]\n%s}' % (
+            inner, item, expr.level, item, _expr_text(expr.left, item),
+            item, _expr_text(expr.right, item), inner, indent)
+    raise TypeError("not a cell expression: %r" % (expr,))
 
 
 # ---------------------------------------------------------------------------

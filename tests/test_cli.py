@@ -297,6 +297,31 @@ def test_a_lone_high_degree_generator_is_a_valid_complex(capsys, tmp_path):
     assert "unital: no" in out
 
 
+@pytest.mark.parametrize("dim, shown", [
+    (2**14 + 1, "16385"),
+    (10**18, "1000000000000000000"),
+    (2**70, "more than 10**18"),
+])
+@pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+def test_adc_degrees_past_the_cap_are_refused_before_layout(command, dim, shown,
+                                                           capsys, tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"kind": "adc", "generators": [{"name": "x", "dim": 0, '
+                   '"augmentation": 1}, {"name": "a", "dim": %d, "boundary": {}}]}'
+                   % dim)
+    tracemalloc.start()
+    try:
+        code, out, err = run(command + [str(doc)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5
+    assert out == ""
+    assert err == ("resource error [DEGREE_CAP]: generator 'a' has degree %s; "
+                   "the limit is 16384\n" % shown)
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize("opening, closing", [
     ('{"comp": [0, ', ', {"gen": "01"}]}'),
     ('{"id": ', '}'),

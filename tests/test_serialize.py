@@ -11,6 +11,7 @@ from polyadc import (
     DocumentError,
     Gen,
     Id,
+    IntVector,
     PolyPresentation,
     build,
     generating_relation,
@@ -19,7 +20,8 @@ from polyadc import (
     serialize_document,
     to_dot,
 )
-from polyadc.serialize import expr_to_obj, obj_to_expr
+from polyadc.serialize import (MAX_DEGREE, DegreeCapExceeded, expr_to_obj,
+                               obj_to_expr)
 
 
 def test_expression_round_trip():
@@ -114,6 +116,17 @@ def test_a_presentation_dimension_out_of_reach_is_refused_before_layout(dim):
         parse_document(with_dim("02", dim))
 
 
+def test_adc_degrees_are_capped_before_layout():
+    def lone(dim):
+        return ('{"kind": "adc", "generators": '
+                '[{"name": "a", "dim": %d, "boundary": {}}]}' % dim)
+
+    assert parse_document(lone(MAX_DEGREE)).max_degree == MAX_DEGREE
+    with pytest.raises(DegreeCapExceeded, match="generator 'a' has degree 16385; "
+                                                "the limit is 16384"):
+        parse_document(lone(MAX_DEGREE + 1))
+
+
 def test_identity_expressions_extend_the_reach():
     # endo2cell's 2-generator sits above its two generators on identities
     text = serialize_document(build("endo2cell").as_presentation())
@@ -186,3 +199,149 @@ def test_random_documents_round_trip_to_equal_objects_and_stable_bytes():
         assert serialize_document(parse_document(text)) == text
 
     prop()
+
+
+# ---------------------------------------------------------------------------
+# the hand-written layout against the JSON encoder
+
+def reference_doc(obj):
+    """The object form of a document, as the encoder would be handed it."""
+    gens = []
+    if isinstance(obj, Adc):
+        for q, level in enumerate(obj.basis):
+            for name in level:
+                if q == 0:
+                    gens.append({"name": name, "dim": 0,
+                                 "augmentation": obj.eps_gen(name)})
+                else:
+                    gens.append({"name": name, "dim": q,
+                                 "boundary": dict(obj.diff(name).items())})
+        return {"kind": "adc", "generators": gens}
+    for q, level in enumerate(obj.generators):
+        for name in level:
+            if q == 0:
+                gens.append({"name": name, "dim": 0})
+            else:
+                src, tgt = obj.boundary_of(name)
+                gens.append({"name": name, "dim": q,
+                             "src": expr_to_obj(src), "tgt": expr_to_obj(tgt)})
+    return {"kind": "polygraph", "generators": gens}
+
+
+def assert_encoder_bytes(obj):
+    text = serialize_document(obj)
+    assert text == json.dumps(reference_doc(obj), indent=2, sort_keys=True) + "\n"
+    return text
+
+
+CATALOG = [("oriental", (n,)) for n in range(5)] + \
+    [("disk", (n,)) for n in range(5)] + \
+    [("sphere", (n,)) for n in range(-1, 4)] + \
+    [("ordinal", (n,)) for n in range(5)] + \
+    [("theta2", p) for p in ((3, 2, 0, 1), (1, 2), (2, 1, 1), (2, 2, 3))] + \
+    [(name, ()) for name in ("loop", "endo2cell", "square", "forestA")]
+
+
+@pytest.mark.parametrize("name, params", CATALOG,
+                         ids=["%s%s" % (n, list(p)) for n, p in CATALOG])
+def test_catalog_documents_have_the_encoder_bytes_in_both_forms(name, params):
+    entry = build(name, params)
+    assert_encoder_bytes(entry.as_adc())
+    if entry.presentation is not None:  # oriental 4 has no polygraph form
+        assert_encoder_bytes(entry.as_presentation())
+
+
+def test_random_presentations_and_linearizations_have_the_encoder_bytes():
+    for seed in range(120):
+        pres = random_presentation(seed)
+        assert_encoder_bytes(pres)
+        assert_encoder_bytes(lambda_presentation(pres))
+
+
+ODD_NAMES = ('q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f\n\t", "café",
+             " sep", "astral\U0001F600\U00010000", "/", "\ud800")
+
+
+def test_empty_documents_have_the_encoder_bytes():
+    assert assert_encoder_bytes(Adc([], {}, {})) == \
+        '{\n  "generators": [],\n  "kind": "adc"\n}\n'
+    assert assert_encoder_bytes(PolyPresentation([], {})) == \
+        '{\n  "generators": [],\n  "kind": "polygraph"\n}\n'
+
+
+def test_edge_values_have_the_encoder_bytes():
+    big = 2**63 - 1
+    names = ODD_NAMES
+    complex_ = Adc([names[:4], names[4:6], names[6:]],
+                   {names[4]: IntVector({names[0]: -3, names[1]: big, names[3]: -big}),
+                    names[5]: IntVector(),
+                    names[6]: IntVector({names[5]: 1, names[4]: -1}),
+                    names[7]: IntVector({names[4]: -big})},
+                   {names[0]: -1, names[1]: big, names[2]: 0, names[3]: -big})
+    text = assert_encoder_bytes(complex_)
+    assert '"boundary": {}' in text
+    assert text.isascii()
+    assert parse_document(text) == complex_
+
+
+def test_odd_names_in_expressions_have_the_encoder_bytes():
+    a, b, f, g, h, x = ODD_NAMES[:6]
+    pres = PolyPresentation(
+        [[a, b], [f, g, h], [x]],
+        {f: (Gen(a), Gen(b)), g: (Gen(b), Gen(b)), h: (Gen(a), Gen(b)),
+         x: (Comp(0, Gen(f), Id(Gen(b))), Comp(0, Gen(h), Gen(g)))})
+    text = assert_encoder_bytes(pres)
+    assert serialize_document(parse_document(text)) == text
+
+
+def test_random_documents_with_any_names_have_the_encoder_bytes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.integers(min_value=-(2**63 - 1), max_value=2**63 - 1)
+
+    @st.composite
+    def complexes(draw):
+        names = draw(st.lists(st.text(min_size=1, max_size=6), unique=True,
+                              max_size=12))
+        cuts = sorted(draw(st.lists(st.integers(0, len(names)), max_size=3)))
+        levels = [names[i:j] for i, j in zip([0] + cuts, cuts + [len(names)])]
+        diff = {}
+        for q in range(1, len(levels)):
+            for name in levels[q]:
+                below = levels[q - 1]
+                picked = draw(st.lists(st.sampled_from(below), unique=True)) \
+                    if below else []
+                diff[name] = IntVector({n: draw(coeff) for n in picked})
+        aug = {name: draw(coeff) for name in levels[0]}
+        return Adc(levels, diff, aug)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(complexes())
+    def adc_prop(complex_):
+        assert parse_document(assert_encoder_bytes(complex_)) == complex_
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1),
+                      st.lists(st.text(min_size=1, max_size=4), unique=True,
+                               min_size=6, max_size=6))
+    def presentation_prop(seed, fresh):
+        pres = random_presentation(seed)
+        rename = dict(zip(pres.all_generators(), fresh))
+
+        def renamed(expr):
+            if isinstance(expr, Gen):
+                return Gen(rename[expr.name])
+            if isinstance(expr, Id):
+                return Id(renamed(expr.inner))
+            return Comp(expr.level, renamed(expr.left), renamed(expr.right))
+
+        odd = PolyPresentation(
+            [[rename[n] for n in level] for level in pres.generators],
+            {rename[n]: (renamed(s), renamed(t))
+             for n in pres.all_generators() if pres.dim_of(n)
+             for s, t in [pres.boundary_of(n)]})
+        assert_encoder_bytes(odd)
+        assert_encoder_bytes(lambda_presentation(odd))
+
+    adc_prop()
+    presentation_prop()
