@@ -384,22 +384,7 @@ class RelationGraph(Record):
 
     def antisymmetry(self):
         """(True, None) when the reachability preorder is a partial order,
-        otherwise (False, witness cycle of length >= 2).  A Kahn pass that
-        ignores self-loops settles the acyclic case before the components."""
-        succ = {n: [] for n in self.nodes}
-        indeg = dict.fromkeys(self.nodes, 0)
-        for u, v in self.edges:
-            if u != v:
-                succ[u].append(v)
-                indeg[v] += 1
-        ready = [n for n, d in indeg.items() if d == 0]
-        for u in ready:  # grows as nodes are freed
-            for v in succ[u]:
-                indeg[v] -= 1
-                if not indeg[v]:
-                    ready.append(v)
-        if len(ready) == len(indeg):
-            return True, None
+        otherwise (False, witness cycle of length >= 2)."""
         for comp in self.sccs():
             if len(comp) >= 2:
                 return False, self._cycle_in(set(comp), comp[0])

@@ -75,6 +75,8 @@ class Comp(CellExpr):
     __slots__ = _fields = ("level", "left", "right")
 
     def __init__(self, level: int, left: CellExpr, right: CellExpr):
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise TypeError("composition level must be an int, got %r" % (level,))
         _setattr(self, "level", level)
         _setattr(self, "left", left)
         _setattr(self, "right", right)
@@ -142,7 +144,6 @@ class PolyPresentation:
                         )
 
         self._lambda = None
-        self._preorder = None  # the PreorderReport, built on first request
         self._tables = {}  # generator -> its NuTable, filed at construction
         self._check_boundaries()
 
@@ -387,10 +388,8 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
     The codimension-1 graph relates a generator to the supports of its
     immediate source and target; the full graph does the same for faces of
-    every lower dimension.  The report is built once per presentation.
+    every lower dimension.
     """
-    if pres._preorder is not None:
-        return pres._preorder
     nodes = tuple(pres.all_generators())
     codim1 = set()
     full = set()
@@ -403,9 +402,16 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
                 codim1 |= edges
     g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
     g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
-    pres._preorder = PreorderReport(g_codim1, g_full, *g_codim1.antisymmetry(),
-                                    *g_full.antisymmetry())
-    return pres._preorder
+    ok1, cyc1 = g_codim1.antisymmetry()
+    okf, cycf = g_full.antisymmetry()
+    return PreorderReport(
+        codim1=g_codim1,
+        full=g_full,
+        codim1_antisymmetric=ok1,
+        codim1_cycle=cyc1,
+        full_antisymmetric=okf,
+        full_cycle=cycf,
+    )
 
 
 def is_algebraically_loop_free(pres: PolyPresentation) -> bool:

@@ -129,9 +129,8 @@ def parse_document(text: str):
     if kind == "adc":
         if max_dim > MAX_DEGREE:
             name = next(r["name"] for r in records if r["dim"] == max_dim)
-            shown = "%d" % max_dim if max_dim <= 10**18 else "more than 10**18"
-            raise DegreeCapExceeded("generator %r has degree %s; the limit is %d"
-                                    % (name, shown, MAX_DEGREE))
+            raise DegreeCapExceeded("generator %r has degree %d; the limit is %d"
+                                    % (name, max_dim, MAX_DEGREE))
         basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
         diff = {}
         aug = {}

@@ -28,9 +28,7 @@ from polyadc import (
     is_steiner_orderable,
     lambda_presentation,
     linearize,
-    parse_document,
     preorder_report,
-    serialize_document,
     support_expr,
     unitality_failures,
 )
@@ -208,40 +206,3 @@ def test_boundary_checks_intermediate_coefficients():
     with pytest.raises(CoefficientOverflow):
         complex_.boundary_vec(1, IntVector({"x": 4, "y": 4}))
     assert complex_.boundary_vec(1, IntVector({"x": 1, "y": 1})).is_zero()
-
-
-def test_the_preorder_report_is_built_once_per_presentation():
-    for _, pres in PRESENTATIONS:
-        assert preorder_report(pres) is preorder_report(pres)
-
-
-@pytest.mark.parametrize("label, pres", PRESENTATIONS,
-                         ids=[label for label, _ in PRESENTATIONS])
-def test_classify_matches_a_freshly_parsed_copy(label, pres):
-    preorder_report(pres)  # the kept report must not change the verdict
-    fresh = parse_document(serialize_document(pres))
-    assert fresh._preorder is None
-    assert classify(pres) == classify(fresh)
-    assert preorder_report(pres) == preorder_report(fresh)
-
-
-def test_reference_verdict_reaches_the_reference_classifiers(monkeypatch):
-    pres = build("oriental", (3,)).as_presentation()
-    preorder_report(pres)  # a kept report must not bypass the patch
-    calls = []
-
-    def spy(name):
-        reference = globals()[name]
-
-        def call(arg):
-            calls.append(name)
-            return reference(arg)
-        return call
-
-    names = ("reference_is_atomic", "reference_preorder_report",
-             "reference_is_steiner_orderable")
-    for name in names:
-        monkeypatch.setitem(globals(), name, spy(name))
-    reference_verdict(pres, monkeypatch)
-    assert sorted(calls) == sorted(names)
-    assert polygraph.preorder_report is preorder_report  # the patch is undone

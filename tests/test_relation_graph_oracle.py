@@ -4,13 +4,10 @@ networkx is an independent oracle only; the package itself does not
 depend on it, so these tests are skipped where it is not installed.
 """
 
-import random
-
 import pytest
 
 from conftest import catalog_presentations, random_presentation
 from polyadc import generating_relation, lambda_presentation, preorder_report
-from polyadc.adc import RelationGraph
 
 nx = pytest.importorskip("networkx")
 
@@ -52,41 +49,3 @@ def test_components_and_cycles_match_networkx():
                 witness = graph._cycle_in(set(comp), comp[0])
                 assert is_cycle(graph, witness)
                 assert set(witness) <= set(comp)
-
-
-def tarjan_antisymmetry(graph):
-    """The answer from the components alone, without the Kahn pass."""
-    for comp in graph.sccs():
-        if len(comp) >= 2:
-            return False, graph._cycle_in(set(comp), comp[0])
-    return True, None
-
-
-def random_digraphs(count=300):
-    """Seeded small digraphs, with self-loops and 2-cycles among the edges."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        nodes = tuple("n%d" % i for i in range(rng.randint(0, 9)))
-        edges = set()
-        for _ in range(rng.randint(0, 2 * len(nodes))):
-            u, v = rng.choice(nodes), rng.choice(nodes)
-            edges.add((u, v))
-            if rng.random() < 0.15:
-                edges.add((v, u))
-            if rng.random() < 0.15:
-                edges.add((u, u))
-        # mostly forward edges, so that many graphs are acyclic but for loops
-        if seed % 2:
-            edges = {(u, v) for u, v in edges if u <= v}
-        yield RelationGraph(nodes=nodes, edges=frozenset(edges))
-
-
-def test_antisymmetry_matches_the_components_witnesses_included():
-    outcomes = set()
-    for graph in list(graphs()) + list(random_digraphs()):
-        result = graph.antisymmetry()
-        assert result == tarjan_antisymmetry(graph)
-        loops = any(u == v for u, v in graph.edges)
-        outcomes.add((result[0], loops))
-    # acyclic graphs with and without self-loops, and cyclic ones, all occur
-    assert {(True, False), (True, True), (False, False), (False, True)} <= outcomes

@@ -292,6 +292,10 @@ def test_odd_names_in_expressions_have_the_encoder_bytes():
          x: (Comp(0, Gen(f), Id(Gen(b))), Comp(0, Gen(h), Gen(g)))})
     text = assert_encoder_bytes(pres)
     assert serialize_document(parse_document(text)) == text
+    # a level the encoder would write as false or 0.0 never reaches the writer
+    for level in (False, True, 0.0, "0", None):
+        with pytest.raises(TypeError, match="composition level must be an int"):
+            Comp(level, Gen(f), Id(Gen(b)))
 
 
 def test_random_documents_with_any_names_have_the_encoder_bytes():
