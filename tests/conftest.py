@@ -1,4 +1,5 @@
-"""Shared helpers: a seeded presentation generator and a Smith-form oracle."""
+"""Shared helpers: a seeded presentation generator, a Smith-form oracle and
+the reference checks of a presentation's linearization."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from itertools import combinations
 from math import gcd
 
 from polyadc import (
+    Adc,
     Comp,
     Gen,
     Id,
@@ -16,6 +18,8 @@ from polyadc import (
     eval_table,
     is_valid_table,
     lambda_presentation,
+    linearize,
+    validate_adc,
 )
 from polyadc import nu
 
@@ -172,3 +176,33 @@ def catalog_presentations():
     for name in ("loop", "endo2cell", "square", "forestA"):
         entries.append(build(name))
     return [entry.as_presentation() for entry in entries]
+
+
+# ---------------------------------------------------------------------------
+# the reference linearization
+
+def reference_linearization(pres) -> Adc:
+    """The linearization built expression by expression: the differential
+    of a generator is its linearized target minus its linearized source,
+    and every dimension-0 generator has augmentation 1."""
+    diff = {}
+    for q in range(1, len(pres.generators)):
+        for name in pres.generators[q]:
+            src, tgt = pres.boundary_of(name)
+            diff[name] = linearize(pres, tgt).vector - linearize(pres, src).vector
+    return Adc(pres.generators, diff, {name: 1 for name in pres.dims(0)})
+
+
+def assert_construction_is_sound(pres):
+    """What construction does not check because it cannot fail: every
+    boundary expression and every filed generator table is a cell of the
+    linearization, the linearization satisfies the chain complex laws, and
+    it equals the reference built from the expressions."""
+    lam = lambda_presentation(pres)
+    assert lam == reference_linearization(pres)
+    assert validate_adc(lam).ok
+    for name in pres.all_generators():
+        exprs = (Gen(name),) + (pres.boundary_of(name) if pres.dim_of(name) else ())
+        for expr in exprs:
+            assert is_valid_table(lam, eval_table(pres, expr)) == (True, None), \
+                (name, expr)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from polyadc import cli
+from polyadc import cli, parse_document
 
 
 def run(argv, capsys):
@@ -80,6 +80,74 @@ def test_semantically_broken_document(capsys, tmp_path):
     assert code == 3
     assert "validation error" in err
     assert "duplicate generator name 'v'" in err
+
+
+def _gen(name):
+    return {"gen": name}
+
+
+def _comp(level, left, right):
+    return {"comp": [level, left, right]}
+
+
+_PATH = [{"name": "a", "dim": 0}, {"name": "b", "dim": 0}, {"name": "c", "dim": 0},
+         {"name": "f", "dim": 1, "src": _gen("a"), "tgt": _gen("b")},
+         {"name": "g", "dim": 1, "src": _gen("b"), "tgt": _gen("c")}]
+
+
+def _two_cell(src, tgt):
+    return {"name": "alpha", "dim": 2, "src": src, "tgt": tgt}
+
+
+CONSTRUCTION_ERRORS = {
+    "unknown generator": (
+        [_two_cell(_gen("f"), _gen("z"))],
+        "unknown generator 'z'"),
+    "source of the wrong dimension": (
+        [_two_cell(_gen("a"), _gen("f"))],
+        "source of 'alpha' has dimension 0, expected 1"),
+    "target of the wrong dimension": (
+        [_two_cell(_gen("f"), {"id": _gen("f")})],
+        "target of 'alpha' has dimension 2, expected 1"),
+    "composition level": (
+        [_two_cell(_comp(1, _gen("f"), _gen("g")), _gen("f"))],
+        "DIM: level-1 composition of 1-cells"),
+    "composition across dimensions": (
+        [_two_cell(_gen("f"), _comp(0, _gen("f"), _gen("c")))],
+        "composition of cells of different dimensions 1 and 0"),
+    "not composable": (
+        [_two_cell(_comp(0, _gen("g"), _gen("f")), _comp(0, _gen("f"), _gen("g")))],
+        "boundary of 'alpha' is not composable: p-target of the first factor "
+        "differs from p-source of the second (p=0)"),
+    "not parallel": (
+        [_two_cell(_gen("f"), _gen("g"))],
+        "source and target of 'alpha' are not parallel"),
+    "dimension out of reach": (
+        [{"name": "x", "dim": 9, "src": _gen("f"), "tgt": _gen("f")}],
+        "dimension 9 of 'x' is out of reach: 6 generators and their identity "
+        "expressions reach dimension 5 at most"),
+    # the dimension check of every generator runs before any boundary is
+    # evaluated, so it wins over a composability error at a lower generator
+    "dimension above composability": (
+        [_two_cell(_comp(0, _gen("g"), _gen("f")), _comp(0, _gen("f"), _gen("g"))),
+         {"name": "T", "dim": 3, "src": _gen("f"), "tgt": _gen("alpha")}],
+        "source of 'T' has dimension 1, expected 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_ERRORS))
+def test_construction_error_messages(case, capsys, tmp_path):
+    records, message = CONSTRUCTION_ERRORS[case]
+    text = json.dumps({"kind": "polygraph", "generators": _PATH + records})
+    with pytest.raises(ValueError) as info:
+        parse_document(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    for command in READERS:
+        assert run(command + [str(doc)], capsys) == (
+            3, "", "validation error: %s\n" % message)
 
 
 def test_check_complex_document(capsys, tmp_path):

@@ -1,0 +1,251 @@
+"""A seeded document fuzzer for the command line.
+
+Mutates catalog and random presentation documents and runs each mutant
+through ``cli.main`` in-process for the reading subcommands.  Every run must
+end with a documented exit code (0, or 2 to 5) and no exception may escape.
+Two kinds of mutation are made:
+
+- JSON-level: replace, delete or duplicate one value anywhere in the
+  document.  Most of these stop at the schema check.
+- Expression-level: swap a generator's source and target, substitute
+  another expression of the document for one, wrap one in an identity, or
+  compose two at a random level.  These reach construction, and every such
+  mutant that constructs also passes the reference checks of its
+  linearization.
+
+The tests run a fixed seeded slice.  Run the file as a script for a larger
+one, for example ``PYTHONPATH=src python tests/test_fuzz_documents.py 3000``
+for 3,000 mutants per subcommand; it prints the exit codes it saw and exits
+non-zero on the first failure.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from collections import Counter
+
+import pytest
+
+from conftest import assert_construction_is_sound, random_presentation
+from polyadc import (
+    DocumentError,
+    PolyPresentation,
+    build,
+    cli,
+    parse_document,
+    serialize_document,
+)
+
+SUBCOMMANDS = [
+    ["check"],
+    ["check", "--json"],
+    ["preorder", "--json"],
+    ["lambda"],
+    ["enumerate", "--max-cells", "2000"],
+    ["roundtrip", "--max-cells", "2000"],
+    ["oracle", "--dim", "1", "--cap", "2"],
+]
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+SLICE = 300  # mutants per subcommand in the tests
+SEED = 20261018
+
+CATALOG = [("oriental", (n,), "polygraph") for n in range(3)] + [
+    ("oriental", (2,), "adc"), ("disk", (2,), "polygraph"), ("disk", (3,), "adc"),
+    ("sphere", (1,), "polygraph"), ("ordinal", (2,), "polygraph"),
+    ("theta2", (2, 1, 1), "polygraph"), ("theta2", (1, 2), "adc"),
+    ("loop", (), "polygraph"), ("endo2cell", (), "polygraph"),
+    ("square", (), "polygraph"), ("forestA", (), "polygraph"),
+]
+RANDOM_SEEDS = range(40)
+
+# JSON values a replacement may put anywhere: wrong types, edge numbers and
+# names no document declares
+ODD_VALUES = [None, True, 0, 1, -1, 2, 7, 2**63, 2**70, 1.5, "", "a", "zz",
+              [], {}, [0], {"gen": "zz"}]
+
+
+def base_documents() -> list:
+    docs = []
+    for name, params, form in CATALOG:
+        entry = build(name, params)
+        obj = entry.as_adc() if form == "adc" else entry.as_presentation()
+        docs.append(json.loads(serialize_document(obj)))
+    for seed in RANDOM_SEEDS:
+        docs.append(json.loads(serialize_document(random_presentation(seed))))
+    return docs
+
+
+# ---------------------------------------------------------------------------
+# JSON-level mutation
+
+def _slots(node, out):
+    """Every (container, key) holding a value below ``node``."""
+    keys = range(len(node)) if isinstance(node, list) else sorted(node)
+    for key in keys:
+        out.append((node, key))
+        if isinstance(node[key], (list, dict)):
+            _slots(node[key], out)
+    return out
+
+
+def mutate_json(rng, doc):
+    slots = _slots(doc, [])
+    container, key = rng.choice(slots)
+    kind = rng.choice(("replace", "delete", "duplicate"))
+    if kind == "replace":
+        if rng.random() < 0.5:
+            container[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        else:
+            other, other_key = rng.choice(slots)
+            container[key] = copy.deepcopy(other[other_key])
+    elif kind == "delete":
+        del container[key]
+    elif isinstance(container, list):
+        container.insert(key, copy.deepcopy(container[key]))
+    else:
+        other, other_key = rng.choice(slots)
+        other[other_key] = copy.deepcopy(container[key])
+
+
+# ---------------------------------------------------------------------------
+# expression-level mutation
+
+def _expr_slots(node, container, key, out):
+    """Every (container, key) holding an expression at or below ``node``."""
+    out.append((container, key))
+    if "id" in node:
+        _expr_slots(node["id"], node, "id", out)
+    elif "comp" in node:
+        body = node["comp"]
+        _expr_slots(body[1], body, 1, out)
+        _expr_slots(body[2], body, 2, out)
+    return out
+
+
+def expression_slots(doc) -> list:
+    out = []
+    for record in doc["generators"]:
+        for side in ("src", "tgt"):
+            if side in record:
+                _expr_slots(record[side], record, side, out)
+    return out
+
+
+def mutate_expressions(rng, doc):
+    slots = expression_slots(doc)
+    container, key = rng.choice(slots)
+    other, other_key = rng.choice(slots)
+    expr, another = container[key], copy.deepcopy(other[other_key])
+    kind = rng.choice(("swap", "substitute", "identity", "compose"))
+    if kind == "swap":
+        record = rng.choice([r for r in doc["generators"] if "src" in r])
+        record["src"], record["tgt"] = record["tgt"], record["src"]
+    elif kind == "substitute":
+        container[key] = another
+    elif kind == "identity":
+        container[key] = {"id": expr}
+    else:
+        pair = [expr, another] if rng.random() < 0.5 else [another, expr]
+        container[key] = {"comp": [rng.randrange(3)] + pair}
+
+
+# ---------------------------------------------------------------------------
+
+def mutants(count, seed=SEED):
+    """``count`` mutant texts, each with a flag saying whether it was made
+    by expression-level mutation."""
+    rng = random.Random(seed)
+    bases = base_documents()
+    with_exprs = [doc for doc in bases if expression_slots(doc)]
+    out = []
+    for _ in range(count):
+        by_expression = rng.random() < 0.5
+        doc = copy.deepcopy(rng.choice(with_exprs if by_expression else bases))
+        for _ in range(rng.randint(1, 2)):
+            if by_expression:
+                mutate_expressions(rng, doc)
+            else:
+                mutate_json(rng, doc)
+        out.append((json.dumps(doc), by_expression))
+    return out
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_mutant(text, path, commands=SUBCOMMANDS):
+    """Run one mutant through each subcommand; returns the exit codes."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    codes = []
+    for command in commands:
+        try:
+            code, _, err = run_cli(command + [path])
+        except Exception as exc:
+            raise AssertionError("%s escaped %r on %s" % (
+                type(exc).__name__, command, text)) from exc
+        assert code in DOCUMENTED_EXITS, (command, code, err, text)
+        codes.append(code)
+    return codes
+
+
+def check_construction(text) -> bool:
+    """Whether a mutant constructs a presentation; one that does must pass
+    the reference checks of its linearization."""
+    try:
+        pres = parse_document(text)
+    except (DocumentError, ValueError):
+        return False
+    if not isinstance(pres, PolyPresentation):
+        return False
+    assert_construction_is_sound(pres)
+    return True
+
+
+@pytest.fixture(scope="module")
+def mutant_slice():
+    return mutants(SLICE)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+def test_mutated_documents_exit_with_a_documented_code(command, mutant_slice, tmp_path):
+    path = str(tmp_path / "mutant.json")
+    for text, _ in mutant_slice:
+        check_mutant(text, path, [command])
+
+
+def test_constructed_expression_mutants_pass_the_reference_checks(mutant_slice):
+    constructed = sum(check_construction(text)
+                      for text, by_expression in mutant_slice if by_expression)
+    assert constructed >= 20  # the slice reaches past construction
+
+
+def main(argv):
+    count = int(argv[1]) if len(argv) > 1 else SLICE
+    codes = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        for text, by_expression in mutants(count):
+            codes.update(check_mutant(text, path))
+            if by_expression:
+                check_construction(text)
+    print("%d mutants x %d subcommands; exit codes %s" % (
+        count, len(SUBCOMMANDS),
+        ", ".join("%d: %d" % item for item in sorted(codes.items()))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
