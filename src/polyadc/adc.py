@@ -98,7 +98,8 @@ class Adc:
                 if name not in aug:
                     raise ValueError("missing augmentation for generator %r" % name)
         self._aug = aug
-        self._atom_tables = {}  # name -> (rows, fault), filled by atom_table
+        self._atom_tables = {}  # name -> (rows, fault, row-0 augmentations)
+        self._terms = {}  # name -> sorted items of its differential, on first use
 
     # -- basic accessors ----------------------------------------------------
 
@@ -134,18 +135,29 @@ class Adc:
         return self._aug[name]
 
     def boundary(self, chain: Chain) -> Chain:
-        if chain.degree < 1:
-            raise ValueError("boundary is only defined in degree >= 1")
-        # sorted: _ck checks every partial sum, so the order of the terms
-        # decides whether and where CoefficientOverflow is raised
-        acc = {}
-        for name, coeff in chain.vector.items():
-            for below, c in self._diff[name].items():
-                acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
-        return Chain(chain.degree - 1, IntVector._of(acc))
+        return Chain(chain.degree - 1, self.boundary_vec(chain.degree, chain.vector))
 
     def boundary_vec(self, q: int, vector: IntVector) -> IntVector:
-        return self.boundary(Chain(q, vector)).vector
+        """The boundary of a degree-q vector: the one boundary kernel.
+
+        The terms are taken in name order, the vector's and each
+        differential's, and ``_ck`` checks every product and every partial
+        sum, so the order decides whether and where CoefficientOverflow is
+        raised.  Each generator's differential is sorted once, on first
+        use, and kept on the complex.
+        """
+        if q < 1:
+            raise ValueError("boundary is only defined in degree >= 1")
+        terms = self._terms
+        acc = {}
+        entries = vector._entries.items()
+        for name, coeff in sorted(entries) if len(entries) > 1 else entries:
+            d = terms.get(name)
+            if d is None:
+                d = terms[name] = self._diff[name].items()
+            for below, c in d:
+                acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
+        return IntVector._of(acc)
 
     def eps(self, vector: IntVector) -> int:
         return sum(self._aug[name] * coeff for name, coeff in vector._entries.items())
@@ -272,28 +284,31 @@ def atom_fault(complex_: Adc, name: str) -> int | None:
 
 
 def _atom(complex_: Adc, name: str) -> tuple:
-    """(rows, fault) of a generator's atom table, built once per complex."""
+    """(rows, fault, (eps of neg_0, eps of pos_0)) of a generator's atom
+    table, built once per complex."""
     kept = complex_._atom_tables.get(name)
     if kept is not None:
         return kept
     q = complex_.degree_of(name)
     top = IntVector.unit(name)
-    rows = [(top, top)]
+    rows = [(top, top)]  # top row first, reversed at the end
     fault = None
-    for p in range(q - 1, -1, -1):
-        neg_above, pos_above = rows[0]
+    if q:
+        d = complex_._diff[name]  # the boundary of the unit row
+        rows.append((d.negative_part(), d.positive_part()))
+    for p in range(q - 2, -1, -1):
+        neg_above, pos_above = rows[-1]
         d_neg = complex_.boundary_vec(p + 1, neg_above)
-        if pos_above is neg_above:
-            d_pos = d_neg
-        else:
-            d_pos = complex_.boundary_vec(p + 1, pos_above)
-            if d_pos != d_neg:
-                fault = 2
-        rows.insert(0, (d_neg.negative_part(), d_pos.positive_part()))
+        d_pos = complex_.boundary_vec(p + 1, pos_above)
+        if d_pos != d_neg:
+            fault = 2
+        rows.append((d_neg.negative_part(), d_pos.positive_part()))
+    rows.reverse()
     neg0, pos0 = rows[0]
-    if fault is None and (complex_.eps(neg0) != 1 or complex_.eps(pos0) != 1):
+    augmentations = complex_.eps(neg0), complex_.eps(pos0)
+    if fault is None and augmentations != (1, 1):
         fault = 3
-    kept = complex_._atom_tables[name] = (tuple(rows), fault)
+    kept = complex_._atom_tables[name] = (tuple(rows), fault, augmentations)
     return kept
 
 
@@ -304,9 +319,7 @@ def unitality_failures(complex_: Adc) -> tuple:
     """Generators whose atom rows fail eps = 1 in degree 0."""
     failures = []
     for name in complex_.all_generators():
-        neg0, pos0 = atom_table(complex_, name)[0]
-        en = complex_.eps(neg0)
-        ep = complex_.eps(pos0)
+        en, ep = _atom(complex_, name)[2]
         if en != 1 or ep != 1:
             failures.append((name, en, ep))
     return tuple(failures)

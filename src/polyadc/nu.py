@@ -166,26 +166,66 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
 # the composition index and the closure from the atoms
 
 class CompositionIndex:
-    """The cells a closure filed, and the record of how they were made.
+    """The cells a closure filed, by code, and the record of how they were
+    made.
 
-    ``cells[dim]`` maps each table to its insertion position.
-    ``products[dim][(p, pos x, pos y)]`` is the position of
-    ``compose(x, y, p)``, or None when the composite is not indexed, and
-    ``identities[dim][pos t]`` is the position of ``identity(t)`` one
-    dimension up; :func:`close_under_composition` fills the record with
-    every product and identity it forms.
+    ``rows`` is the closure's :class:`RowCodes`.  ``codes[dim]`` lists the
+    code of each cell in insertion order and ``located[dim]`` maps each
+    code to its position.  ``provenance[dim][pos]`` says how a cell first
+    entered the index: None for a cell added as it stands (a seed),
+    ``(pos t,)`` for the identity of the cell at ``pos t`` one dimension
+    down, and ``(p, pos x, pos y)`` for ``compose(x, y, p)``.
+    ``cells[dim]`` maps each cell's table to its position; the tables are
+    decoded on first read.
 
-    ``provenance[dim][pos]`` says how a cell first entered the index: None
-    for a cell added as it stands (a seed), ``(pos t,)`` for the identity
-    of the cell at ``pos t`` one dimension down, and ``(p, pos x, pos y)``
-    for ``compose(x, y, p)``.
+    The pair record is filed only for its readers: ``products[dim][(p, pos
+    x, pos y)]`` is the position of ``compose(x, y, p)``, or None when the
+    composite is not indexed, and ``identities[dim][pos t]`` is the
+    position of ``identity(t)`` one dimension up.  On first read of either,
+    the closure runs again from the same seeds, confined to the indexed
+    codes, with the record on; it forms the same cells in the same order,
+    so the positions are these.
     """
 
-    def __init__(self):
-        self.cells = {}  # dim -> {table: insertion position}
-        self.products = {}  # dim -> {(p, pos x, pos y): pos of the composite or None}
-        self.identities = {}  # dim -> {pos t: pos of identity(t) in dim + 1}
+    def __init__(self, rows: "RowCodes", seeds: list, max_dim: int):
+        self.rows = rows
+        self.codes = {}  # dim -> per position, the cell's code
+        self.located = {}  # dim -> {code: position}
         self.provenance = {}  # dim -> per position, None, (pos t,) or (p, pos x, pos y)
+        self._seeds = seeds  # the codes of the seeds, in the order given
+        self._max_dim = max_dim
+        self._record = None  # (products, identities) once filed
+        self._tables = {}  # dim -> the decoded tables, once read
+
+    def tables(self, q: int) -> tuple:
+        """The tables of the q-cells, in position order, decoded on first
+        read."""
+        tables = self._tables.get(q)
+        if tables is None:
+            tables = tuple(map(self.rows.decode, self.codes.get(q, ())))
+            self._tables[q] = tables
+        return tables
+
+    @cached_property
+    def cells(self) -> dict:  # dim -> {table: insertion position}
+        return {q: {t: j for j, t in enumerate(self.tables(q))}
+                for q, codes in self.codes.items() if codes}
+
+    @property
+    def products(self) -> dict:  # dim -> {(p, pos x, pos y): pos of composite or None}
+        return self._filed()[0]
+
+    @property
+    def identities(self) -> dict:  # dim -> {pos t: pos of identity(t) in dim + 1}
+        return self._filed()[1]
+
+    def _filed(self) -> tuple:
+        if self._record is None:
+            located = self.located
+            again = _close(self.rows, self._seeds, self._max_dim,
+                           lambda q, code: code in located[q], record=True)
+            self._record = again._record
+        return self._record
 
     def __contains__(self, table: NuTable) -> bool:
         return table in self.cells.get(table.dim, ())
@@ -196,25 +236,30 @@ class RowCodes:
 
     A q-cell is coded by the flat tuple ``(neg_0, pos_0, ..., neg_q,
     pos_q)`` of its rows' ids, so that cells and their faces hash and
-    compare as tuples of ints.  :meth:`compose` and :meth:`identity` are
-    :func:`compose` and :func:`identity` on codes.  The row sums of
-    composites are memoized by the ids of their terms; each new sum goes
-    through :meth:`IntVector.__add__` and its 64-bit check.
+    compare as tuples of ints, and two codes are equal exactly when their
+    tables are.  ``peaks[id]`` is the largest absolute coefficient of the
+    vector, recorded when it is interned, and ``zero`` is the id of the
+    zero vector.  :meth:`compose` and :meth:`identity` are :func:`compose`
+    and :func:`identity` on codes.  Row sums are memoized by the ids of
+    their terms (:meth:`add`); each new sum goes through
+    :meth:`IntVector.__add__` and its 64-bit check.
     """
 
-    __slots__ = ("vectors", "_ids", "_sums", "_zero")
+    __slots__ = ("vectors", "peaks", "zero", "_ids", "_sums")
 
     def __init__(self):
         self.vectors = []  # id -> IntVector
+        self.peaks = []  # id -> largest |coefficient|
         self._ids = {}  # IntVector -> id
         self._sums = []  # id a -> {id b: id of a + b}
-        self._zero = self.intern(IntVector())
+        self.zero = self.intern(IntVector())
 
     def intern(self, vec: IntVector) -> int:
         i = self._ids.get(vec)
         if i is None:
             i = self._ids[vec] = len(self.vectors)
             self.vectors.append(vec)
+            self.peaks.append(max(map(abs, vec._entries.values()), default=0))
             self._sums.append({})
         return i
 
@@ -227,7 +272,7 @@ class RowCodes:
         return NuTable(rows=tuple((vectors[a], vectors[b]) for a, b in zip(pairs, pairs)))
 
     def identity(self, code: tuple) -> tuple:
-        return code + (self._zero, self._zero)
+        return code + (self.zero, self.zero)
 
     def compose(self, x: tuple, y: tuple, p: int) -> tuple:
         """The code of ``compose(x, y, p)`` for codes x and y that the
@@ -236,10 +281,11 @@ class RowCodes:
         k = 2 * p + 1
         above = tuple(map(dict.get, map(self._sums.__getitem__, x[k + 1:]), y[k + 1:]))
         if None in above:
-            above = tuple(self._sum(a, b) for a, b in zip(x[k + 1:], y[k + 1:]))
+            above = tuple(map(self.add, x[k + 1:], y[k + 1:]))
         return x[:k] + (y[k],) + above
 
-    def _sum(self, a: int, b: int) -> int:
+    def add(self, a: int, b: int) -> int:
+        """The id of the sum of the vectors with ids a and b."""
         with_a = self._sums[a]
         c = with_a.get(b)
         if c is None:
@@ -248,40 +294,60 @@ class RowCodes:
 
 
 def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
-    """Close the seeds under identities up to ``max_dim`` and composition.
+    """Close the seed tables under identities up to ``max_dim`` and
+    composition.
 
     ``admit(table)`` is asked about each new table; False leaves it out and
-    an exception stops the closure.  The composites of a dequeued ``t`` are
-    formed by the partner's insertion position, then p, then ``t`` on the
-    left before ``t`` on the right, so the order depends on the seeds alone.
+    an exception stops the closure.  This is the table-level face of the
+    one closure loop, which runs on codes (see :func:`_close`); each
+    candidate is decoded to ask ``admit``.
+    """
+    rows = RowCodes()
+    return _close(rows, map(rows.encode, seeds), max_dim,
+                  lambda q, code: admit(rows.decode(code)))
+
+
+def _close(rows: RowCodes, seeds, max_dim: int, admit,
+           record: bool = False) -> CompositionIndex:
+    """The closure loop: close the seed codes under identities up to
+    ``max_dim`` and composition, on the integer codes of ``rows``.
+
+    ``admit(q, code)`` is asked about each new code of a q-cell; False
+    leaves it out and an exception stops the closure.  The seeds are
+    consumed one at a time, in order.  The composites of a dequeued ``t``
+    are formed by the partner's insertion position, then p, then ``t`` on
+    the left before ``t`` on the right, so the order depends on the seeds
+    alone.
 
     Each composable pair is composed once, when the first of its two cells
-    is dequeued if the other is indexed by then, else when the second is,
-    and filed in the index's ``products`` record; the identity links go to
-    ``identities``.  Each admitted cell's ``provenance`` is the seed, the
-    identity or the pair that produced it first, so it names cells indexed
-    before it and traces back to the seeds without a cycle.
+    is dequeued if the other is indexed by then, else when the second is;
+    with ``record`` on, it is filed in the index's ``products`` and the
+    identity links in ``identities``.  Each admitted cell's ``provenance``
+    is the seed, the identity or the pair that produced it first, so it
+    names cells indexed before it and traces back to the seeds without a
+    cycle.
 
-    The closure runs on the integer codes of :class:`RowCodes`.  Each cell
-    is filed under its p-source ``code[:2p + 1]`` and its p-target
-    ``code[:2p] + (code[2p + 1],)`` for every p below its dimension, so the
-    partners of a cell are one lookup each and match by that very key.  A
-    table is built only for a code not yet indexed, to ask ``admit``; the
-    codes, the face maps and the row sums are dropped on return.
+    Each cell is filed under its p-source ``code[:2p + 1]`` and its
+    p-target ``code[:2p] + (code[2p + 1],)`` for every p below its
+    dimension, so the partners of a cell are one lookup each and match by
+    that very key.  The face maps are dropped on return; the index keeps
+    the codes, their positions and ``rows``.
     """
-    index = CompositionIndex()
-    interned = RowCodes()
-    compose_codes, identity_code = interned.compose, interned.identity
+    seeds_seen = []
+    index = CompositionIndex(rows, seeds_seen, max_dim)
+    compose_codes, identity_code = rows.compose, rows.identity
     queue = deque()  # (dim, pos) of the cells to compose, in admission order
-    codes = {}  # dim -> per position, the cell's code
-    located = {}  # dim -> {code: position}
+    codes, located, provenance = index.codes, index.located, index.provenance
     sources = {}  # dim -> {p-source key: positions}
     targets = {}  # dim -> {p-target key: positions}
     # dim -> per position, how many cells of that dim were indexed when the
     # cell was dequeued; those are the partners it has been composed with
     reached = {}
+    products, identities = {}, {}
+    if record:
+        index._record = products, identities
 
-    def add(q: int, code: tuple, origin, table=None):
+    def add(q: int, code: tuple, origin):
         position = located.get(q)
         if position is None:
             position = located[q] = {}
@@ -289,14 +355,11 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
         j = position.get(code)
         if j is not None:
             return j
-        if table is None:
-            table = interned.decode(code)
-        if not admit(table):
+        if not admit(q, code):
             return None
         j = position[code] = len(codes[q])
         codes[q].append(code)
-        index.cells.setdefault(q, {})[table] = j
-        index.provenance.setdefault(q, []).append(origin)
+        provenance.setdefault(q, []).append(origin)
         source, target = sources[q], targets[q]
         for k in range(1, 2 * q, 2):
             source.setdefault(code[:k], []).append(j)
@@ -304,19 +367,20 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
         queue.append((q, j))
         return j
 
-    for table in seeds:
-        add(table.dim, interned.encode(table), None, table)
+    for code in seeds:
+        seeds_seen.append(code)
+        add(len(code) // 2 - 1, code, None)
     while queue:
         q, i = queue.popleft()
         coded = codes[q]
         t = coded[i]
         if q < max_dim:
             j = add(q + 1, identity_code(t), (i,))
-            if j is not None:
-                index.identities.setdefault(q, {})[i] = j
+            if record and j is not None:
+                identities.setdefault(q, {})[i] = j
         seen = reached[q]
         seen.append(len(coded))  # cells of a dim are dequeued in position order
-        filed = index.products.setdefault(q, {})
+        filed = products.setdefault(q, {}) if record else None
         source, target = sources[q], targets[q]
         # the partner at j is skipped when it was dequeued with t indexed:
         # the pair was composed then
@@ -337,7 +401,10 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
                 key = (p, i, j)
                 code = compose_codes(t, coded[j], p)
             found = position.get(code)
-            filed[key] = add(q, code, key) if found is None else found
+            if found is None:
+                found = add(q, code, key)
+            if record:
+                filed[key] = found
     return index
 
 
@@ -345,8 +412,9 @@ class EnumeratedOmegaCat(Record):
     """The compositional closure of the atom tables, one layer per dimension.
 
     ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
-    built, with the record of every product and identity among the cells
-    that its closure filed.  For cells given by hand it is built on first
+    built: the cells' codes and provenance, with the pair record built on
+    first read.  ``cells[dim]`` is then the tuple of their tables, decoded
+    on first read.  For cells given by hand the index is built on first
     use by the same closure, seeded with ``cells`` and confined to them, so
     a composite outside the cells is recorded as None.  Positions in the
     index are positions in ``cells[dim]``, so a table listed twice in one
@@ -354,7 +422,7 @@ class EnumeratedOmegaCat(Record):
     atom table to its generator's name, an empty dict when not given.
     """
 
-    # no __slots__: the cached index lives in the instance __dict__
+    # no __slots__: the cached index and cells live in the instance __dict__
     _fields = ("complex", "max_dim", "cells", "atom_names")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -375,8 +443,15 @@ class EnumeratedOmegaCat(Record):
 
     @cached_property
     def index(self) -> CompositionIndex:
-        given = [t for q in sorted(self.cells) for t in self.cells[q]]
-        return close_under_composition(given, self.max_dim, set(given).__contains__)
+        rows = RowCodes()
+        given = [rows.encode(t) for q in sorted(self.cells) for t in self.cells[q]]
+        allowed = set(given)
+        return _close(rows, given, self.max_dim, lambda q, code: code in allowed)
+
+    @cached_property
+    def cells(self) -> dict:
+        # reached only when enumerate_nu left the cells to its index
+        return {q: self.index.tables(q) for q in range(self.max_dim + 1)}
 
     def cell_set(self, q: int) -> frozenset:
         return frozenset(self.cells.get(q, ()))
@@ -396,11 +471,12 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """Close the atom tables of dimension <= max_dim under identities and
     binary composition.
 
-    The atoms seed :func:`close_under_composition` in degree order, and
-    its index, with the record of every product it formed and the
-    provenance of every cell, stays on the result for the relation list,
-    the generation check, the indecomposables and the roundtrip's
-    certificate.
+    The atoms seed the closure in degree order, and its index, with the
+    codes and the provenance of every cell, stays on the result for the
+    roundtrip's certificate; the tables and the pair record (for the
+    relation list, the generation check and the indecomposables) are built
+    from it on first read.  ``admit`` reads a code's dimension and the
+    largest coefficient of its rows off :class:`RowCodes`, without a table.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
@@ -413,8 +489,10 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """
     if max_dim is None:
         max_dim = complex_.max_degree
+    rows = RowCodes()
+    peak = rows.peaks.__getitem__
     atom_names = {}
-    counts = {}  # dim -> tables admitted so far
+    counts = {}  # dim -> codes admitted so far
 
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
@@ -427,32 +505,27 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
                     )
                 table = atom_to_table(complex_, name)
                 atom_names[table] = name
-                yield table
+                yield rows.encode(table)
 
-    def admit(table: NuTable) -> bool:
-        top = table.max_coeff()
+    def admit(q: int, code: tuple) -> bool:
+        top = max(map(peak, code))
         admitted = sum(counts.values())
         if top > max_coeff:
             raise EnumerationCapExceeded(
                 "coefficient %d above %d in a %d-cell (after %d cells); "
-                "raise --max-coeff" % (top, max_coeff, table.dim, admitted)
+                "raise --max-coeff" % (top, max_coeff, q, admitted)
             )
         if admitted == max_cells:
             raise EnumerationCapExceeded(
                 "more than %d cells (degree %d had reached %d); raise --max-cells"
-                % (max_cells, table.dim, counts.get(table.dim, 0))
+                % (max_cells, q, counts.get(q, 0))
             )
-        counts[table.dim] = counts.get(table.dim, 0) + 1
+        counts[q] = counts.get(q, 0) + 1
         return True
 
-    index = close_under_composition(atoms(), max_dim, admit)
-    enum = EnumeratedOmegaCat(
-        complex=complex_,
-        max_dim=max_dim,
-        cells={q: tuple(index.cells.get(q, ())) for q in range(max_dim + 1)},
-        atom_names=atom_names,
-    )
-    enum.index = index
+    enum = object.__new__(EnumeratedOmegaCat)
+    enum.complex, enum.max_dim, enum.atom_names = complex_, max_dim, atom_names
+    enum.index = _close(rows, atoms(), max_dim, admit)
     return enum
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from . import nu
 from .adc import Adc, is_strong_steiner_complex, validate_adc
 from .zlin import (
-    ZERO,
     IntVector,
     Record,
     _ck,
@@ -297,52 +296,72 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
       and the boundary of its top row is the difference of their top rows,
       which carries the differential across; each 0-cell has augmentation 1.
 
+    It reads the cells' codes in ``enum.index``, not their tables: a cell's
+    two top ids must equal the id that its provenance gives (the interned
+    unit for an atom, the zero id for an identity, the interned sum of the
+    factors' top ids for a composite), and its faces are looked up as code
+    keys.  The boundary and the augmentation are computed once per
+    distinct top id.
+
     Provenance names only earlier cells or cells one degree down, so every
     cell traces back to the atoms.  The cells must come from
     :func:`nu.enumerate_nu`; in a hand-built cell set every cell counts as
     a seed, and only atoms may be seeds.
     """
     complex_ = enum.complex
+    index = enum.index
+    rows = index.rows
+    vectors = rows.vectors
     atoms = {}  # dim -> generator names of the atoms
     for table, name in enum.atom_names.items():
         atoms.setdefault(table.dim, []).append(name)
+    atom_of = {rows.encode(table): name for table, name in enum.atom_names.items()}
     for q in range(enum.max_dim + 1):
         if sorted(atoms.get(q, ())) != sorted(complex_.generators(q)):
             return "the %d-atoms are not the %d-generators one each" % (q, q)
-        tables = enum.cells.get(q, ())
-        provenance = enum.index.provenance.get(q, ())
-        lower = enum.cells.get(q - 1, ())
-        faces = enum.index.cells.get(q - 1, {})
-        for k, x in enumerate(tables):
+        codes = index.codes.get(q, ())
+        provenance = index.provenance.get(q, ())
+        lower = index.codes.get(q - 1, ())
+        faces = index.located.get(q - 1, {})
+        images = {}  # top id -> its boundary, or its augmentation in degree 0
+        checked = set()  # (top, neg, pos) ids whose boundary condition holds
+        for k, x in enumerate(codes):
             origin = provenance[k]
             if origin is None:
-                name = enum.atom_names.get(x)
+                name = atom_of.get(x)
                 if name is None:
                     return "%d-cell %d has no provenance" % (q, k)
-                want = IntVector.unit(name)
+                want = rows.intern(IntVector.unit(name))
             elif len(origin) == 1:
-                if x.rows[:q] != lower[origin[0]].rows:
+                if x[:-2] != lower[origin[0]]:
                     return ("%d-cell %d differs below its top row from the cell "
                             "it is the identity of" % (q, k))
-                want = ZERO
+                want = rows.zero
             else:
                 _, i, j = origin
                 if not (i < k and j < k):
                     return "%d-cell %d is composed of cells not filed before it" % (q, k)
-                want = tables[i].rows[q][1] + tables[j].rows[q][1]
-            if x.rows[q] != (want, want):
+                want = rows.add(codes[i][-1], codes[j][-1])
+            if x[-2] != want or x[-1] != want:
                 return "the top row of %d-cell %d disagrees with its provenance" % (q, k)
             if q == 0:
-                if complex_.eps(want) != 1:
-                    return "0-cell %d has augmentation %d" % (k, complex_.eps(want))
+                augmentation = images.get(want)
+                if augmentation is None:
+                    augmentation = images[want] = complex_.eps(vectors[want])
+                if augmentation != 1:
+                    return "0-cell %d has augmentation %d" % (k, augmentation)
                 continue
-            neg, pos = x.rows[q - 1]
-            for vec in (neg, pos):
-                if nu.NuTable(rows=x.rows[:q - 1] + ((vec, vec),)) not in faces:
-                    return "a %d-face of %d-cell %d was not enumerated" % (q - 1, q, k)
-            if complex_.boundary_vec(q, want) != pos - neg:
-                return ("the boundary of the top row of %d-cell %d is not the "
-                        "difference of its faces" % (q, k))
+            stem, neg, pos = x[:-4], x[-4], x[-3]
+            if stem + (neg, neg) not in faces or stem + (pos, pos) not in faces:
+                return "a %d-face of %d-cell %d was not enumerated" % (q - 1, q, k)
+            if (want, neg, pos) not in checked:
+                boundary = images.get(want)
+                if boundary is None:
+                    boundary = images[want] = complex_.boundary_vec(q, vectors[want])
+                if boundary != vectors[pos] - vectors[neg]:
+                    return ("the boundary of the top row of %d-cell %d is not the "
+                            "difference of its faces" % (q, k))
+                checked.add((want, neg, pos))
     return None
 
 
@@ -377,7 +396,7 @@ def verify_equivalence(complex_: Adc, max_cells: int = 10000,
         )
     enum = nu.enumerate_nu(complex_, max_dim=complex_.max_degree,
                            max_cells=max_cells, max_coeff=max_coeff)
-    counts = {q: len(ts) for q, ts in enum.cells.items()}
+    counts = {q: len(enum.index.codes.get(q, ())) for q in range(enum.max_dim + 1)}
     ranks = {q: len(complex_.generators(q)) for q in range(enum.max_dim + 1)}
     failure = top_row_certificate(enum)
     if failure is not None:

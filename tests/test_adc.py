@@ -5,6 +5,7 @@ import pytest
 from polyadc import (
     Adc,
     Chain,
+    CoefficientOverflow,
     IntVector,
     RelationGraph,
     atom_table,
@@ -188,3 +189,74 @@ def test_truncation():
     assert truncate_adc(disk3, -1).max_degree == -1
     with pytest.raises(ValueError):
         truncate_adc(disk3, -2)
+
+
+# ---------------------------------------------------------------------------
+# where a boundary overflows
+
+def partial_sum_overflow():
+    """A complex whose 2-generator ``f`` has a boundary that is zero, but
+    whose terms, added in name order, pass -2**63 at vertex ``x``: -2**62
+    from ``e1``, -2**62 more from ``e2``, and only then +2**62 from ``e3``
+    and ``e4``."""
+    big = 2**62
+    return Adc(
+        [["x", "y"], ["e1", "e2", "e3", "e4"], ["f"]],
+        {"e1": IntVector({"x": -big, "y": big}),
+         "e2": IntVector({"x": -big, "y": big}),
+         "e3": IntVector({"x": big, "y": -big}),
+         "e4": IntVector({"x": big, "y": -big}),
+         "f": IntVector({"e4": 1, "e3": 1, "e2": 1, "e1": 1})},
+        {"x": 1, "y": 1},
+    )
+
+
+def first_name_overflow():
+    """A complex where every product of a boundary leaves the checked
+    range; the term whose name sorts first is checked first, although the
+    chains and the differential list the other one first."""
+    return Adc(
+        [["y", "z"], ["x"], ["b", "a"]],
+        {"x": IntVector({"z": 2**40, "y": 2**41}),
+         "b": IntVector({"x": 2**31}),
+         "a": IntVector({"x": 2**30})},
+        {"y": 1, "z": 1},
+    )
+
+
+def test_a_partial_sum_out_of_range_overflows_in_every_path():
+    k = partial_sum_overflow()
+    ones = IntVector({"e4": 1, "e3": 1, "e2": 1, "e1": 1})
+    # in another order the terms stay in range and cancel
+    assert sum(k.diff(e)["x"] for e in ("e1", "e3", "e2", "e4")) == 0
+    message = "coefficient %d exceeds the checked 64-bit range" % -2**63
+    with pytest.raises(CoefficientOverflow, match=message):
+        k.boundary_vec(1, ones)
+    with pytest.raises(CoefficientOverflow, match=message):
+        k.boundary(Chain(1, ones))
+    for _ in range(2):  # nothing half-built is kept
+        with pytest.raises(CoefficientOverflow, match=message):
+            atom_table(k, "f")
+    assert k.boundary_vec(1, IntVector({"e1": 1, "e3": 1})) == IntVector()
+
+
+def test_the_term_whose_name_sorts_first_overflows_first():
+    k = first_name_overflow()
+    # the differential of x lists z first; y sorts first: 2**30 * 2**41
+    on_y = "coefficient %d exceeds" % 2**71
+    with pytest.raises(CoefficientOverflow, match=on_y):
+        k.boundary_vec(1, IntVector({"x": 2**30}))
+    with pytest.raises(CoefficientOverflow, match=on_y):
+        k.boundary(Chain(1, IntVector({"x": 2**30})))
+    with pytest.raises(CoefficientOverflow, match=on_y):
+        atom_table(k, "a")  # row 1 is 2**30 x
+    with pytest.raises(CoefficientOverflow, match="coefficient %d exceeds" % 2**72):
+        atom_table(k, "b")  # row 1 is 2**31 x
+    # the chain lists b first; a sorts first: 2**35 * 2**30, not 2**33 * 2**31
+    chain = IntVector({"b": 2**33, "a": 2**35})
+    on_a = "coefficient %d exceeds" % 2**65
+    with pytest.raises(CoefficientOverflow, match=on_a):
+        k.boundary_vec(2, chain)
+    with pytest.raises(CoefficientOverflow, match=on_a):
+        k.boundary(Chain(2, chain))
+    assert atom_table(k, "x")[0] == (IntVector(), IntVector({"y": 2**41, "z": 2**40}))

@@ -200,7 +200,8 @@ def test_a_missing_face_is_caught():
 
 def with_atom_replaced(enum, atom, table):
     """``enum`` with one atom swapped for another table in place, keeping
-    its position, its name and the index."""
+    its position, its name and the index, whose code for that position is
+    swapped too: the certificate reads codes."""
     k = enum.cells[atom.dim].index(atom)
     cells = dict(enum.cells)
     cells[atom.dim] = cells[atom.dim][:k] + (table,) + cells[atom.dim][k + 1:]
@@ -208,6 +209,7 @@ def with_atom_replaced(enum, atom, table):
     broken = EnumeratedOmegaCat(complex=enum.complex, max_dim=enum.max_dim,
                                 cells=cells, atom_names=names)
     broken.index = enum.index
+    broken.index.codes[atom.dim][k] = enum.index.rows.encode(table)
     return broken, k
 
 
@@ -248,3 +250,71 @@ def test_a_vertex_of_augmentation_other_than_one_is_caught():
     enum = enumerate_nu(interval)
     enum.complex = Adc(interval.basis, {"01": interval.diff("01")}, {"0": 2, "1": 1})
     assert top_row_certificate(enum) == "0-cell 0 has augmentation 2"
+
+
+# ---------------------------------------------------------------------------
+# the pair record, built on first read
+
+def eagerly_recorded(complex_, monkeypatch, **caps):
+    """enumerate_nu with the pair record filed by the closure itself, as
+    the enumeration did before the record was built on demand."""
+    real = nu._close
+    monkeypatch.setattr(nu, "_close", lambda *args, **kw: real(*args, record=True))
+    try:
+        return enumerate_nu(complex_, **caps)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("complex_", complexes())
+def test_the_record_built_on_demand_is_the_eager_one(complex_, monkeypatch):
+    try:
+        eager = eagerly_recorded(complex_, monkeypatch, max_cells=3000)
+    except (EnumerationCapExceeded, ValueError):
+        return
+    enum = enumerate_nu(complex_, max_cells=3000)
+    assert enum.index._record is None  # nothing filed yet
+    assert enum.index.codes == eager.index.codes
+    assert enum.index.provenance == eager.index.provenance
+    products, identities = eager.index._record
+    assert enum.index.products == products
+    assert enum.index.identities == identities
+    assert enum.cells == eager.cells
+    assert enum.index.cells == eager.index.cells
+    # the re-run touches neither the codes nor the provenance
+    assert enum.index.codes == eager.index.codes
+    assert enum.index.provenance == eager.index.provenance
+
+
+def test_a_confined_index_records_none_for_a_missing_composite():
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    a01, a12 = atom_to_table(complex_, "01"), atom_to_table(complex_, "12")
+    composite = compose(a01, a12, 0)
+    cells = dict(enum.cells)
+    cells[1] = tuple(t for t in cells[1] if t != composite)
+    holed = EnumeratedOmegaCat(complex=complex_, max_dim=enum.max_dim, cells=cells)
+    position = {t: i for i, t in enumerate(cells[1])}
+    key = (0, position[a01], position[a12])
+    assert holed.index.products[1][key] is None
+    assert composite not in holed
+    assert holed.index.cells[1] == position
+
+
+def test_a_repeated_top_row_over_faces_it_does_not_join_is_caught():
+    # a late 2-cell made over to top row 0, like the identities before it,
+    # but with the 1-faces 02 and 01 12, whose difference is not 0: the
+    # boundary is checked per top row and faces, not per top row alone
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    index, rows = enum.index, enum.index.rows
+    flat = [k for k, code in enumerate(index.codes[2]) if code[-1] == rows.zero]
+    first, k = flat[0], flat[-1]
+    a02 = atom_to_table(complex_, "02")
+    path = compose(atom_to_table(complex_, "01"), atom_to_table(complex_, "12"), 0)
+    index.codes[2][k] = rows.encode(
+        nu.NuTable(rows=(a02.rows[0], (a02.rows[1][0], path.rows[1][0]), (ZERO, ZERO))))
+    index.provenance[2][k] = (0, first, first)
+    assert first < k
+    assert top_row_certificate(enum) == \
+        "the boundary of the top row of 2-cell %d is not the difference of its faces" % k

@@ -3,6 +3,7 @@
 import pytest
 
 from polyadc import (
+    CoefficientOverflow,
     Comp,
     Gen,
     Id,
@@ -22,8 +23,10 @@ from polyadc import (
     lambda_presentation,
     linearize,
     preorder_report,
+    serialize_document,
     support_expr,
 )
+from polyadc import cli
 
 
 def o2():
@@ -209,3 +212,71 @@ def test_classify_triangle_is_clean():
     assert v.atomic and v.full_antisymmetric and v.steiner_orderable
     assert v.atomic_witness is None and v.full_cycle is None
     assert v.as_dict()["strong_steiner"] is True
+
+
+# ---------------------------------------------------------------------------
+# a presentation whose cell tables are in range but whose row boundaries
+# pass through 2**63 on the way
+
+def endo_tower(height):
+    """Vertices x, y; edges e1, e2 from x to y and e3, e4 back; a2 an endo
+    2-cell on the loop e1 e3 e2 e4; each a(k+1) an endo cell on the 4-fold
+    level-0 composite of a(k).  Row 1 of the table of a(k) is 4**(k-2)
+    times e1 + e2 + e3 + e4."""
+    generators = [["x", "y"], ["e1", "e2", "e3", "e4"]]
+    boundary = {"e1": (Gen("x"), Gen("y")), "e2": (Gen("x"), Gen("y")),
+                "e3": (Gen("y"), Gen("x")), "e4": (Gen("y"), Gen("x"))}
+    side = Comp(0, Gen("e1"), Comp(0, Gen("e3"), Comp(0, Gen("e2"), Gen("e4"))))
+    for k in range(2, height + 2):
+        name = "a%d" % k
+        generators.append([name])
+        boundary[name] = (side, side)
+        twice = Comp(0, Gen(name), Gen(name))
+        side = Comp(0, twice, twice)
+    return PolyPresentation(generators, boundary)
+
+
+def exact_cell_conditions(complex_, table):
+    """The boundary and augmentation conditions of a table, in Python's
+    unbounded integers (no 64-bit check anywhere)."""
+    def boundary(vec):
+        out = {}
+        for name, c in vec._entries.items():
+            for below, d in complex_.diff(name)._entries.items():
+                out[below] = out.get(below, 0) + c * d
+        return {k: v for k, v in out.items() if v}
+
+    for p in range(1, table.dim + 1):
+        neg, pos = table.rows[p - 1]
+        want = dict(pos._entries)
+        for k, v in neg._entries.items():
+            want[k] = want.get(k, 0) - v
+        want = {k: v for k, v in want.items() if v}
+        if any(boundary(vec) != want for vec in table.rows[p]):
+            return False
+    return all(complex_.eps(vec) == 1 for vec in table.rows[0])
+
+
+def test_a_tower_whose_row_boundaries_pass_2_to_the_63_constructs(tmp_path, capsys):
+    pres = endo_tower(32)
+    lam = lambda_presentation(pres)
+    assert lam.diff("e1") == lam.diff("e2") == IntVector({"x": -1, "y": 1})
+    assert all(lam.diff("a%d" % k).is_zero() for k in range(2, 34))
+    top = eval_table(pres, Gen("a33"))
+    ring = IntVector({"e1": 1, "e2": 1, "e3": 1, "e4": 1})
+    assert top.rows[1] == (ring.scaled(2**62), ring.scaled(2**62))
+    assert exact_cell_conditions(lam, top)
+    # the boundary of row 1 is 0, but in name order its partial sum at x
+    # reaches -2**63 (e1 then e2), out of the checked range
+    with pytest.raises(CoefficientOverflow, match=str(-2**63)):
+        lam.boundary_vec(1, top.rows[1][0])
+    # one storey lower every partial sum stays in range
+    below = eval_table(pres, Gen("a32"))
+    assert is_valid_table(lam, below) == (True, None)
+    # through the command line: linearized, and classified (endo cells are
+    # not unital), not refused with exit 5
+    doc = tmp_path / "tower.json"
+    doc.write_text(serialize_document(pres))
+    assert cli.main(["lambda", str(doc)]) == 0
+    assert cli.main(["check", str(doc)]) == 4
+    assert "error" not in capsys.readouterr().err
