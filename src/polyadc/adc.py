@@ -347,87 +347,75 @@ class RelationGraph(Record):
         return succ
 
     def sccs(self) -> tuple:
-        """Strongly connected components (Tarjan, iterative), as tuples."""
-        succ = self.successors()
+        """Strongly connected components, as tuples."""
+        return tuple(self._components(self.successors()))
+
+    def _components(self, succ):
+        """Strongly connected components (Tarjan, "Depth-first search and
+        linear graph algorithms", SIAM J. Comput. 1972; iterative), each
+        yielded as soon as it is closed, so a caller can stop early."""
         index = {}
         low = {}
-        on_stack = set()
         stack = []
-        out = []
-        counter = [0]
-
         for root in self.nodes:
             if root in index:
                 continue
             work = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
+            index[root] = low[root] = len(index)
             stack.append(root)
-            on_stack.add(root)
             while work:
                 node, it = work[-1]
-                advanced = False
                 for child in it:
                     if child not in index:
-                        index[child] = low[child] = counter[0]
-                        counter[0] += 1
+                        index[child] = low[child] = len(index)
                         stack.append(child)
-                        on_stack.add(child)
                         work.append((child, iter(succ[child])))
-                        advanced = True
                         break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    out.append(tuple(reversed(comp)))
-        return tuple(out)
+                    if index[child] < low[node]:
+                        low[node] = index[child]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
+                    if low[node] == index[node]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            index[w] = len(self.nodes)  # done: lowers no low-link
+                            comp.append(w)
+                            if w == node:
+                                break
+                        yield tuple(reversed(comp))
 
     def antisymmetry(self):
         """(True, None) when the reachability preorder is a partial order,
         otherwise (False, witness cycle of length >= 2)."""
-        for comp in self.sccs():
+        succ = self.successors()
+        for comp in self._components(succ):
             if len(comp) >= 2:
-                return False, self._cycle_in(set(comp), comp[0])
+                return False, self._cycle_in(succ, set(comp), comp[0])
         return True, None
 
-    def _cycle_in(self, members, start):
-        succ = self.successors()
+    @staticmethod
+    def _cycle_in(succ, members, start):
         # shortest path start -> start through at least one other node,
         # inside members (a direct self-loop would not witness length >= 2)
         parents = {}
-        frontier = [v for v in succ[start] if v in members and v != start]
-        for v in frontier:
-            parents.setdefault(v, start)
-        while frontier:
-            if start in parents:
-                break
+        frontier = [start]
+        while frontier and start not in parents:
             nxt = []
             for u in frontier:
                 for v in succ[u]:
-                    if v in members and v not in parents:
+                    if v in members and v not in parents and v != u:
                         parents[v] = u
                         nxt.append(v)
             frontier = nxt
         path = [start]
-        node = parents[start]
-        while node != start:
-            path.append(node)
-            node = parents[node]
-        path.reverse()
-        return tuple(path)
+        while parents[path[-1]] != start:
+            path.append(parents[path[-1]])
+        return tuple(reversed(path))
 
     def transitive_closure(self) -> frozenset:
         """All pairs (u, v) with a directed path of length >= 1 from u to v."""
@@ -464,11 +452,8 @@ def generating_relation(complex_: Adc) -> RelationGraph:
     edges = set()
     for q in range(1, len(complex_.basis)):
         for name in complex_.basis[q]:
-            d = complex_.diff(name)
-            for a in d.negative_part().support():
-                edges.add((a, name))
-            for b in d.positive_part().support():
-                edges.add((name, b))
+            for a, c in complex_._diff[name]._entries.items():
+                edges.add((a, name) if c < 0 else (name, a))
     return RelationGraph(nodes=nodes, edges=frozenset(edges))
 
 

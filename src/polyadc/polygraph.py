@@ -12,10 +12,11 @@ construction (see :meth:`PolyPresentation._check_boundaries`).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Mapping, Sequence
 
 from . import nu
-from .adc import Adc, Chain, RelationGraph, loop_free_report
+from .adc import Adc, Chain, RelationGraph, generating_relation, loop_free_report
 from .zlin import IntVector, Record, _setattr
 
 
@@ -341,12 +342,31 @@ class AtomicityReport(Record):
 def is_atomic(pres: PolyPresentation) -> AtomicityReport:
     """Sources and targets of every generator have disjoint supports in
     every dimension strictly below the generator."""
-    for name in pres.all_generators():
-        for p, (neg, pos) in enumerate(eval_table(pres, Gen(name)).rows[:-1]):
-            common = neg.support() & pos.support()
-            if common:
-                return AtomicityReport(ok=False, witness=(name, p, common))
-    return AtomicityReport(ok=True, witness=None)
+    witness = _walk(pres)[2]
+    return AtomicityReport(ok=witness is None, witness=witness)
+
+
+def _walk(pres: PolyPresentation) -> tuple:
+    """One pass over the filed tables, each row's support taken once: the
+    codim-1 and full graphs, the first atomicity witness in generator and
+    level order or None, and the generators each must be ordered before."""
+    nodes = tuple(pres.all_generators())
+    codim1, full, witness = set(), set(), None
+    succ = {name: set() for name in nodes}
+    for name in nodes:
+        rows = pres._tables[name].rows
+        for p in range(len(rows) - 1):
+            src, tgt = rows[p][0].support(), rows[p][1].support()
+            if witness is None and not src.isdisjoint(tgt):
+                witness = (name, p, src & tgt)
+            edges = [(a, name) for a in src] + [(name, b) for b in tgt]
+            full.update(edges)
+            if p == len(rows) - 2:
+                codim1.update(edges)
+            for a in src:
+                succ[a] |= tgt
+    return (RelationGraph(nodes=nodes, edges=frozenset(codim1)),
+            RelationGraph(nodes=nodes, edges=frozenset(full)), witness, succ)
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +390,9 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
     immediate source and target; the full graph does the same for faces of
     every lower dimension.
     """
-    nodes = tuple(pres.all_generators())
-    codim1 = set()
-    full = set()
-    for name in nodes:
-        for p, (neg, pos) in enumerate(eval_table(pres, Gen(name)).rows[:-1]):
-            edges = ({(a, name) for a in neg.support()}
-                     | {(name, b) for b in pos.support()})
-            full |= edges
-            if p == pres.dim_of(name) - 1:
-                codim1 |= edges
-    g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
-    g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
-    ok1, cyc1 = g_codim1.antisymmetry()
+    g_codim1, g_full, _, _ = _walk(pres)
     okf, cycf = g_full.antisymmetry()
+    ok1, cyc1 = (True, None) if okf else g_codim1.antisymmetry()  # see classify
     return PreorderReport(
         codim1=g_codim1,
         full=g_full,
@@ -415,51 +424,46 @@ class OrderabilityReport(Record):
 def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
     """Look for a linear order putting every face-source strictly below
     every face-target, at all levels below each generator."""
-    nodes = tuple(pres.all_generators())
-    position = {name: i for i, name in enumerate(nodes)}
-    succ = {name: set() for name in nodes}
-    for name in nodes:
-        for neg, pos in eval_table(pres, Gen(name)).rows[:-1]:
-            for a in neg.support():
-                succ[a].update(pos.support())
+    codim1, _, _, succ = _walk(pres)
+    return _order(codim1.nodes, succ)
+
+
+def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
     for name in nodes:
         if name in succ[name]:
             return OrderabilityReport(ok=False, order=None, cycle=(name,))
 
+    position = {name: i for i, name in enumerate(nodes)}
     indeg = {name: 0 for name in nodes}
     for a in nodes:
         for b in succ[a]:
             indeg[b] += 1
-    ready = {name for name in nodes if indeg[name] == 0}
+    # Kahn, earliest first: ready positions negated and sorted, pop() earliest
+    ready = [-i for i in range(len(nodes) - 1, -1, -1) if indeg[nodes[i]] == 0]
     order = []
     while ready:
-        name = min(ready, key=position.__getitem__)
-        ready.discard(name)
+        name = nodes[-ready.pop()]
         order.append(name)
         for b in succ[name]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                ready.add(b)
+                insort(ready, -position[b])
     if len(order) == len(nodes):
         return OrderabilityReport(ok=True, order=tuple(order), cycle=None)
 
     # every stuck node keeps a predecessor among the stuck nodes, so walking
-    # backwards must close a cycle
-    member = {name for name in nodes if indeg[name] > 0}
-    preds = {name: [] for name in member}
-    for a in member:
-        for b in succ[a]:
-            if b in member:
-                preds[b].append(a)
-    start = min(member, key=position.__getitem__)
-    seen = {}
-    node = start
-    path = []
+    # back through the earliest ones must close a cycle
+    earliest = {}
+    for a in nodes:
+        for b in succ[a] if indeg[a] else ():
+            if indeg[b]:
+                earliest.setdefault(b, a)
+    seen = {}  # node -> its place on the walk
+    node = next(name for name in nodes if indeg[name])
     while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = min(preds[node], key=position.__getitem__)
-    cycle = tuple(reversed(path[seen[node]:]))
+        seen[node] = len(seen)
+        node = earliest[node]
+    cycle = tuple(reversed(list(seen)[seen[node]:]))
     return OrderabilityReport(ok=False, order=None, cycle=cycle)
 
 
@@ -521,42 +525,52 @@ def _maybe_list(value):
 def classify(pres: PolyPresentation) -> Verdict:
     """Run every classifier and cross-check the implications between them.
 
+    One walk of the filed tables gives every graph but the algebraic one.
+    The graphs nest, algebraic in codim-1 in full: the two parts of
+    ``d x = top tt - top ts`` have supports inside those of the top rows,
+    x's codim-1 row.  A graph inside an antisymmetric one is antisymmetric,
+    so the full graph is condensed (Tarjan, stopping at the first component
+    of two or more) first, the codim-1 one only when the full one has a
+    cycle, and the algebraic one only when the codim-1 one has.  Ordering
+    takes O(E + n log n) comparisons for E constraints on n generators.
+
     The implications (categorical loop-freeness forces atomicity and
     algebraic loop-freeness; atomic plus algebraic forces categorical) are
     theorems, so a violation means an implementation bug and raises
-    :class:`InconsistentClassification`.
+    :class:`InconsistentClassification`.  The second is checked as the
+    nesting that the skips rely on.
     """
-    atom = is_atomic(pres)
-    pre = preorder_report(pres)
-    alg = loop_free_report(lambda_presentation(pres))
-    order = is_steiner_orderable(pres)
+    codim1, full, witness, succ = _walk(pres)
+    algebraic = generating_relation(lambda_presentation(pres))
+    if not algebraic.edges <= codim1.edges:
+        raise InconsistentClassification(
+            "generating relation outside the codim-1 graph: %r"
+            % sorted(algebraic.edges - codim1.edges))
+    okf, cycf = full.antisymmetry()
+    ok1, cyc1 = (True, None) if okf else codim1.antisymmetry()
+    alg_ok, alg_cycle = (True, None) if ok1 else algebraic.antisymmetry()
+    order = _order(full.nodes, succ)
     verdict = Verdict(
-        atomic=atom.ok,
-        atomic_witness=atom.witness,
-        codim1_antisymmetric=pre.codim1_antisymmetric,
-        codim1_cycle=pre.codim1_cycle,
-        full_antisymmetric=pre.full_antisymmetric,
-        full_cycle=pre.full_cycle,
-        strongly_loop_free_algebraic=alg.is_partial_order,
-        algebraic_cycle=alg.cycle,
+        atomic=witness is None,
+        atomic_witness=witness,
+        codim1_antisymmetric=ok1,
+        codim1_cycle=cyc1,
+        full_antisymmetric=okf,
+        full_cycle=cycf,
+        strongly_loop_free_algebraic=alg_ok,
+        algebraic_cycle=alg_cycle,
         steiner_orderable=order.ok,
         steiner_order=order.order,
         steiner_cycle=order.cycle,
     )
-    if verdict.strongly_loop_free_categorical:
-        if not verdict.atomic:
-            raise InconsistentClassification(
-                "categorically loop-free but not atomic: %r" % (verdict.atomic_witness,)
-            )
-        if not verdict.strongly_loop_free_algebraic:
-            raise InconsistentClassification(
-                "categorically but not algebraically loop-free: %r"
-                % (verdict.algebraic_cycle,)
-            )
-    if verdict.atomic and verdict.strongly_loop_free_algebraic:
-        if not verdict.strongly_loop_free_categorical:
-            raise InconsistentClassification(
-                "atomic and algebraically loop-free but not categorically: %r"
-                % (verdict.full_cycle,)
-            )
+    if verdict.strongly_loop_free_categorical and not verdict.atomic:
+        raise InconsistentClassification(
+            "categorically loop-free but not atomic: %r" % (verdict.atomic_witness,)
+        )
+    if (verdict.atomic and verdict.strongly_loop_free_algebraic
+            and not verdict.strongly_loop_free_categorical):
+        raise InconsistentClassification(
+            "atomic and algebraically loop-free but not categorically: %r"
+            % (verdict.full_cycle,)
+        )
     return verdict

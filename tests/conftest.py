@@ -1,5 +1,6 @@
-"""Shared helpers: a seeded presentation generator, a Smith-form oracle and
-the reference checks of a presentation's linearization."""
+"""Shared helpers: a seeded presentation generator, a Smith-form oracle,
+the reference checks of a presentation's linearization and the reference
+condensation of a relation graph."""
 
 from __future__ import annotations
 
@@ -206,3 +207,93 @@ def assert_construction_is_sound(pres):
         for expr in exprs:
             assert is_valid_table(lam, eval_table(pres, expr)) == (True, None), \
                 (name, expr)
+
+
+# ---------------------------------------------------------------------------
+# the reference condensation
+
+def reference_sccs(graph) -> tuple:
+    """Strongly connected components of a RelationGraph (Tarjan, iterative),
+    as tuples, all of them, computed eagerly from the sorted edges."""
+    succ = graph.successors()
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    counter = [0]
+
+    for root in graph.nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = counter[0]
+                    counter[0] += 1
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                out.append(tuple(reversed(comp)))
+    return tuple(out)
+
+
+def reference_cycle_in(graph, members, start) -> tuple:
+    """Shortest path start -> start through at least one other node,
+    inside members."""
+    succ = graph.successors()
+    parents = {}
+    frontier = [v for v in succ[start] if v in members and v != start]
+    for v in frontier:
+        parents.setdefault(v, start)
+    while frontier:
+        if start in parents:
+            break
+        nxt = []
+        for u in frontier:
+            for v in succ[u]:
+                if v in members and v not in parents:
+                    parents[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    path = [start]
+    node = parents[start]
+    while node != start:
+        path.append(node)
+        node = parents[node]
+    path.reverse()
+    return tuple(path)
+
+
+def reference_antisymmetry(graph) -> tuple:
+    """(True, None), or (False, a cycle inside the first component of two
+    or more nodes, from that component's first member)."""
+    for comp in reference_sccs(graph):
+        if len(comp) >= 2:
+            return False, reference_cycle_in(graph, set(comp), comp[0])
+    return True, None

@@ -167,6 +167,16 @@ def test_relation_graph_cycle_witness():
         assert (u, v) in g.edges
 
 
+def test_relation_graph_self_loops_witness_no_cycle():
+    # a self-loop is a component of one node; inside a larger component the
+    # witness still goes through another node
+    assert RelationGraph(nodes=("a",), edges=frozenset({("a", "a")})).antisymmetry() \
+        == (True, None)
+    g = RelationGraph(nodes=("a", "b"),
+                      edges=frozenset({("a", "a"), ("a", "b"), ("b", "a")}))
+    assert g.antisymmetry() == (False, ("b", "a"))
+
+
 def test_transitive_closure_is_reachability():
     g = RelationGraph(nodes=("x", "y", "z"), edges=frozenset({("x", "y"), ("y", "z")}))
     assert g.transitive_closure() == {("x", "y"), ("y", "z"), ("x", "z")}

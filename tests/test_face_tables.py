@@ -2,9 +2,12 @@
 
 The reference classifiers below are the ``face_expr``/``support_expr``
 double loops that the filed tables replaced in ``is_atomic``,
-``preorder_report`` and ``is_steiner_orderable``; the reference generator
-table is the ``linearize(face_expr(...))`` rows that ``eval_table`` built
-on first use; the reference boundary is the vector-by-vector sum that
+``preorder_report`` and ``is_steiner_orderable``, each graph condensed
+eagerly by the reference Tarjan in ``conftest``; the reference verdict
+composes them with the generating relation read off the split
+differentials, condensing every graph.  The reference generator table is
+the ``linearize(face_expr(...))`` rows that ``eval_table`` built on first
+use; the reference boundary is the vector-by-vector sum that
 ``Adc.boundary`` replaced.  The library must reproduce them exactly.
 """
 
@@ -12,11 +15,12 @@ import json
 
 import pytest
 
-from conftest import catalog_presentations, random_presentation
+from conftest import catalog_presentations, random_presentation, reference_antisymmetry
 from polyadc import (
     Adc,
     CoefficientOverflow,
     Gen,
+    InconsistentClassification,
     IntVector,
     NuTable,
     atom_table,
@@ -24,6 +28,7 @@ from polyadc import (
     classify,
     eval_table,
     face_expr,
+    generating_relation,
     is_atomic,
     is_steiner_orderable,
     lambda_presentation,
@@ -67,8 +72,8 @@ def reference_preorder_report(pres):
                 codim1.update((name, b) for b in tgt_supp)
     g_codim1 = RelationGraph(nodes=nodes, edges=frozenset(codim1))
     g_full = RelationGraph(nodes=nodes, edges=frozenset(full))
-    ok1, cyc1 = g_codim1.antisymmetry()
-    okf, cycf = g_full.antisymmetry()
+    ok1, cyc1 = reference_antisymmetry(g_codim1)
+    okf, cycf = reference_antisymmetry(g_full)
     return polygraph.PreorderReport(
         codim1=g_codim1, full=g_full,
         codim1_antisymmetric=ok1, codim1_cycle=cyc1,
@@ -148,13 +153,31 @@ def reference_atom_rows(complex_, name):
     return tuple(rows)
 
 
-def reference_verdict(pres, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(polygraph, "is_atomic", reference_is_atomic)
-        patch.setattr(polygraph, "preorder_report", reference_preorder_report)
-        patch.setattr(polygraph, "is_steiner_orderable",
-                      reference_is_steiner_orderable)
-        return classify(pres)
+def reference_generating_relation(complex_):
+    nodes = tuple(complex_.all_generators())
+    edges = set()
+    for q in range(1, len(complex_.basis)):
+        for name in complex_.basis[q]:
+            d = complex_.diff(name)
+            edges.update((a, name) for a in d.negative_part().support())
+            edges.update((name, b) for b in d.positive_part().support())
+    return RelationGraph(nodes=nodes, edges=frozenset(edges))
+
+
+def reference_verdict(pres):
+    atom = reference_is_atomic(pres)
+    pre = reference_preorder_report(pres)
+    alg_ok, alg_cycle = reference_antisymmetry(
+        reference_generating_relation(lambda_presentation(pres)))
+    order = reference_is_steiner_orderable(pres)
+    return polygraph.Verdict(
+        atomic=atom.ok, atomic_witness=atom.witness,
+        codim1_antisymmetric=pre.codim1_antisymmetric, codim1_cycle=pre.codim1_cycle,
+        full_antisymmetric=pre.full_antisymmetric, full_cycle=pre.full_cycle,
+        strongly_loop_free_algebraic=alg_ok, algebraic_cycle=alg_cycle,
+        steiner_orderable=order.ok, steiner_order=order.order,
+        steiner_cycle=order.cycle,
+    )
 
 
 def presentations():
@@ -172,15 +195,51 @@ PRESENTATIONS = presentations()
 
 @pytest.mark.parametrize("label, pres", PRESENTATIONS,
                          ids=[label for label, _ in PRESENTATIONS])
-def test_classifiers_match_the_expression_walks(label, pres, monkeypatch):
+def test_classifiers_match_the_expression_walks(label, pres):
     for name in pres.all_generators():
         assert eval_table(pres, Gen(name)) == reference_generator_table(pres, name)
     assert is_atomic(pres) == reference_is_atomic(pres)
-    assert preorder_report(pres) == reference_preorder_report(pres)
+    report = preorder_report(pres)
+    assert report == reference_preorder_report(pres)
     assert is_steiner_orderable(pres) == reference_is_steiner_orderable(pres)
-    assert (json.dumps(classify(pres).as_dict(), sort_keys=True)
-            == json.dumps(reference_verdict(pres, monkeypatch).as_dict(),
-                          sort_keys=True))
+    verdict, reference = classify(pres), reference_verdict(pres)
+    assert verdict == reference
+    assert (json.dumps(verdict.as_dict(), sort_keys=True)
+            == json.dumps(reference.as_dict(), sort_keys=True))
+    algebraic = generating_relation(lambda_presentation(pres))
+    assert algebraic == reference_generating_relation(lambda_presentation(pres))
+    assert algebraic.edges <= report.codim1.edges <= report.full.edges
+
+
+def test_graphs_nest_on_random_presentations():
+    # classify skips the codim-1 and algebraic condensations on this nesting
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        pres = random_presentation(seed)
+        report = preorder_report(pres)
+        algebraic = generating_relation(lambda_presentation(pres))
+        assert algebraic.edges <= report.codim1.edges <= report.full.edges
+        assert classify(pres) == reference_verdict(pres)
+
+    check()
+
+
+def test_an_algebraic_edge_outside_the_codim1_graph_is_inconsistent(monkeypatch):
+    pres = build("oriental", (2,)).as_presentation()
+    real = polygraph.generating_relation
+
+    def forged(complex_):
+        graph = real(complex_)
+        return RelationGraph(nodes=graph.nodes, edges=graph.edges | {("012", "0")})
+
+    assert ("012", "0") not in preorder_report(pres).codim1.edges
+    monkeypatch.setattr(polygraph, "generating_relation", forged)
+    with pytest.raises(InconsistentClassification, match="codim-1"):
+        classify(pres)
 
 
 def test_atom_tables_match_the_vector_by_vector_boundary():
