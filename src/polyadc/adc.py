@@ -285,12 +285,17 @@ def atom_fault(complex_: Adc, name: str) -> int | None:
 
 def _atom(complex_: Adc, name: str) -> tuple:
     """(rows, fault, (eps of neg_0, eps of pos_0)) of a generator's atom
-    table, built once per complex."""
+    table, built once per complex and read by every atom accessor.
+
+    A 0-generator's row is its unit vector on both sides, so its two
+    augmentations are the one it was given; above degree 0 they are
+    summed off row 0.
+    """
     kept = complex_._atom_tables.get(name)
     if kept is not None:
         return kept
     q = complex_.degree_of(name)
-    top = IntVector.unit(name)
+    top = IntVector._of({name: 1})
     rows = [(top, top)]  # top row first, reversed at the end
     fault = None
     if q:
@@ -304,8 +309,11 @@ def _atom(complex_: Adc, name: str) -> tuple:
             fault = 2
         rows.append((d_neg.negative_part(), d_pos.positive_part()))
     rows.reverse()
-    neg0, pos0 = rows[0]
-    augmentations = complex_.eps(neg0), complex_.eps(pos0)
+    if q:
+        neg0, pos0 = rows[0]
+        augmentations = complex_.eps(neg0), complex_.eps(pos0)
+    else:
+        augmentations = (complex_._aug[name],) * 2
     if fault is None and augmentations != (1, 1):
         fault = 3
     kept = complex_._atom_tables[name] = (tuple(rows), fault, augmentations)

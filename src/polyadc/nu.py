@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from itertools import product
 
-from .adc import Adc, atom_fault, atom_table
+from .adc import Adc, _atom, atom_table
 from .zlin import IntVector, Record, _setattr
 
 
@@ -184,7 +184,9 @@ class CompositionIndex:
     position of ``identity(t)`` one dimension up.  On first read of either,
     the closure runs again from the same seeds, confined to the indexed
     codes, with the record on; it forms the same cells in the same order,
-    so the positions are these.
+    so the positions are these.  With the record on it also composes the
+    unit pairs that the first run skipped (see :func:`_close`), so the
+    record lists every composable pair.
     """
 
     def __init__(self, rows: "RowCodes", seeds: list, max_dim: int):
@@ -319,8 +321,9 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
     the left before ``t`` on the right, so the order depends on the seeds
     alone.
 
-    Each composable pair is composed once, when the first of its two cells
-    is dequeued if the other is indexed by then, else when the second is;
+    Each composable pair, but the unit pairs below, is composed once, when
+    the first of its two cells is dequeued if the other is indexed by then,
+    else when the second is;
     with ``record`` on, it is filed in the index's ``products`` and the
     identity links in ``identities``.  Each admitted cell's ``provenance``
     is the seed, the identity or the pair that produced it first, so it
@@ -330,7 +333,17 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
     Each cell is filed under its p-source ``code[:2p + 1]`` and its
     p-target ``code[:2p] + (code[2p + 1],)`` for every p below its
     dimension, so the partners of a cell are one lookup each and match by
-    that very key.  The face maps are dropped on return; the index keeps
+    that very key.  A *unit* q-cell, whose code ends in the zero row over
+    an equal pair in row q - 1 (the identity of a (q - 1)-cell), is the
+    exception unless ``record`` is on: it is neither filed under its
+    level-(q - 1) keys nor looked up by them.  Composing any code x with
+    it at level q - 1, on either side, gives x back: the rows below q - 1
+    are x's, row q - 1 is x's because the unit's two entries there are
+    equal, and the zero top row adds nothing.  So the pair would only find
+    x, which is indexed, and skipping it changes no code, position,
+    provenance, interned row or ``admit`` call.  A zero top row over
+    unequal entries (possible only in a hand-built cell set) is no unit
+    and is composed.  The face maps are dropped on return; the index keeps
     the codes, their positions and ``rows``.
     """
     seeds_seen = []
@@ -346,6 +359,15 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
     products, identities = {}, {}
     if record:
         index._record = products, identities
+    zero = rows.zero
+
+    def levels(q: int, code: tuple) -> range:
+        # the offsets 2p + 1 of the levels p a cell is filed and looked up
+        # under; a unit leaves out its top level unless the record is kept
+        if (not record and q and code[-1] == code[-2] == zero
+                and code[-3] == code[-4]):
+            return range(1, 2 * q - 1, 2)
+        return range(1, 2 * q, 2)
 
     def add(q: int, code: tuple, origin):
         position = located.get(q)
@@ -361,7 +383,7 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
         codes[q].append(code)
         provenance.setdefault(q, []).append(origin)
         source, target = sources[q], targets[q]
-        for k in range(1, 2 * q, 2):
+        for k in levels(q, code):
             source.setdefault(code[:k], []).append(j)
             target.setdefault(code[:k - 1] + (code[k],), []).append(j)
         queue.append((q, j))
@@ -385,7 +407,7 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
         # the partner at j is skipped when it was dequeued with t indexed:
         # the pair was composed then
         pairs = []
-        for k in range(1, 2 * q, 2):
+        for k in levels(q, t):
             p = k // 2
             pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
                       if not j < i < seen[j]]
@@ -483,9 +505,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     count reached and the flag to raise in its message, and ValueError
     when an atom table is not actually a cell (which happens for complexes
     that are not unital).  The atoms are not run through
-    :func:`is_valid_table`: :func:`polyadc.adc.atom_fault` reads the
-    violated condition off the boundaries that building the atom's rows
-    computed.
+    :func:`is_valid_table`: one lookup of each generator's kept atom
+    (``polyadc.adc._atom``) gives its rows and the violated condition,
+    read off the boundaries that building the rows computed.
     """
     if max_dim is None:
         max_dim = complex_.max_degree
@@ -497,13 +519,13 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
             for name in complex_.generators(q):
-                cond = atom_fault(complex_, name)
+                atom_rows, cond, _ = _atom(complex_, name)
                 if cond is not None:
                     raise ValueError(
                         "atom table of %r violates cell condition %d; "
                         "the complex is not unital enough to enumerate" % (name, cond)
                     )
-                table = atom_to_table(complex_, name)
+                table = NuTable(atom_rows)
                 atom_names[table] = name
                 yield rows.encode(table)
 

@@ -342,29 +342,41 @@ class AtomicityReport(Record):
 def is_atomic(pres: PolyPresentation) -> AtomicityReport:
     """Sources and targets of every generator have disjoint supports in
     every dimension strictly below the generator."""
-    witness = _walk(pres)[2]
+    witness = _walk(pres, graphs=False)[2]
     return AtomicityReport(ok=witness is None, witness=witness)
 
 
-def _walk(pres: PolyPresentation) -> tuple:
-    """One pass over the filed tables, each row's support taken once: the
-    codim-1 and full graphs, the first atomicity witness in generator and
-    level order or None, and the generators each must be ordered before."""
+def _walk(pres: PolyPresentation, graphs: bool = True, order: bool = False) -> tuple:
+    """One pass over the filed tables, each row's support taken once:
+    ``(codim1, full, witness, succ)``.
+
+    ``witness`` is the first atomicity witness in generator and level
+    order, or None.  With ``graphs`` the pass also gives the codim-1 and
+    full graphs, and with ``order`` the generators each must be ordered
+    before; what is not asked for is None.  Asked for neither, the pass
+    stops at the witness.
+    """
     nodes = tuple(pres.all_generators())
     codim1, full, witness = set(), set(), None
-    succ = {name: set() for name in nodes}
+    succ = {name: set() for name in nodes} if order else None
     for name in nodes:
         rows = pres._tables[name].rows
         for p in range(len(rows) - 1):
             src, tgt = rows[p][0].support(), rows[p][1].support()
             if witness is None and not src.isdisjoint(tgt):
                 witness = (name, p, src & tgt)
-            edges = [(a, name) for a in src] + [(name, b) for b in tgt]
-            full.update(edges)
-            if p == len(rows) - 2:
-                codim1.update(edges)
-            for a in src:
-                succ[a] |= tgt
+                if not (graphs or order):
+                    return None, None, witness, None
+            if graphs:
+                edges = [(a, name) for a in src] + [(name, b) for b in tgt]
+                full.update(edges)
+                if p == len(rows) - 2:
+                    codim1.update(edges)
+            if order:
+                for a in src:
+                    succ[a] |= tgt
+    if not graphs:
+        return None, None, witness, succ
     return (RelationGraph(nodes=nodes, edges=frozenset(codim1)),
             RelationGraph(nodes=nodes, edges=frozenset(full)), witness, succ)
 
@@ -424,8 +436,8 @@ class OrderabilityReport(Record):
 def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
     """Look for a linear order putting every face-source strictly below
     every face-target, at all levels below each generator."""
-    codim1, _, _, succ = _walk(pres)
-    return _order(codim1.nodes, succ)
+    succ = _walk(pres, graphs=False, order=True)[3]
+    return _order(tuple(pres.all_generators()), succ)
 
 
 def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
@@ -540,7 +552,7 @@ def classify(pres: PolyPresentation) -> Verdict:
     :class:`InconsistentClassification`.  The second is checked as the
     nesting that the skips rely on.
     """
-    codim1, full, witness, succ = _walk(pres)
+    codim1, full, witness, succ = _walk(pres, order=True)
     algebraic = generating_relation(lambda_presentation(pres))
     if not algebraic.edges <= codim1.edges:
         raise InconsistentClassification(

@@ -297,11 +297,12 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
       which carries the differential across; each 0-cell has augmentation 1.
 
     It reads the cells' codes in ``enum.index``, not their tables: a cell's
-    two top ids must equal the id that its provenance gives (the interned
-    unit for an atom, the zero id for an identity, the interned sum of the
-    factors' top ids for a composite), and its faces are looked up as code
-    keys.  The boundary and the augmentation are computed once per
-    distinct top id.
+    two top ids must equal the id that its provenance gives (for an atom,
+    the id of a vector whose only entry is 1 on the atom's generator; the
+    zero id for an identity; the interned sum of the factors' top ids for
+    a composite), and its faces are looked up as code keys.  Nothing is
+    interned for an atom.  The boundary and the augmentation are computed
+    once per distinct top id.
 
     Provenance names only earlier cells or cells one degree down, so every
     cell traces back to the atoms.  The cells must come from
@@ -331,7 +332,7 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
                 name = atom_of.get(x)
                 if name is None:
                     return "%d-cell %d has no provenance" % (q, k)
-                want = rows.intern(IntVector.unit(name))
+                want = x[-1] if vectors[x[-1]]._entries == {name: 1} else None
             elif len(origin) == 1:
                 if x[:-2] != lower[origin[0]]:
                     return ("%d-cell %d differs below its top row from the cell "

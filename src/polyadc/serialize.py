@@ -74,15 +74,19 @@ def _check_keys(record, required, label):
         raise DocumentError("%s has unknown keys %s" % (label, sorted(extra)))
 
 
-def _name_dim(record, label):
+def _name_dim(record, position):
+    """The name and dim of the generator record at ``position``; its label
+    is formatted only for an error."""
     if not isinstance(record, dict):
-        raise DocumentError("%s must be an object" % label)
+        raise DocumentError("generator record %d must be an object" % position)
     name = record.get("name")
     dim = record.get("dim")
     if not isinstance(name, str) or not name:
-        raise DocumentError("%s needs a non-empty string name" % label)
+        raise DocumentError("generator record %d needs a non-empty string name"
+                            % position)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise DocumentError("%s needs a non-negative integer dim" % label)
+        raise DocumentError("generator record %d needs a non-negative integer dim"
+                            % position)
     return name, dim
 
 
@@ -114,13 +118,14 @@ def parse_document(text: str):
     levels = {}
     records = []
     for record in gens:
-        label = "generator record %d" % len(records)
-        name, dim = _name_dim(record, label)
+        name, dim = _name_dim(record, len(records))
         if kind == "adc":
             required = {"name", "dim", "augmentation"} if dim == 0 else {"name", "dim", "boundary"}
         else:
             required = {"name", "dim"} if dim == 0 else {"name", "dim", "src", "tgt"}
-        _check_keys(record, required, "%s (%r)" % (label, name))
+        if record.keys() != required:
+            _check_keys(record, required,
+                        "generator record %d (%r)" % (len(records), name))
         levels.setdefault(dim, []).append(name)
         records.append(record)
 
@@ -148,7 +153,7 @@ def parse_document(text: str):
                 for k, v in bd.items():
                     if not isinstance(k, str) or not isinstance(v, int) or isinstance(v, bool):
                         raise DocumentError("boundary of %r must map names to integers" % name)
-                diff[name] = IntVector(bd)
+                diff[name] = IntVector._of(bd)  # the entries are checked above
         return Adc(basis, diff, aug)
 
     boundary = {}

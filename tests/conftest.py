@@ -1,10 +1,11 @@
 """Shared helpers: a seeded presentation generator, a Smith-form oracle,
-the reference checks of a presentation's linearization and the reference
-condensation of a relation graph."""
+the reference checks of a presentation's linearization, the reference
+condensation of a relation graph and the reference closure loop."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 from math import gcd
 
@@ -297,3 +298,87 @@ def reference_antisymmetry(graph) -> tuple:
         if len(comp) >= 2:
             return False, reference_cycle_in(graph, set(comp), comp[0])
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# the reference closure
+
+def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
+    """The closure loop as it was before unit pairs were skipped: every
+    composable pair is composed, the unit pairs along the top face too.
+    Monkeypatched over ``nu._close``, it gives the index that the
+    skipping one must reproduce: the same codes, positions, provenance,
+    interned rows and pair record."""
+    seeds_seen = []
+    index = nu.CompositionIndex(rows, seeds_seen, max_dim)
+    compose_codes, identity_code = rows.compose, rows.identity
+    queue = deque()  # (dim, pos) of the cells to compose, in admission order
+    codes, located, provenance = index.codes, index.located, index.provenance
+    sources = {}  # dim -> {p-source key: positions}
+    targets = {}  # dim -> {p-target key: positions}
+    # dim -> per position, how many cells of that dim were indexed when the
+    # cell was dequeued; those are the partners it has been composed with
+    reached = {}
+    products, identities = {}, {}
+    if record:
+        index._record = products, identities
+
+    def add(q: int, code: tuple, origin):
+        position = located.get(q)
+        if position is None:
+            position = located[q] = {}
+            codes[q], sources[q], targets[q], reached[q] = [], {}, {}, []
+        j = position.get(code)
+        if j is not None:
+            return j
+        if not admit(q, code):
+            return None
+        j = position[code] = len(codes[q])
+        codes[q].append(code)
+        provenance.setdefault(q, []).append(origin)
+        source, target = sources[q], targets[q]
+        for k in range(1, 2 * q, 2):
+            source.setdefault(code[:k], []).append(j)
+            target.setdefault(code[:k - 1] + (code[k],), []).append(j)
+        queue.append((q, j))
+        return j
+
+    for code in seeds:
+        seeds_seen.append(code)
+        add(len(code) // 2 - 1, code, None)
+    while queue:
+        q, i = queue.popleft()
+        coded = codes[q]
+        t = coded[i]
+        if q < max_dim:
+            j = add(q + 1, identity_code(t), (i,))
+            if record and j is not None:
+                identities.setdefault(q, {})[i] = j
+        seen = reached[q]
+        seen.append(len(coded))  # cells of a dim are dequeued in position order
+        filed = products.setdefault(q, {}) if record else None
+        source, target = sources[q], targets[q]
+        # the partner at j is skipped when it was dequeued with t indexed:
+        # the pair was composed then
+        pairs = []
+        for k in range(1, 2 * q, 2):
+            p = k // 2
+            pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
+                      if not j < i < seen[j]]
+            pairs += [(j, p, 1) for j in target.get(t[:k], ())
+                      if j != i and not j < i < seen[j]]
+        pairs.sort()
+        position = located[q]
+        for j, p, t_is_right in pairs:
+            if t_is_right:
+                key = (p, j, i)
+                code = compose_codes(coded[j], t, p)
+            else:
+                key = (p, i, j)
+                code = compose_codes(t, coded[j], p)
+            found = position.get(code)
+            if found is None:
+                found = add(q, code, key)
+            if record:
+                filed[key] = found
+    return index

@@ -6,14 +6,18 @@ indecomposables and the generation check.  The indexed code must reproduce
 them exactly: the same cells in the same discovery order, the same
 relation list and therefore the same projections and sections, and the
 same verdicts.  The record of products the closure keeps must list every
-composable pair of the all-pairs scan, each composed once.
+composable pair of the all-pairs scan.  The closure composes each pair once,
+except the unit pairs (an identity with a cell along the identity's top
+face), which it skips: each of those composes to its other factor, and the
+index must equal the one that the closure composing them too
+(``conftest.reference_close``) builds.
 """
 
 from collections import deque
 
 import pytest
 
-from conftest import random_presentation
+from conftest import catalog_presentations, random_presentation, reference_close
 from polyadc import (
     EnumerationCapExceeded,
     IntVector,
@@ -105,6 +109,12 @@ def reference_pairs(tables, q):
     """Composable pairs of one dimension: level, then left, then right."""
     return [(p, x, y) for p in range(q) for x in tables for y in tables
             if composable(x, y, p)]
+
+
+def is_unit(table):
+    """An identity cell: a zero top row over an equal pair in the row below."""
+    return (table.dim >= 1 and table.is_trivial()
+            and table.rows[-2][0] == table.rows[-2][1])
 
 
 def reference_indecomposables(enum):
@@ -417,6 +427,8 @@ def test_layered_enumeration_equals_brute_force_on_random_unital_complexes():
     ("theta2", (2, 2, 3)),
 ])
 def test_verify_equivalence_composes_each_pair_once(name, params, monkeypatch):
+    """Every composable pair but the unit pairs is composed exactly once,
+    and no unit pair is composed."""
     complex_ = build(name, params).as_adc()
     calls = []
     real = nu.RowCodes.compose
@@ -431,8 +443,11 @@ def test_verify_equivalence_composes_each_pair_once(name, params, monkeypatch):
     enum = enumerate_nu(complex_)
     pairs = {(x, y, p) for q, tables in enum.cells.items()
              for p, x, y in reference_pairs(tables, q)}
-    assert len(calls) == len(pairs)
-    assert set(calls) == pairs
+    units = {(x, y, p) for x, y, p in pairs
+             if p == x.dim - 1 and (is_unit(x) or is_unit(y))}
+    assert units  # every input has identities to pad with
+    assert len(calls) == len(pairs - units)
+    assert set(calls) == pairs - units
 
 
 def test_a_cell_set_not_closed_under_composition_is_refused():
@@ -474,3 +489,144 @@ def test_table_hash_is_kept_and_plays_no_part_in_equality_or_repr():
     assert fresh._hash is None and fresh == atom and atom == fresh
     assert {atom: 1}[fresh] == 1
     assert not hasattr(atom, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# the unit pairs the closure skips
+
+def unit_pairs(enum):
+    """Every composable pair (x, y, q - 1) of q-cells with a unit factor.
+
+    A unit composes along the top face exactly with the cells whose face
+    there is the cell it is the identity of, so the pairs are read off each
+    cell's two top faces."""
+    pairs = []
+    for q in range(1, enum.max_dim + 1):
+        for x in enum.cells.get(q, ()):
+            before = identity(nu.face(x, q - 1, -1))
+            after = identity(nu.face(x, q - 1, +1))
+            if before in enum:
+                pairs.append((before, x, q - 1))
+            if after in enum:
+                pairs.append((x, after, q - 1))
+    return pairs
+
+
+def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
+    """Each unit pair composes, as tables and as codes, to its other
+    factor, and the closure composes none of them."""
+    composed = []
+    real = nu.RowCodes.compose
+
+    def watching(self, x, y, p):
+        composed.append((self, x, y, p))
+        return real(self, x, y, p)
+
+    monkeypatch.setattr(nu.RowCodes, "compose", watching)
+    enum = outcome(enumerate_nu, complex_, max_cells=3000)
+    monkeypatch.undo()
+    formed = {(rows.decode(x), rows.decode(y), p) for rows, x, y, p in composed}
+    if isinstance(enum, tuple):
+        # refused or capped: what was composed up to then has no unit pair
+        assert not any(p == x.dim - 1 and (is_unit(x) or is_unit(y))
+                       for x, y, p in formed)
+        return 0
+    rows = enum.index.rows
+    pairs = unit_pairs(enum)
+    for x, y, p in pairs:
+        partner = y if is_unit(x) else x
+        assert compose(x, y, p) == partner
+        assert rows.compose(rows.encode(x), rows.encode(y), p) == rows.encode(partner)
+        assert (x, y, p) not in formed
+    return len(pairs)
+
+
+@pytest.mark.parametrize("pres", [pytest.param(pres, id="catalog%d" % k)
+                                  for k, pres in enumerate(catalog_presentations())])
+def test_a_unit_pair_composes_to_its_partner_on_the_catalog(pres, monkeypatch):
+    assert_unit_pairs_give_the_partner(lambda_presentation(pres), monkeypatch)
+
+
+def test_a_unit_pair_composes_to_its_partner_on_random_presentations(monkeypatch):
+    pairs = sum(assert_unit_pairs_give_the_partner(
+        lambda_presentation(random_presentation(seed)), monkeypatch)
+        for seed in range(300))
+    assert pairs  # most linearizations here are not unital, but some get this far
+
+
+def test_a_zero_top_row_over_unequal_faces_is_composed():
+    """A hand-built 1-cell with a zero top row from vertex 0 to vertex 1 is
+    no unit: composing it with the atom 12 gives a table it is not, so the
+    closure must file and compose it like any other cell."""
+    complex_ = build("oriental", (2,)).as_adc()
+    zero = IntVector()
+    v0, v1 = (atom_to_table(complex_, name).rows[0][0] for name in ("0", "1"))
+    flat = nu.NuTable(rows=((v0, v1), (zero, zero)))
+    assert flat.is_trivial() and not is_unit(flat)
+    a12 = atom_to_table(complex_, "12")
+    seeds = [atom_to_table(complex_, name) for name in complex_.all_generators()]
+    seeds.append(flat)
+    index = nu.close_under_composition(seeds, 1, lambda table: True)
+    made = compose(flat, a12, 0)
+    assert made not in (flat, a12) and made in index
+    want = reference_closure(seeds, 1, lambda table: True)
+    assert {q: set(tables) for q, tables in want.items()} == \
+        {q: set(index.tables(q)) for q in index.codes}
+
+
+# ---------------------------------------------------------------------------
+# the index against the closure that composed the unit pairs
+
+def index_fields(enum):
+    """What a closure leaves on the index, the pair record last, and the
+    interned rows once the record has been filed."""
+    if isinstance(enum, tuple):
+        return enum
+    index = enum.index
+    fields = (index.codes, index.provenance, index.located, list(index.rows.vectors),
+              index.products, index.identities)
+    return fields + (list(index.rows.vectors),)
+
+
+def sweep_complexes():
+    out = [pytest.param(lambda_presentation(pres), id="catalog%d" % k)
+           for k, pres in enumerate(catalog_presentations())]
+    out += [pytest.param(build(name, params).as_adc(), id=name + "-%d" % params[0])
+            for name, params in (("oriental", (4,)), ("disk", (4,)), ("sphere", (3,)))]
+    return out
+
+
+def with_reference_close(monkeypatch, fn, *args):
+    monkeypatch.setattr(nu, "_close", reference_close)
+    try:
+        return fn(*args)
+    finally:
+        monkeypatch.undo()
+
+
+def assert_index_is_the_reference(complex_, monkeypatch):
+    for caps in ({"max_cells": 3000}, {"max_cells": 7},
+                 {"max_coeff": 1, "max_cells": 3000}):
+        want = with_reference_close(
+            monkeypatch, lambda: index_fields(outcome(enumerate_nu, complex_, **caps)))
+        assert index_fields(outcome(enumerate_nu, complex_, **caps)) == want
+        report = with_reference_close(
+            monkeypatch, lambda: outcome(verify_equivalence, complex_, **caps))
+        assert outcome(verify_equivalence, complex_, **caps) == report
+    enum = outcome(enumerate_nu, complex_, max_cells=3000)
+    if not isinstance(enum, tuple):
+        def rebuilt():
+            return index_fields(nu.EnumeratedOmegaCat(
+                complex=complex_, max_dim=enum.max_dim, cells=enum.cells))
+        assert rebuilt() == with_reference_close(monkeypatch, rebuilt)
+
+
+@pytest.mark.parametrize("complex_", sweep_complexes())
+def test_the_index_is_the_reference_closure_on_the_catalog(complex_, monkeypatch):
+    assert_index_is_the_reference(complex_, monkeypatch)
+
+
+def test_the_index_is_the_reference_closure_on_random_presentations(monkeypatch):
+    for seed in range(300):
+        assert_index_is_the_reference(lambda_presentation(random_presentation(seed)),
+                                      monkeypatch)

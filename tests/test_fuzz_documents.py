@@ -13,7 +13,9 @@ Two kinds of mutation are made:
   mutant that constructs also passes the reference checks of its
   linearization.
 
-The tests run a fixed seeded slice.  Run the file as a script for a larger
+The tests run a fixed seeded slice, and, when Hypothesis is installed, the
+same checks on mutants whose every choice Hypothesis draws and on small
+documents it builds from scratch.  Run the file as a script for a larger
 one, for example ``PYTHONPATH=src python tests/test_fuzz_documents.py 3000``
 for 3,000 mutants per subcommand; it prints the exit codes it saw and exits
 non-zero on the first failure.
@@ -230,6 +232,86 @@ def test_constructed_expression_mutants_pass_the_reference_checks(mutant_slice):
     constructed = sum(check_construction(text)
                       for text, by_expression in mutant_slice if by_expression)
     assert constructed >= 20  # the slice reaches past construction
+
+
+# ---------------------------------------------------------------------------
+# the Hypothesis variant: the same checks, with Hypothesis drawing every
+# choice, so that a failing document shrinks to a small one
+
+def test_hypothesis_mutants_exit_with_a_documented_code(tmp_path):
+    """Mutants of the same base documents, by the same two mutators, with
+    the base, the mutator, the number of mutations and every choice inside
+    them drawn by Hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bases = base_documents()
+    with_exprs = [doc for doc in bases if expression_slots(doc)]
+    path = str(tmp_path / "mutant.json")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.booleans(), st.data())
+    def prop(by_expression, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(with_exprs if by_expression
+                                                      else bases)))
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+            (mutate_expressions if by_expression else mutate_json)(rng, doc)
+        text = json.dumps(doc)
+        check_mutant(text, path)
+        check_construction(text)
+
+    prop()
+
+
+def _documents(st):
+    """Small documents of either kind built from scratch: up to six records
+    with distinct names, each with the keys its kind and dim need (one in
+    ten loses one), and expressions of up to four generators."""
+    names = st.sampled_from(["a", "b", "c", "f", "g", "h"])
+    expressions = st.recursive(
+        st.builds(lambda name: {"gen": name}, names),
+        lambda inner: st.one_of(
+            st.builds(lambda e: {"id": e}, inner),
+            st.builds(lambda level, x, y: {"comp": [level, x, y]},
+                      st.integers(min_value=-1, max_value=2), inner, inner)),
+        max_leaves=4)
+    small = st.integers(min_value=-2, max_value=2)
+
+    @st.composite
+    def record(draw, kind):
+        dim = draw(st.integers(min_value=0, max_value=3))
+        out = {"name": draw(names), "dim": dim}
+        if kind == "adc" and dim == 0:
+            out["augmentation"] = draw(small)
+        elif kind == "adc":
+            out["boundary"] = draw(st.dictionaries(names, small, max_size=3))
+        elif dim:
+            out["src"], out["tgt"] = draw(expressions), draw(expressions)
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            out.pop(draw(st.sampled_from(sorted(out))))
+        return out
+
+    return st.sampled_from(["adc", "polygraph"]).flatmap(
+        lambda kind: st.builds(lambda gens: {"kind": kind, "generators": gens},
+                               st.lists(record(kind), max_size=6,
+                                        unique_by=lambda r: r.get("name"))))
+
+
+def test_hypothesis_documents_exit_with_a_documented_code(tmp_path):
+    """Documents built from scratch by Hypothesis, through every subcommand;
+    one that constructs a presentation passes the reference checks."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = str(tmp_path / "document.json")
+
+    @hypothesis.settings(max_examples=150, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(_documents(hypothesis.strategies))
+    def prop(doc):
+        text = json.dumps(doc)
+        check_mutant(text, path)
+        check_construction(text)
+
+    prop()
 
 
 def main(argv):
