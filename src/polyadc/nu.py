@@ -166,8 +166,7 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
 # the composition index and the closure from the atoms
 
 class CompositionIndex:
-    """The cells a closure filed, by code, and the record of how they were
-    made.
+    """The cells a closure filed, by code, and the pair record read off them.
 
     ``rows`` is the closure's :class:`RowCodes`.  ``codes[dim]`` lists the
     code of each cell in insertion order and ``located[dim]`` maps each
@@ -178,25 +177,20 @@ class CompositionIndex:
     ``cells[dim]`` maps each cell's table to its position; the tables are
     decoded on first read.
 
-    The pair record is filed only for its readers: ``products[dim][(p, pos
-    x, pos y)]`` is the position of ``compose(x, y, p)``, or None when the
-    composite is not indexed, and ``identities[dim][pos t]`` is the
-    position of ``identity(t)`` one dimension up.  On first read of either,
-    the closure runs again from the same seeds, confined to the indexed
-    codes, with the record on; it forms the same cells in the same order,
-    so the positions are these.  With the record on it also composes the
-    unit pairs that the first run skipped (see :func:`_close`), so the
-    record lists every composable pair.
+    The pair record is read off the filed codes on first read:
+    ``products[dim][(p, pos x, pos y)]`` is the position of ``compose(x, y,
+    p)``, or None when the composite is not indexed, for every composable
+    pair of filed cells, and ``identities[dim][pos t]`` is the position of
+    ``identity(t)`` one dimension up, where it is filed.  A dimension with
+    no cells has no ``products`` entry, and one with no identity link no
+    ``identities`` entry.
     """
 
-    def __init__(self, rows: "RowCodes", seeds: list, max_dim: int):
+    def __init__(self, rows: "RowCodes"):
         self.rows = rows
         self.codes = {}  # dim -> per position, the cell's code
         self.located = {}  # dim -> {code: position}
         self.provenance = {}  # dim -> per position, None, (pos t,) or (p, pos x, pos y)
-        self._seeds = seeds  # the codes of the seeds, in the order given
-        self._max_dim = max_dim
-        self._record = None  # (products, identities) once filed
         self._tables = {}  # dim -> the decoded tables, once read
 
     def tables(self, q: int) -> tuple:
@@ -213,21 +207,35 @@ class CompositionIndex:
         return {q: {t: j for j, t in enumerate(self.tables(q))}
                 for q, codes in self.codes.items() if codes}
 
-    @property
+    @cached_property
     def products(self) -> dict:  # dim -> {(p, pos x, pos y): pos of composite or None}
-        return self._filed()[0]
+        # x composes with y at level p when x's p-target key is y's p-source key
+        compose_codes, products = self.rows.compose, {}
+        for q, coded in self.codes.items():
+            if not coded:
+                continue
+            position = self.located[q]
+            filed = products[q] = {}
+            for p in range(q):
+                k = 2 * p + 1
+                by_source = {}
+                for j, code in enumerate(coded):
+                    by_source.setdefault(code[:k], []).append(j)
+                for i, x in enumerate(coded):
+                    for j in by_source.get(x[:k - 1] + (x[k],), ()):
+                        filed[(p, i, j)] = position.get(compose_codes(x, coded[j], p))
+        return products
 
-    @property
+    @cached_property
     def identities(self) -> dict:  # dim -> {pos t: pos of identity(t) in dim + 1}
-        return self._filed()[1]
-
-    def _filed(self) -> tuple:
-        if self._record is None:
-            located = self.located
-            again = _close(self.rows, self._seeds, self._max_dim,
-                           lambda q, code: code in located[q], record=True)
-            self._record = again._record
-        return self._record
+        identity_code, identities = self.rows.identity, {}
+        for q, coded in self.codes.items():
+            above = self.located.get(q + 1, {})
+            links = {i: above[up] for i, up in enumerate(map(identity_code, coded))
+                     if up in above}
+            if links:
+                identities[q] = links
+        return identities
 
     def __contains__(self, table: NuTable) -> bool:
         return table in self.cells.get(table.dim, ())
@@ -309,8 +317,7 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
                   lambda q, code: admit(rows.decode(code)))
 
 
-def _close(rows: RowCodes, seeds, max_dim: int, admit,
-           record: bool = False) -> CompositionIndex:
+def _close(rows: RowCodes, seeds, max_dim: int, admit) -> CompositionIndex:
     """The closure loop: close the seed codes under identities up to
     ``max_dim`` and composition, on the integer codes of ``rows``.
 
@@ -323,31 +330,28 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
 
     Each composable pair, but the unit pairs below, is composed once, when
     the first of its two cells is dequeued if the other is indexed by then,
-    else when the second is;
-    with ``record`` on, it is filed in the index's ``products`` and the
-    identity links in ``identities``.  Each admitted cell's ``provenance``
-    is the seed, the identity or the pair that produced it first, so it
-    names cells indexed before it and traces back to the seeds without a
-    cycle.
+    else when the second is.  Each admitted cell's ``provenance`` is the
+    seed, the identity or the pair that produced it first, so it names
+    cells indexed before it and traces back to the seeds without a cycle.
+    The index reads the pair record off the codes when it is asked for.
 
     Each cell is filed under its p-source ``code[:2p + 1]`` and its
     p-target ``code[:2p] + (code[2p + 1],)`` for every p below its
     dimension, so the partners of a cell are one lookup each and match by
     that very key.  A *unit* q-cell, whose code ends in the zero row over
     an equal pair in row q - 1 (the identity of a (q - 1)-cell), is the
-    exception unless ``record`` is on: it is neither filed under its
-    level-(q - 1) keys nor looked up by them.  Composing any code x with
-    it at level q - 1, on either side, gives x back: the rows below q - 1
-    are x's, row q - 1 is x's because the unit's two entries there are
-    equal, and the zero top row adds nothing.  So the pair would only find
-    x, which is indexed, and skipping it changes no code, position,
-    provenance, interned row or ``admit`` call.  A zero top row over
+    exception: it is neither filed under its level-(q - 1) keys nor looked
+    up by them.  Composing any code x with it at level q - 1, on either
+    side, gives x back: the rows below q - 1 are x's, row q - 1 is x's
+    because the unit's two entries there are equal, and the zero top row
+    adds nothing.  So the pair would only find x, which is indexed, and
+    skipping it changes no code, position, provenance, interned row or
+    ``admit`` call; the pair record still lists it.  A zero top row over
     unequal entries (possible only in a hand-built cell set) is no unit
     and is composed.  The face maps are dropped on return; the index keeps
     the codes, their positions and ``rows``.
     """
-    seeds_seen = []
-    index = CompositionIndex(rows, seeds_seen, max_dim)
+    index = CompositionIndex(rows)
     compose_codes, identity_code = rows.compose, rows.identity
     queue = deque()  # (dim, pos) of the cells to compose, in admission order
     codes, located, provenance = index.codes, index.located, index.provenance
@@ -356,16 +360,12 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
     # dim -> per position, how many cells of that dim were indexed when the
     # cell was dequeued; those are the partners it has been composed with
     reached = {}
-    products, identities = {}, {}
-    if record:
-        index._record = products, identities
     zero = rows.zero
 
     def levels(q: int, code: tuple) -> range:
         # the offsets 2p + 1 of the levels p a cell is filed and looked up
-        # under; a unit leaves out its top level unless the record is kept
-        if (not record and q and code[-1] == code[-2] == zero
-                and code[-3] == code[-4]):
+        # under; a unit leaves out its top level
+        if q and code[-1] == code[-2] == zero and code[-3] == code[-4]:
             return range(1, 2 * q - 1, 2)
         return range(1, 2 * q, 2)
 
@@ -374,11 +374,8 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
         if position is None:
             position = located[q] = {}
             codes[q], sources[q], targets[q], reached[q] = [], {}, {}, []
-        j = position.get(code)
-        if j is not None:
-            return j
-        if not admit(q, code):
-            return None
+        if code in position or not admit(q, code):
+            return
         j = position[code] = len(codes[q])
         codes[q].append(code)
         provenance.setdefault(q, []).append(origin)
@@ -387,22 +384,17 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
             source.setdefault(code[:k], []).append(j)
             target.setdefault(code[:k - 1] + (code[k],), []).append(j)
         queue.append((q, j))
-        return j
 
     for code in seeds:
-        seeds_seen.append(code)
         add(len(code) // 2 - 1, code, None)
     while queue:
         q, i = queue.popleft()
         coded = codes[q]
         t = coded[i]
         if q < max_dim:
-            j = add(q + 1, identity_code(t), (i,))
-            if record and j is not None:
-                identities.setdefault(q, {})[i] = j
+            add(q + 1, identity_code(t), (i,))
         seen = reached[q]
         seen.append(len(coded))  # cells of a dim are dequeued in position order
-        filed = products.setdefault(q, {}) if record else None
         source, target = sources[q], targets[q]
         # the partner at j is skipped when it was dequeued with t indexed:
         # the pair was composed then
@@ -422,11 +414,8 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit,
             else:
                 key = (p, i, j)
                 code = compose_codes(t, coded[j], p)
-            found = position.get(code)
-            if found is None:
-                found = add(q, code, key)
-            if record:
-                filed[key] = found
+            if code not in position:
+                add(q, code, key)
     return index
 
 
@@ -434,14 +423,15 @@ class EnumeratedOmegaCat(Record):
     """The compositional closure of the atom tables, one layer per dimension.
 
     ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
-    built: the cells' codes and provenance, with the pair record built on
-    first read.  ``cells[dim]`` is then the tuple of their tables, decoded
-    on first read.  For cells given by hand the index is built on first
-    use by the same closure, seeded with ``cells`` and confined to them, so
-    a composite outside the cells is recorded as None.  Positions in the
-    index are positions in ``cells[dim]``, so a table listed twice in one
-    ``cells[dim]`` is refused with ValueError.  ``atom_names`` maps each
-    atom table to its generator's name, an empty dict when not given.
+    built: the cells' codes and provenance, with the pair record read off
+    the codes on first read.  ``cells[dim]`` is then the tuple of their
+    tables, decoded on first read.  For cells given by hand the index is
+    built on first use by the same closure, seeded with ``cells`` and
+    confined to them, so the record files a composite outside the cells
+    as None.  Positions in the index are positions in ``cells[dim]``, so a
+    table listed twice in one ``cells[dim]``, or listed under a key other
+    than its dimension, is refused with ValueError.  ``atom_names`` maps
+    each atom table to its generator's name, an empty dict when not given.
     """
 
     # no __slots__: the cached index and cells live in the instance __dict__
@@ -460,6 +450,8 @@ class EnumeratedOmegaCat(Record):
         self.cells = cells
         self.atom_names = {} if atom_names is None else atom_names
         for q, tables in cells.items():
+            if any(table.dim != q for table in tables):
+                raise ValueError("cells[%d] lists a table of another dimension" % q)
             if len(set(tables)) != len(tables):
                 raise ValueError("cells[%d] lists a table more than once" % q)
 
@@ -496,8 +488,8 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     The atoms seed the closure in degree order, and its index, with the
     codes and the provenance of every cell, stays on the result for the
     roundtrip's certificate; the tables and the pair record (for the
-    relation list, the generation check and the indecomposables) are built
-    from it on first read.  ``admit`` reads a code's dimension and the
+    relation list, the generation check and the indecomposables) are read
+    off its codes on first read.  ``admit`` reads a code's dimension and the
     largest coefficient of its rows off :class:`RowCodes`, without a table.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
@@ -625,7 +617,8 @@ def indecomposables(enum: EnumeratedOmegaCat) -> dict:
 
     A cell counts as decomposable only when it is a composite of two
     non-identity cells; padding with identities does not count.  The
-    splittings are read from the products recorded in ``enum.index``.
+    splittings are the pairs that ``enum.index.products`` reads off the
+    filed codes.
     """
     out = {}
     for q in range(enum.max_dim + 1):

@@ -69,11 +69,11 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
 
     One relation per composable pair (composite minus the two factors),
     listed by level, then left factor, then right factor, each in cell
-    order; the pairs and their composites are read from the products
-    recorded in ``enum.index``, not composed again.  The differential of a
-    quotient generator is transported through a section, using the faces
-    of the cells.  Raises ValueError when a composite or a face of the
-    enumerated cells was not itself enumerated.
+    order; the pairs and their composites are read from
+    ``enum.index.products``, one scan of the filed codes.  The differential
+    of a quotient generator is transported through a section, using the
+    faces of the cells.  Raises ValueError when a composite or a face of
+    the enumerated cells was not itself enumerated.
     """
     cells = {q: tuple(ts) for q, ts in enum.cells.items()}
     cell_names = {
@@ -151,7 +151,8 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
 
 def _generated(index: nu.CompositionIndex, per_dim: dict) -> dict:
     """Per dimension, a flag for each indexed cell position: is the cell
-    generated by the candidates under identities and the recorded products?"""
+    generated by the candidates under the index's identities and products,
+    both read off its codes?"""
     uses = {}  # (dim, pos) -> [(pos of the other factor, pos of the composite)]
     for q, filed in index.products.items():
         for (_, i, j), k in filed.items():
@@ -198,9 +199,9 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
     composition; their classes are pairwise distinct; they form a Z-basis
     of each quotient degree; and every cell class is a unique N-combination
     of candidate classes.  Generation is decided by forward chaining over
-    the products and identities recorded in ``enum.index``: a cell is
+    the pair record of ``enum.index``, read off the filed codes: a cell is
     generated when it is a candidate, the identity of a generated cell, or
-    the composite of a recorded pair whose two factors are generated.
+    the composite of a composable pair whose two factors are generated.
     """
     if quotient is None:
         quotient = lambda_of_enumerated(enum)

@@ -308,9 +308,10 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
     composable pair is composed, the unit pairs along the top face too.
     Monkeypatched over ``nu._close``, it gives the index that the
     skipping one must reproduce: the same codes, positions, provenance,
-    interned rows and pair record."""
-    seeds_seen = []
-    index = nu.CompositionIndex(rows, seeds_seen, max_dim)
+    interned rows and pair record.  With ``record`` on, the pair record
+    is filed as each pair is composed and handed to the index in place of
+    the one it reads off its codes."""
+    index = nu.CompositionIndex(rows)
     compose_codes, identity_code = rows.compose, rows.identity
     queue = deque()  # (dim, pos) of the cells to compose, in admission order
     codes, located, provenance = index.codes, index.located, index.provenance
@@ -321,7 +322,7 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
     reached = {}
     products, identities = {}, {}
     if record:
-        index._record = products, identities
+        index.products, index.identities = products, identities
 
     def add(q: int, code: tuple, origin):
         position = located.get(q)
@@ -344,7 +345,6 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
         return j
 
     for code in seeds:
-        seeds_seen.append(code)
         add(len(code) // 2 - 1, code, None)
     while queue:
         q, i = queue.popleft()

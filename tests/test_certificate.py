@@ -8,9 +8,11 @@ an atom left unnamed, an identity over the wrong cell, a missing face) must
 be caught by the certificate itself.
 """
 
+from functools import partial
+
 import pytest
 
-from conftest import random_presentation
+from conftest import random_presentation, reference_close
 from polyadc import (
     Adc,
     EnumerationCapExceeded,
@@ -261,13 +263,12 @@ def test_a_vertex_of_augmentation_other_than_one_is_caught():
 
 
 # ---------------------------------------------------------------------------
-# the pair record, built on first read
+# the pair record, read off the codes on first read
 
 def eagerly_recorded(complex_, monkeypatch, **caps):
-    """enumerate_nu with the pair record filed by the closure itself, as
-    the enumeration did before the record was built on demand."""
-    real = nu._close
-    monkeypatch.setattr(nu, "_close", lambda *args, **kw: real(*args, record=True))
+    """enumerate_nu with the pair record filed as each pair is composed,
+    by the reference closure, which composes the unit pairs too."""
+    monkeypatch.setattr(nu, "_close", partial(reference_close, record=True))
     try:
         return enumerate_nu(complex_, **caps)
     finally:
@@ -281,15 +282,14 @@ def test_the_record_built_on_demand_is_the_eager_one(complex_, monkeypatch):
     except (EnumerationCapExceeded, ValueError):
         return
     enum = enumerate_nu(complex_, max_cells=3000)
-    assert enum.index._record is None  # nothing filed yet
+    assert "products" not in vars(enum.index)  # nothing filed yet
     assert enum.index.codes == eager.index.codes
     assert enum.index.provenance == eager.index.provenance
-    products, identities = eager.index._record
-    assert enum.index.products == products
-    assert enum.index.identities == identities
+    assert enum.index.products == eager.index.products
+    assert enum.index.identities == eager.index.identities
     assert enum.cells == eager.cells
     assert enum.index.cells == eager.index.cells
-    # the re-run touches neither the codes nor the provenance
+    # the scan touches neither the codes nor the provenance
     assert enum.index.codes == eager.index.codes
     assert enum.index.provenance == eager.index.provenance
 

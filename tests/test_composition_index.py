@@ -5,15 +5,17 @@ index replaced in the enumeration, the relation listing, the
 indecomposables and the generation check.  The indexed code must reproduce
 them exactly: the same cells in the same discovery order, the same
 relation list and therefore the same projections and sections, and the
-same verdicts.  The record of products the closure keeps must list every
-composable pair of the all-pairs scan.  The closure composes each pair once,
-except the unit pairs (an identity with a cell along the identity's top
-face), which it skips: each of those composes to its other factor, and the
-index must equal the one that the closure composing them too
-(``conftest.reference_close``) builds.
+same verdicts.  The pair record that the index reads off its codes must
+list every composable pair of the all-pairs scan.  The closure composes
+each pair once, except the unit pairs (an identity with a cell along the
+identity's top face), which it skips: each of those composes to its other
+factor, and the index, its pair record included, must equal the one that
+the closure composing them too (``conftest.reference_close``) builds and
+records as it goes.
 """
 
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -591,13 +593,18 @@ def index_fields(enum):
 def sweep_complexes():
     out = [pytest.param(lambda_presentation(pres), id="catalog%d" % k)
            for k, pres in enumerate(catalog_presentations())]
-    out += [pytest.param(build(name, params).as_adc(), id=name + "-%d" % params[0])
-            for name, params in (("oriental", (4,)), ("disk", (4,)), ("sphere", (3,)))]
+    out += [pytest.param(build(name, params).as_adc(),
+                         id=name + "".join("-%d" % x for x in params))
+            for name, params in (("oriental", (4,)), ("disk", (4,)), ("sphere", (3,)),
+                                 ("oriental", (5,)), ("theta2", (3, 2, 2, 2)),
+                                 ("disk", (5,)), ("sphere", (4,)))]
     return out
 
 
 def with_reference_close(monkeypatch, fn, *args):
-    monkeypatch.setattr(nu, "_close", reference_close)
+    """``fn(*args)`` with the reference closure in place of the closure,
+    filing the pair record itself as it composes."""
+    monkeypatch.setattr(nu, "_close", partial(reference_close, record=True))
     try:
         return fn(*args)
     finally:
@@ -630,3 +637,33 @@ def test_the_index_is_the_reference_closure_on_random_presentations(monkeypatch)
     for seed in range(300):
         assert_index_is_the_reference(lambda_presentation(random_presentation(seed)),
                                       monkeypatch)
+
+
+def hand_built_fields(complex_, max_dim, cells, monkeypatch):
+    def fields():
+        return index_fields(nu.EnumeratedOmegaCat(complex=complex_, max_dim=max_dim,
+                                                  cells=cells))
+    got = fields()
+    assert got == with_reference_close(monkeypatch, fields)
+    return got
+
+
+def test_the_record_of_cells_below_max_dim_is_the_reference_closure(monkeypatch):
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    codes, _, located, _, products, identities, _ = hand_built_fields(
+        complex_, 3, enum.cells, monkeypatch)
+    # the identities of the 2-cells are offered in dim 3 and refused
+    assert codes[3] == [] and located[3] == {}
+    assert 3 not in products and 2 not in identities
+    assert sorted(products) == [0, 1, 2] and sorted(identities) == [0, 1]
+
+
+def test_the_record_of_a_holed_set_is_the_reference_closure(monkeypatch):
+    complex_ = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(complex_)
+    composite = compose(atom_to_table(complex_, "01"), atom_to_table(complex_, "12"), 0)
+    cells = dict(enum.cells)
+    cells[1] = tuple(t for t in cells[1] if t != composite)
+    products = hand_built_fields(complex_, enum.max_dim, cells, monkeypatch)[4]
+    assert None in products[1].values()

@@ -249,3 +249,16 @@ def test_a_cell_set_listing_a_table_twice_is_refused(where):
     ones = (first,) + enum.cells[1] if where == "front" else enum.cells[1] + (first,)
     with pytest.raises(ValueError, match=r"cells\[1\] lists a table more than once"):
         EnumeratedOmegaCat(complex=k, max_dim=2, cells={**enum.cells, 1: ones})
+
+
+def test_a_cell_set_listing_a_table_under_another_dimension_is_refused():
+    # positions in the index are positions in cells[q]: a table filed
+    # under another key would land at a position of its own dimension
+    k = triangle()
+    enum = enumerate_nu(k)
+    swapped = {**enum.cells, 0: enum.cells[1], 1: enum.cells[0]}
+    with pytest.raises(ValueError, match=r"cells\[0\] lists a table of another dimension"):
+        EnumeratedOmegaCat(complex=k, max_dim=2, cells=swapped)
+    stray = {**enum.cells, 2: enum.cells[2] + (enum.cells[1][0],)}
+    with pytest.raises(ValueError, match=r"cells\[2\] lists a table of another dimension"):
+        EnumeratedOmegaCat(complex=k, max_dim=2, cells=stray)
