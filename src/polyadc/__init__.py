@@ -1,84 +1,73 @@
 """Polygraph presentations, augmented directed complexes, and the
-linearization adjunction between them."""
+linearization adjunction between them.
 
-from .adc import (
-    Adc,
-    Chain,
-    Decomposition,
-    RelationGraph,
-    atom_table,
-    decompose,
-    generating_relation,
-    is_strong_steiner_complex,
-    is_unital,
-    loop_free_report,
-    truncate_adc,
-    unitality_failures,
-    validate_adc,
-)
-from .catalog import CatalogCapExceeded, CatalogEntry, build
-from .nu import (
-    EnumeratedOmegaCat,
-    EnumerationCapExceeded,
-    NotComposable,
-    NuTable,
-    atom_to_table,
-    brute_force_nu,
-    compose,
-    composable,
-    enumerate_nu,
-    face,
-    identity,
-    indecomposables,
-    is_valid_table,
-)
-from .polygraph import (
-    CellExpr,
-    Comp,
-    Gen,
-    Id,
-    InconsistentClassification,
-    PolyPresentation,
-    Verdict,
-    classify,
-    eval_table,
-    expr_dim,
-    face_expr,
-    is_algebraically_loop_free,
-    is_atomic,
-    is_steiner_orderable,
-    lambda_presentation,
-    linearize,
-    preorder_report,
-    support_expr,
-)
-from .roundtrip import (
-    QuotientLambda,
-    check_omega_basis,
-    lambda_of_enumerated,
-    top_row_certificate,
-    verify_equivalence,
-)
-from .serialize import (
-    DegreeCapExceeded,
-    DocumentError,
-    parse_document,
-    serialize_document,
-    to_dot,
-)
-from .zlin import (
-    AmbiguousCoordinates,
-    CoefficientOverflow,
-    IntMatrix,
-    IntVector,
-    SmithDecomposition,
-    TorsionError,
-    determinant,
-    mat_mul,
-    monoid_coordinates,
-    quotient_free_basis,
-    smith_normal_form,
-    unimodular_inverse,
-)
+Importing the package runs none of its modules.  Each submodule is put in
+``sys.modules`` and on the package through
+:class:`importlib.util.LazyLoader`, and is compiled and run on the first
+lookup of one of its attributes, so a command line call runs only the
+modules its subcommand uses.  ``check``, ``lambda`` and ``preorder`` on a
+complex run ``zlin``, ``adc``, ``polygraph`` and ``serialize``; on a
+presentation, and ``enumerate`` and ``oracle`` on either, ``nu`` as well;
+``catalog`` adds ``nu`` and ``catalog``, and ``roundtrip`` adds ``nu``,
+``roundtrip`` and the matrix module ``smith``.  The names the package
+serves itself (``polyadc.enumerate_nu`` and the others in ``__all__``) are
+looked up on their module when asked for.
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
+
+# each submodule, with the names the package serves from it
+_EXPORTS = {
+    "zlin": ("AmbiguousCoordinates", "CoefficientOverflow", "IntVector",
+             "TorsionError"),
+    "smith": ("IntMatrix", "SmithDecomposition", "determinant", "mat_mul",
+              "monoid_coordinates", "quotient_free_basis", "smith_normal_form",
+              "unimodular_inverse"),
+    "adc": ("Adc", "Chain", "Decomposition", "RelationGraph", "atom_table",
+            "decompose", "generating_relation", "is_strong_steiner_complex",
+            "is_unital", "loop_free_report", "truncate_adc", "unitality_failures",
+            "validate_adc"),
+    "nu": ("EnumeratedOmegaCat", "EnumerationCapExceeded", "NotComposable",
+           "NuTable", "atom_to_table", "brute_force_nu", "compose", "composable",
+           "enumerate_nu", "face", "identity", "indecomposables",
+           "is_valid_table"),
+    "polygraph": ("CellExpr", "Comp", "Gen", "Id", "InconsistentClassification",
+                  "PolyPresentation", "Verdict", "classify", "eval_table",
+                  "expr_dim", "face_expr", "is_algebraically_loop_free",
+                  "is_atomic", "is_steiner_orderable", "lambda_presentation",
+                  "linearize", "preorder_report", "support_expr"),
+    "serialize": ("DegreeCapExceeded", "DocumentError", "parse_document",
+                  "serialize_document", "to_dot"),
+    "roundtrip": ("QuotientLambda", "check_omega_basis", "lambda_of_enumerated",
+                  "top_row_certificate", "verify_equivalence"),
+    "catalog": ("CatalogCapExceeded", "CatalogEntry", "build"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + sorted(_EXPORTS)
+
+
+def _lazy(name):
+    """The submodule ``name``, put in ``sys.modules`` without running it."""
+    spec = find_spec(__name__ + "." + name)
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update((name, _lazy(name)) for name in _EXPORTS)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted([name for name in globals() if name.startswith("__")] + __all__)

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from . import nu
+from . import nu, roundtrip
 from .adc import Adc, loop_free_report, unitality_failures
 from .polygraph import (
     InconsistentClassification,
@@ -26,7 +26,6 @@ from .polygraph import (
     lambda_presentation,
     preorder_report,
 )
-from .roundtrip import verify_equivalence
 from .serialize import (DegreeCapExceeded, DocumentError, parse_document,
                         serialize_document, to_dot)
 from .zlin import CoefficientOverflow, TorsionError
@@ -264,8 +263,8 @@ def _cmd_preorder(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     complex_ = _as_complex(_load(args.file))
-    report = verify_equivalence(complex_, max_cells=args.max_cells,
-                                max_coeff=args.max_coeff)
+    report = roundtrip.verify_equivalence(complex_, max_cells=args.max_cells,
+                                          max_coeff=args.max_coeff)
     if args.json:
         print(json.dumps({
             "ok": report.ok,

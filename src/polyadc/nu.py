@@ -209,8 +209,9 @@ class CompositionIndex:
 
     @cached_property
     def products(self) -> dict:  # dim -> {(p, pos x, pos y): pos of composite or None}
-        # x composes with y at level p when x's p-target key is y's p-source key
-        compose_codes, products = self.rows.compose, {}
+        # x composes with y at level p when x's p-target key is y's p-source
+        # key; along the top face a unit gives its partner back (see _close)
+        rows, products = self.rows, {}
         for q, coded in self.codes.items():
             if not coded:
                 continue
@@ -221,9 +222,13 @@ class CompositionIndex:
                 by_source = {}
                 for j, code in enumerate(coded):
                     by_source.setdefault(code[:k], []).append(j)
+                units = ({j for j, code in enumerate(coded) if rows.is_unit(code)}
+                         if p == q - 1 else ())
                 for i, x in enumerate(coded):
                     for j in by_source.get(x[:k - 1] + (x[k],), ()):
-                        filed[(p, i, j)] = position.get(compose_codes(x, coded[j], p))
+                        filed[(p, i, j)] = (
+                            i if j in units else j if i in units
+                            else position.get(rows.compose(x, coded[j], p)))
         return products
 
     @cached_property
@@ -283,6 +288,12 @@ class RowCodes:
 
     def identity(self, code: tuple) -> tuple:
         return code + (self.zero, self.zero)
+
+    def is_unit(self, code: tuple) -> bool:
+        """Whether the code of a cell of positive dimension is that of a
+        unit, the identity of a cell one dimension down: its top row is
+        zero and the row below it an equal pair."""
+        return code[-1] == code[-2] == self.zero and code[-3] == code[-4]
 
     def compose(self, x: tuple, y: tuple, p: int) -> tuple:
         """The code of ``compose(x, y, p)`` for codes x and y that the
@@ -360,12 +371,12 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit) -> CompositionIndex:
     # dim -> per position, how many cells of that dim were indexed when the
     # cell was dequeued; those are the partners it has been composed with
     reached = {}
-    zero = rows.zero
+    is_unit = rows.is_unit
 
     def levels(q: int, code: tuple) -> range:
         # the offsets 2p + 1 of the levels p a cell is filed and looked up
         # under; a unit leaves out its top level
-        if q and code[-1] == code[-2] == zero and code[-3] == code[-4]:
+        if q and is_unit(code):
             return range(1, 2 * q - 1, 2)
         return range(1, 2 * q, 2)
 
@@ -618,13 +629,18 @@ def indecomposables(enum: EnumeratedOmegaCat) -> dict:
     A cell counts as decomposable only when it is a composite of two
     non-identity cells; padding with identities does not count.  The
     splittings are the pairs that ``enum.index.products`` reads off the
-    filed codes.
+    filed codes.  An identity table is one of positive dimension with a
+    zero top row, which is read off its code too, so only the cells
+    returned are decoded.
     """
+    index = enum.index
+    zero = index.rows.zero
     out = {}
     for q in range(enum.max_dim + 1):
-        tables = enum.cells.get(q, ())
-        split = {k for (_, i, j), k in enum.index.products.get(q, {}).items()
-                 if not tables[i].is_trivial() and not tables[j].is_trivial()}
-        out[q] = tuple(t for k, t in enumerate(tables)
-                       if not t.is_trivial() and k not in split)
+        coded = index.codes.get(q, ())
+        trivial = [q > 0 and code[-1] == code[-2] == zero for code in coded]
+        split = {k for (_, i, j), k in index.products.get(q, {}).items()
+                 if not trivial[i] and not trivial[j]}
+        out[q] = tuple(index.rows.decode(code) for k, code in enumerate(coded)
+                       if not trivial[k] and k not in split)
     return out

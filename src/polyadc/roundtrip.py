@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from . import nu
 from .adc import Adc, is_strong_steiner_complex, validate_adc
-from .zlin import (
-    IntVector,
-    Record,
-    _ck,
-    determinant,
-    quotient_free_basis,
-    unimodular_inverse,
-)
+from .smith import determinant, quotient_free_basis, unimodular_inverse
+from .zlin import IntVector, Record, _ck
 
 
 class QuotientLambda(Record):

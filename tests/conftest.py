@@ -65,16 +65,20 @@ def _path_expr(start, path):
     return expr
 
 
-def random_presentation(seed) -> PolyPresentation:
+def random_presentation(seed, acyclic=False) -> PolyPresentation:
     """A small presentation (dimensions <= 3, at most 6 generators).
 
     Boundaries of 2-generators are parallel edge paths; boundaries of
     3-generators are built from whiskered and composed 2-generators whose
     tables agree below the top row.  Loops and endo cells are allowed, so
-    the output exercises every classification outcome.
+    the output exercises every classification outcome.  With ``acyclic``
+    there are two or three vertices and every edge goes from a lower to a
+    higher vertex index, as in the benchmark's generator
+    (``perfbench/randpres.py``): no edge is a loop, so most
+    linearizations are unital and enumerate past dimension 0.
     """
     rng = random.Random(seed)
-    n0 = rng.randint(1, 2)
+    n0 = rng.randint(2, 3) if acyclic else rng.randint(1, 2)
     budget = 6 - n0
     n1 = rng.randint(0, min(3, budget))
     budget -= n1
@@ -90,7 +94,10 @@ def random_presentation(seed) -> PolyPresentation:
     ends = {}
     for i in range(n1):
         name = "e%d" % i
-        u, v = rng.choice(objs), rng.choice(objs)
+        if acyclic:
+            u, v = sorted(rng.sample(objs, 2))
+        else:
+            u, v = rng.choice(objs), rng.choice(objs)
         boundary[name] = (Gen(u), Gen(v))
         ends[name] = (u, v)
         ones.append(name)

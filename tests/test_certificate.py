@@ -47,9 +47,9 @@ def complexes():
     out = [pytest.param(build(name, params).as_adc(),
                         id=name + "".join("-%d" % x for x in params))
            for name, params in CATALOG]
-    out += [pytest.param(lambda_presentation(random_presentation(seed)),
-                         id="random%d" % seed)
-            for seed in range(120)]
+    out += [pytest.param(lambda_presentation(random_presentation(seed, acyclic)),
+                         id="%s%d" % ("acyclic" if acyclic else "random", seed))
+            for acyclic in (False, True) for seed in range(120)]
     return out
 
 

@@ -474,13 +474,126 @@ def test_catalog_refuses_entries_past_the_size_cap(capsys, argv, count):
     assert peak < 10**6  # refused before anything is built
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# prints the submodules of polyadc that have run: a module put in
+# sys.modules by the lazy loader stays a subclass until its first lookup
+LOADED = ("import json, sys, types; print(json.dumps(sorted(k for k, m in "
+          "sys.modules.items() if k.startswith('polyadc.') and type(m) is types.ModuleType)))")
+
+
+def run_child(code):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path; -S
+    keeps site from importing modules on its own."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code):
+    return json.loads(run_child(code + "\n" + LOADED))
+
+
 def test_the_command_line_starts_without_the_dataclass_machinery():
-    # -S keeps site from importing these modules on its own
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = ("import sys, polyadc.cli; "
              "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') "
              "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert run_child(probe) == "[]\n"
+
+
+def test_importing_the_package_runs_no_submodule():
+    assert loaded_after("import polyadc") == []
+
+
+def subcommand_modules(argv):
+    code = ("import contextlib, io, polyadc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    polyadc.cli.main(%r)" % (argv,))
+    return set(loaded_after(code))
+
+
+@pytest.mark.parametrize("form", ["adc", "polygraph"])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["lambda"],
+                                  ["preorder"], ["enumerate"],
+                                  ["oracle", "--dim", "1"]], ids=" ".join)
+def test_a_subcommand_runs_no_catalog_roundtrip_or_matrix_module(tmp_path, argv, form):
+    doc = str(export(tmp_path, "oriental", 2, form=form))
+    modules = subcommand_modules(argv[:1] + [doc] + argv[1:])
+    assert "polyadc.cli" in modules
+    assert not modules & {"polyadc.catalog", "polyadc.roundtrip", "polyadc.smith"}
+
+
+def test_the_catalog_subcommand_runs_no_roundtrip_or_matrix_module():
+    modules = subcommand_modules(["catalog", "oriental", "2"])
+    assert "polyadc.catalog" in modules
+    assert not modules & {"polyadc.roundtrip", "polyadc.smith"}
+
+
+def test_checking_a_complex_runs_no_enumeration_module(tmp_path):
+    doc = str(export(tmp_path, "oriental", 2))
+    assert subcommand_modules(["check", doc]) == {
+        "polyadc.cli", "polyadc.zlin", "polyadc.adc", "polyadc.polygraph",
+        "polyadc.serialize"}
+
+
+# ---------------------------------------------------------------------------
+# the names the package served when it imported every submodule up front
+
+EXPORTED = {
+    "adc": ("Adc", "Chain", "Decomposition", "RelationGraph", "atom_table",
+            "decompose", "generating_relation", "is_strong_steiner_complex",
+            "is_unital", "loop_free_report", "truncate_adc", "unitality_failures",
+            "validate_adc"),
+    "catalog": ("CatalogCapExceeded", "CatalogEntry", "build"),
+    "nu": ("EnumeratedOmegaCat", "EnumerationCapExceeded", "NotComposable",
+           "NuTable", "atom_to_table", "brute_force_nu", "composable", "compose",
+           "enumerate_nu", "face", "identity", "indecomposables", "is_valid_table"),
+    "polygraph": ("CellExpr", "Comp", "Gen", "Id", "InconsistentClassification",
+                  "PolyPresentation", "Verdict", "classify", "eval_table",
+                  "expr_dim", "face_expr", "is_algebraically_loop_free",
+                  "is_atomic", "is_steiner_orderable", "lambda_presentation",
+                  "linearize", "preorder_report", "support_expr"),
+    "roundtrip": ("QuotientLambda", "check_omega_basis", "lambda_of_enumerated",
+                  "top_row_certificate", "verify_equivalence"),
+    "serialize": ("DegreeCapExceeded", "DocumentError", "parse_document",
+                  "serialize_document", "to_dot"),
+    "zlin": ("AmbiguousCoordinates", "CoefficientOverflow", "IntMatrix",
+             "IntVector", "SmithDecomposition", "TorsionError", "determinant",
+             "mat_mul", "monoid_coordinates", "quotient_free_basis",
+             "smith_normal_form", "unimodular_inverse"),
+}
+MOVED_TO_SMITH = ("IntMatrix", "SmithDecomposition", "QuotientBasis", "determinant",
+                  "mat_mul", "monoid_coordinates", "quotient_free_basis",
+                  "smith_normal_form", "unimodular_inverse")
+
+
+def test_the_package_serves_every_name_it_exported_before():
+    import polyadc
+    for module, names in EXPORTED.items():
+        for name in names:
+            assert getattr(polyadc, name) is getattr(getattr(polyadc, module), name)
+    for name in MOVED_TO_SMITH:
+        assert getattr(polyadc.zlin, name) is getattr(polyadc.smith, name)
+    everything = sorted(n for names in EXPORTED.values() for n in names)
+    star = {}
+    exec("from polyadc import *", star)
+    # the old names and the modules, the matrix module among them
+    assert sorted(set(star) - {"__builtins__"}) == \
+        sorted(everything + list(EXPORTED) + ["smith"])
+    assert set(star) - {"__builtins__"} <= set(dir(polyadc))
+    assert {"__version__", "__path__"} <= set(dir(polyadc))
+
+
+def test_an_unknown_name_raises_and_loads_nothing():
+    probe = ("import polyadc, polyadc.zlin\n"
+             "for module, name in ((polyadc, 'nonexistent'), (polyadc.zlin, 'nonexistent'),"
+             " (polyadc.zlin, '__path__')):\n"
+             "    try:\n"
+             "        getattr(module, name)\n"
+             "    except AttributeError:\n"
+             "        pass\n"
+             "    else:\n"
+             "        raise SystemExit('no AttributeError for %s' % name)\n"
+             "from polyadc.zlin import IntVector")
+    assert loaded_after(probe) == ["polyadc.zlin"]

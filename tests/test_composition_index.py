@@ -194,9 +194,9 @@ CATALOG = (
 
 
 def random_complexes():
-    return [pytest.param(lambda_presentation(random_presentation(seed)),
-                         id="random%d" % seed)
-            for seed in range(60)]
+    return [pytest.param(lambda_presentation(random_presentation(seed, acyclic)),
+                         id="%s%d" % ("acyclic" if acyclic else "random", seed))
+            for acyclic in (False, True) for seed in range(60)]
 
 
 def assert_same_as_reference(complex_, **caps):
@@ -516,7 +516,8 @@ def unit_pairs(enum):
 
 def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
     """Each unit pair composes, as tables and as codes, to its other
-    factor, and the closure composes none of them."""
+    factor; neither the closure nor the pair record composes any of them,
+    and the record files the other factor's position."""
     composed = []
     real = nu.RowCodes.compose
 
@@ -526,6 +527,8 @@ def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
 
     monkeypatch.setattr(nu.RowCodes, "compose", watching)
     enum = outcome(enumerate_nu, complex_, max_cells=3000)
+    if not isinstance(enum, tuple):
+        products = enum.index.products
     monkeypatch.undo()
     formed = {(rows.decode(x), rows.decode(y), p) for rows, x, y, p in composed}
     if isinstance(enum, tuple):
@@ -533,13 +536,15 @@ def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
         assert not any(p == x.dim - 1 and (is_unit(x) or is_unit(y))
                        for x, y, p in formed)
         return 0
-    rows = enum.index.rows
+    rows, position = enum.index.rows, enum.index.cells
     pairs = unit_pairs(enum)
     for x, y, p in pairs:
         partner = y if is_unit(x) else x
         assert compose(x, y, p) == partner
         assert rows.compose(rows.encode(x), rows.encode(y), p) == rows.encode(partner)
         assert (x, y, p) not in formed
+        q = p + 1
+        assert products[q][(p, position[q][x], position[q][y])] == position[q][partner]
     return len(pairs)
 
 
@@ -554,6 +559,13 @@ def test_a_unit_pair_composes_to_its_partner_on_random_presentations(monkeypatch
         lambda_presentation(random_presentation(seed)), monkeypatch)
         for seed in range(300))
     assert pairs  # most linearizations here are not unital, but some get this far
+
+
+def test_a_unit_pair_composes_to_its_partner_on_acyclic_random_presentations(monkeypatch):
+    pairs = sum(assert_unit_pairs_give_the_partner(
+        lambda_presentation(random_presentation(seed, acyclic=True)), monkeypatch)
+        for seed in range(300))
+    assert pairs
 
 
 def test_a_zero_top_row_over_unequal_faces_is_composed():
@@ -637,6 +649,19 @@ def test_the_index_is_the_reference_closure_on_random_presentations(monkeypatch)
     for seed in range(300):
         assert_index_is_the_reference(lambda_presentation(random_presentation(seed)),
                                       monkeypatch)
+
+
+def test_the_index_is_the_reference_closure_on_acyclic_random_presentations(monkeypatch):
+    enumerated = deep = 0
+    for seed in range(300):
+        complex_ = lambda_presentation(random_presentation(seed, acyclic=True))
+        assert_index_is_the_reference(complex_, monkeypatch)
+        enum = outcome(enumerate_nu, complex_, max_cells=3000)
+        if not isinstance(enum, tuple):
+            enumerated += 1
+            deep += enum.max_dim >= 1
+    # the sweep reaches the closure's composites, not only vertices
+    assert 2 * deep >= enumerated
 
 
 def hand_built_fields(complex_, max_dim, cells, monkeypatch):
