@@ -9,6 +9,7 @@ non-negative.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from .zlin import IntVector, Record, _ck, _setattr
@@ -341,12 +342,19 @@ def is_unital(complex_: Adc) -> bool:
 # the generating relation and loop-freeness
 
 class RelationGraph(Record):
-    """A directed graph on generator names, in a fixed node order."""
+    """A directed graph on generator names, in a fixed node order.  The
+    checks run on successor lists (:func:`antisymmetry_of`), not on the
+    edge set."""
 
     __slots__ = _fields = ("nodes", "edges")
 
     def __init__(self, nodes: tuple, edges: frozenset):  # of (source, target) pairs
         self._fill(nodes, edges)
+
+    @classmethod
+    def from_successors(cls, nodes: tuple, succ: Mapping) -> "RelationGraph":
+        """The graph whose edges are read off a map from node to successors."""
+        return cls(nodes, frozenset([(u, v) for u, vs in succ.items() for v in vs]))
 
     def successors(self):
         succ = {n: [] for n in self.nodes}
@@ -356,55 +364,14 @@ class RelationGraph(Record):
 
     def sccs(self) -> tuple:
         """Strongly connected components, as tuples."""
-        return tuple(self._components(self.successors()))
-
-    def _components(self, succ):
-        """Strongly connected components (Tarjan, "Depth-first search and
-        linear graph algorithms", SIAM J. Comput. 1972; iterative), each
-        yielded as soon as it is closed, so a caller can stop early."""
-        index = {}
-        low = {}
-        stack = []
-        for root in self.nodes:
-            if root in index:
-                continue
-            work = [(root, iter(succ[root]))]
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            while work:
-                node, it = work[-1]
-                for child in it:
-                    if child not in index:
-                        index[child] = low[child] = len(index)
-                        stack.append(child)
-                        work.append((child, iter(succ[child])))
-                        break
-                    if index[child] < low[node]:
-                        low[node] = index[child]
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        if low[node] < low[parent]:
-                            low[parent] = low[node]
-                    if low[node] == index[node]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            index[w] = len(self.nodes)  # done: lowers no low-link
-                            comp.append(w)
-                            if w == node:
-                                break
-                        yield tuple(reversed(comp))
+        components = []
+        _tarjan(self.nodes, self.successors(), components)
+        return tuple(components)
 
     def antisymmetry(self):
         """(True, None) when the reachability preorder is a partial order,
         otherwise (False, witness cycle of length >= 2)."""
-        succ = self.successors()
-        for comp in self._components(succ):
-            if len(comp) >= 2:
-                return False, self._cycle_in(succ, set(comp), comp[0])
-        return True, None
+        return antisymmetry_of(self.nodes, self.successors())
 
     @staticmethod
     def _cycle_in(succ, members, start):
@@ -442,6 +409,59 @@ class RelationGraph(Record):
         return frozenset(pairs)
 
 
+def _tarjan(nodes: tuple, succ: Mapping, components: list | None = None):
+    """Strongly connected components (Tarjan, SIAM J. Comput. 1972), in one
+    loop over an explicit stack whose bottom frame walks the roots in node
+    order.  ``succ`` maps a node to its successor list, sorted in place on
+    first reaching the node, or leaves it out.  A component closes root
+    first.  Each goes to ``components`` if given; else the first of two or
+    more nodes is returned, or None.  ``low`` holds an open node's low-link
+    and ``done`` for a closed one."""
+    low, stack, done = {None: -1}, [], len(nodes) + 1
+    work = [(None, iter(nodes), -1, 0)]  # node, its successors, index, stack height
+    while True:
+        node, it, at, height = work[-1]
+        for child in it:
+            seen = low.get(child)
+            if seen is None:
+                below = succ.get(child, [])
+                low[child] = seen = len(low)
+                below.sort()
+                work.append((child, iter(below), seen, len(stack)))
+                stack.append(child)
+                break
+            if seen < low[node]:
+                low[node] = seen
+        else:
+            work.pop()
+            if node is None:
+                return None
+            lowest = low[node]
+            if lowest != at:
+                parent = work[-1][0]
+                if lowest < low[parent]:
+                    low[parent] = lowest
+                continue
+            comp = tuple(stack[height:])
+            del stack[height:]
+            if components is not None:
+                components.append(comp)
+            elif len(comp) > 1:
+                return comp
+            for w in comp:
+                low[w] = done
+
+
+def antisymmetry_of(nodes: tuple, succ: Mapping) -> tuple:
+    """:meth:`RelationGraph.antisymmetry` on a successor map, as
+    :func:`_tarjan` takes it; the lists it sorts include the first
+    cycle's, so the witness is the one the sorted edge set gives."""
+    comp = _tarjan(nodes, succ)
+    if comp is None:
+        return True, None
+    return False, RelationGraph._cycle_in(succ, set(comp), comp[0])
+
+
 class LoopFreeReport(Record):
     __slots__ = _fields = ("graph", "is_partial_order", "cycle")
 
@@ -450,25 +470,32 @@ class LoopFreeReport(Record):
         self._fill(graph, is_partial_order, cycle)
 
 
+def _generating_successors(complex_: Adc) -> dict:
+    # each edge is read once, off the differential of its higher end
+    succ = defaultdict(list)
+    for name, d in complex_._diff.items():
+        for a, c in d._entries.items():
+            if c < 0:
+                succ[a].append(name)
+            else:
+                succ[name].append(a)
+    return succ
+
+
 def generating_relation(complex_: Adc) -> RelationGraph:
     """The relation on basis elements generated by the differentials.
 
     a precedes b when a appears in the negative part of d(b); a precedes b
     when b appears in the positive part of d(a).
     """
-    nodes = tuple(complex_.all_generators())
-    edges = set()
-    for q in range(1, len(complex_.basis)):
-        for name in complex_.basis[q]:
-            for a, c in complex_._diff[name]._entries.items():
-                edges.add((a, name) if c < 0 else (name, a))
-    return RelationGraph(nodes=nodes, edges=frozenset(edges))
+    return RelationGraph.from_successors(tuple(complex_.all_generators()),
+                                         _generating_successors(complex_))
 
 
 def loop_free_report(complex_: Adc) -> LoopFreeReport:
-    graph = generating_relation(complex_)
-    ok, cycle = graph.antisymmetry()
-    return LoopFreeReport(graph=graph, is_partial_order=ok, cycle=cycle)
+    succ = _generating_successors(complex_)
+    graph = RelationGraph.from_successors(tuple(complex_.all_generators()), succ)
+    return LoopFreeReport(graph, *antisymmetry_of(graph.nodes, succ))
 
 
 def is_strong_steiner_complex(complex_: Adc) -> bool:

@@ -26,9 +26,13 @@ from .polygraph import (
     lambda_presentation,
     preorder_report,
 )
-from .serialize import (DegreeCapExceeded, DocumentError, parse_document,
-                        serialize_document, to_dot)
-from .zlin import CoefficientOverflow, TorsionError
+from .serialize import DocumentError, parse_document, serialize_document, to_dot
+
+# The ``code`` of each exception that ends a run with exit code 5: the
+# enumeration, brute-force and catalog caps, the ADC degree cap, torsion
+# and overflow.  Matching the code, not the class, loads no module for it.
+RESOURCE_CODES = frozenset({"ENUM_CAP", "CATALOG_CAP", "DEGREE_CAP", "TORSION",
+                            "OVERFLOW"})
 
 
 class UsageError(Exception):
@@ -329,16 +333,17 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print("document error: %s" % exc, file=sys.stderr)
         return 2
-    except (nu.EnumerationCapExceeded, catalog_mod.CatalogCapExceeded,
-            DegreeCapExceeded, TorsionError, CoefficientOverflow) as exc:
-        print("resource error [%s]: %s" % (exc.code, exc), file=sys.stderr)
-        return 5
     except InconsistentClassification as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        if getattr(exc, "code", None) not in RESOURCE_CODES:
+            raise
+        print("resource error [%s]: %s" % (exc.code, exc), file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ construction (see :meth:`PolyPresentation._check_boundaries`).
 from __future__ import annotations
 
 from bisect import insort
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from . import nu
-from .adc import Adc, Chain, RelationGraph, generating_relation, loop_free_report
+from .adc import (Adc, Chain, RelationGraph, antisymmetry_of, generating_relation,
+                  loop_free_report)
 from .zlin import IntVector, Record, _setattr
 
 
@@ -352,33 +354,31 @@ def _walk(pres: PolyPresentation, graphs: bool = True, order: bool = False) -> t
 
     ``witness`` is the first atomicity witness in generator and level
     order, or None.  With ``graphs`` the pass also gives the codim-1 and
-    full graphs, and with ``order`` the generators each must be ordered
-    before; what is not asked for is None.  Asked for neither, the pass
-    stops at the witness.
+    full graphs as successor lists, and with ``order`` the generators each
+    must be ordered before, as sets; a generator without any is left out,
+    and what is not asked for is None.  Asked for neither, the pass stops
+    at the witness.  Row p is in degree p, so no list repeats a name.
     """
-    nodes = tuple(pres.all_generators())
-    codim1, full, witness = set(), set(), None
-    succ = {name: set() for name in nodes} if order else None
-    for name in nodes:
+    codim1, full = (defaultdict(list), defaultdict(list)) if graphs else (None, None)
+    succ, witness = defaultdict(set) if order else None, None
+    for name in pres.all_generators():
         rows = pres._tables[name].rows
         for p in range(len(rows) - 1):
-            src, tgt = rows[p][0].support(), rows[p][1].support()
-            if witness is None and not src.isdisjoint(tgt):
-                witness = (name, p, src & tgt)
+            src, tgt = rows[p][0]._entries, rows[p][1]._entries
+            if witness is None and not src.keys().isdisjoint(tgt):
+                witness = (name, p, frozenset(src).intersection(tgt))
                 if not (graphs or order):
                     return None, None, witness, None
             if graphs:
-                edges = [(a, name) for a in src] + [(name, b) for b in tgt]
-                full.update(edges)
-                if p == len(rows) - 2:
-                    codim1.update(edges)
-            if order:
+                for graph in (full, codim1) if p == len(rows) - 2 else (full,):
+                    for a in src:
+                        graph[a].append(name)
+                    if tgt:
+                        graph[name].extend(tgt)
+            if order and tgt:
                 for a in src:
-                    succ[a] |= tgt
-    if not graphs:
-        return None, None, witness, succ
-    return (RelationGraph(nodes=nodes, edges=frozenset(codim1)),
-            RelationGraph(nodes=nodes, edges=frozenset(full)), witness, succ)
+                    succ[a].update(tgt)
+    return codim1, full, witness, succ
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +400,15 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
     The codimension-1 graph relates a generator to the supports of its
     immediate source and target; the full graph does the same for faces of
-    every lower dimension.
+    every lower dimension.  Both are decided on the successor lists of one
+    walk, as in :func:`classify`, and their edge sets read off those lists.
     """
-    g_codim1, g_full, _, _ = _walk(pres)
-    okf, cycf = g_full.antisymmetry()
-    ok1, cyc1 = (True, None) if okf else g_codim1.antisymmetry()  # see classify
-    return PreorderReport(
-        codim1=g_codim1,
-        full=g_full,
-        codim1_antisymmetric=ok1,
-        codim1_cycle=cyc1,
-        full_antisymmetric=okf,
-        full_cycle=cycf,
-    )
+    codim1, full, _, _ = _walk(pres)
+    nodes = tuple(pres.all_generators())
+    okf, cycf = antisymmetry_of(nodes, full)
+    ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
+    return PreorderReport(RelationGraph.from_successors(nodes, codim1),
+                          RelationGraph.from_successors(nodes, full), ok1, cyc1, okf, cycf)
 
 
 def is_algebraically_loop_free(pres: PolyPresentation) -> bool:
@@ -442,13 +438,13 @@ def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
 
 def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
     for name in nodes:
-        if name in succ[name]:
+        if name in succ.get(name, ()):
             return OrderabilityReport(ok=False, order=None, cycle=(name,))
 
     position = {name: i for i, name in enumerate(nodes)}
     indeg = {name: 0 for name in nodes}
-    for a in nodes:
-        for b in succ[a]:
+    for after in succ.values():
+        for b in after:
             indeg[b] += 1
     # Kahn, earliest first: ready positions negated and sorted, pop() earliest
     ready = [-i for i in range(len(nodes) - 1, -1, -1) if indeg[nodes[i]] == 0]
@@ -456,7 +452,7 @@ def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
     while ready:
         name = nodes[-ready.pop()]
         order.append(name)
-        for b in succ[name]:
+        for b in succ.get(name, ()):
             indeg[b] -= 1
             if indeg[b] == 0:
                 insort(ready, -position[b])
@@ -467,7 +463,7 @@ def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
     # back through the earliest ones must close a cycle
     earliest = {}
     for a in nodes:
-        for b in succ[a] if indeg[a] else ():
+        for b in succ.get(a, ()) if indeg[a] else ():
             if indeg[b]:
                 earliest.setdefault(b, a)
     seen = {}  # node -> its place on the walk
@@ -537,14 +533,16 @@ def _maybe_list(value):
 def classify(pres: PolyPresentation) -> Verdict:
     """Run every classifier and cross-check the implications between them.
 
-    One walk of the filed tables gives every graph but the algebraic one.
+    One walk of the filed tables gives every graph but the algebraic one,
+    as successor lists; the algebraic edges are grouped into lists too.
     The graphs nest, algebraic in codim-1 in full: the two parts of
     ``d x = top tt - top ts`` have supports inside those of the top rows,
     x's codim-1 row.  A graph inside an antisymmetric one is antisymmetric,
-    so the full graph is condensed (Tarjan, stopping at the first component
-    of two or more) first, the codim-1 one only when the full one has a
-    cycle, and the algebraic one only when the codim-1 one has.  Ordering
-    takes O(E + n log n) comparisons for E constraints on n generators.
+    so the full graph is condensed first (``antisymmetry_of``: one Tarjan
+    over the lists, stopping at the first component of two or more), the
+    codim-1 one only when the full one has a cycle, and the algebraic one
+    only when the codim-1 one has.  Ordering takes O(E + n log n)
+    comparisons for E constraints on n generators.
 
     The implications (categorical loop-freeness forces atomicity and
     algebraic loop-freeness; atomic plus algebraic forces categorical) are
@@ -553,36 +551,24 @@ def classify(pres: PolyPresentation) -> Verdict:
     nesting that the skips rely on.
     """
     codim1, full, witness, succ = _walk(pres, order=True)
-    algebraic = generating_relation(lambda_presentation(pres))
-    if not algebraic.edges <= codim1.edges:
+    nodes = tuple(pres.all_generators())
+    edges = generating_relation(lambda_presentation(pres)).edges
+    algebraic = defaultdict(list)
+    for u, v in edges:
+        algebraic[u].append(v)
+    if not all(set(codim1.get(u, ())).issuperset(vs) for u, vs in algebraic.items()):
         raise InconsistentClassification(
             "generating relation outside the codim-1 graph: %r"
-            % sorted(algebraic.edges - codim1.edges))
-    okf, cycf = full.antisymmetry()
-    ok1, cyc1 = (True, None) if okf else codim1.antisymmetry()
-    alg_ok, alg_cycle = (True, None) if ok1 else algebraic.antisymmetry()
-    order = _order(full.nodes, succ)
-    verdict = Verdict(
-        atomic=witness is None,
-        atomic_witness=witness,
-        codim1_antisymmetric=ok1,
-        codim1_cycle=cyc1,
-        full_antisymmetric=okf,
-        full_cycle=cycf,
-        strongly_loop_free_algebraic=alg_ok,
-        algebraic_cycle=alg_cycle,
-        steiner_orderable=order.ok,
-        steiner_order=order.order,
-        steiner_cycle=order.cycle,
-    )
-    if verdict.strongly_loop_free_categorical and not verdict.atomic:
+            % sorted(edges - {(u, v) for u, vs in codim1.items() for v in vs}))
+    okf, cycf = antisymmetry_of(nodes, full)
+    ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
+    alg_ok, alg_cycle = (True, None) if ok1 else antisymmetry_of(nodes, algebraic)
+    order = _order(nodes, succ)
+    if okf and witness is not None:
         raise InconsistentClassification(
-            "categorically loop-free but not atomic: %r" % (verdict.atomic_witness,)
-        )
-    if (verdict.atomic and verdict.strongly_loop_free_algebraic
-            and not verdict.strongly_loop_free_categorical):
+            "categorically loop-free but not atomic: %r" % (witness,))
+    if witness is None and alg_ok and not okf:
         raise InconsistentClassification(
-            "atomic and algebraically loop-free but not categorically: %r"
-            % (verdict.full_cycle,)
-        )
-    return verdict
+            "atomic and algebraically loop-free but not categorically: %r" % (cycf,))
+    return Verdict(witness is None, witness, ok1, cyc1, okf, cycf, alg_ok, alg_cycle,
+                   order.ok, order.order, order.cycle)

@@ -252,12 +252,14 @@ def _dot_escape(name: str) -> str:
 
 
 def to_dot(graph: RelationGraph, dims, name: str = "relation") -> str:
-    """Render a relation graph as DOT, nodes labeled name:dimension."""
+    """Render a relation graph as DOT, nodes labeled name:dimension; each
+    name is escaped once, in the node loop, and reused for the edges."""
     lines = ["digraph %s {" % name]
+    quoted = {}
     for node in graph.nodes:
-        esc = _dot_escape(node)
+        esc = quoted[node] = _dot_escape(node)
         lines.append('  "%s" [label="%s:%d"];' % (esc, esc, dims[node]))
     for u, v in sorted(graph.edges):
-        lines.append('  "%s" -> "%s";' % (_dot_escape(u), _dot_escape(v)))
+        lines.append('  "%s" -> "%s";' % (quoted[u], quoted[v]))
     lines.append("}")
     return "\n".join(lines) + "\n"

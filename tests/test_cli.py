@@ -506,10 +506,10 @@ def test_importing_the_package_runs_no_submodule():
     assert loaded_after("import polyadc") == []
 
 
-def subcommand_modules(argv):
+def subcommand_modules(argv, exit_code=0):
     code = ("import contextlib, io, polyadc.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    polyadc.cli.main(%r)" % (argv,))
+            "    assert polyadc.cli.main(%r) == %d" % (argv, exit_code))
     return set(loaded_after(code))
 
 
@@ -528,6 +528,26 @@ def test_the_catalog_subcommand_runs_no_roundtrip_or_matrix_module():
     modules = subcommand_modules(["catalog", "oriental", "2"])
     assert "polyadc.catalog" in modules
     assert not modules & {"polyadc.roundtrip", "polyadc.smith"}
+
+
+def test_an_error_exit_runs_no_catalog_module(tmp_path):
+    # exit codes 3 and 5 are chosen by the exception's code, not its class
+    loop = str(export(tmp_path, "loop", form="polygraph"))
+    assert "polyadc.catalog" not in subcommand_modules(["enumerate", loop], 5)
+    invalid = tmp_path / "dup.json"
+    invalid.write_text(json.dumps({"kind": "adc", "generators": [
+        {"name": "v", "dim": 0, "augmentation": 1},
+        {"name": "v", "dim": 0, "augmentation": 1}]}))
+    assert not subcommand_modules(["check", str(invalid)], 3) & {"polyadc.catalog",
+                                                                "polyadc.nu"}
+
+
+def test_the_resource_codes_are_the_cap_exceptions_codes():
+    from polyadc import catalog, nu, serialize, zlin
+    assert cli.RESOURCE_CODES == {
+        cls.code for cls in (nu.EnumerationCapExceeded, catalog.CatalogCapExceeded,
+                             serialize.DegreeCapExceeded, zlin.TorsionError,
+                             zlin.CoefficientOverflow)}
 
 
 def test_checking_a_complex_runs_no_enumeration_module(tmp_path):

@@ -13,6 +13,7 @@ from polyadc import (
     Id,
     IntVector,
     PolyPresentation,
+    RelationGraph,
     build,
     generating_relation,
     lambda_presentation,
@@ -176,6 +177,19 @@ def test_dot_export():
     fg = generating_relation(forest)
     quoted = to_dot(fg, {n: forest.degree_of(n) for n in fg.nodes})
     assert '"alpha\'" [label="alpha\':2"];' in quoted
+
+
+def test_dot_escapes_quotes_and_backslashes_in_node_and_edge_lines():
+    graph = RelationGraph(nodes=('a"b', "c\\d", "e"),
+                          edges=frozenset({('a"b', "c\\d"), ("c\\d", "e")}))
+    assert to_dot(graph, {'a"b': 0, "c\\d": 1, "e": 0}) == (
+        'digraph relation {\n'
+        '  "a\\"b" [label="a\\"b:0"];\n'
+        '  "c\\\\d" [label="c\\\\d:1"];\n'
+        '  "e" [label="e:0"];\n'
+        '  "a\\"b" -> "c\\\\d";\n'
+        '  "c\\\\d" -> "e";\n'
+        '}\n')
 
 
 def test_random_documents_round_trip_to_equal_objects_and_stable_bytes():
