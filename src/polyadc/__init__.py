@@ -8,10 +8,10 @@ lookup of one of its attributes, so a command line call runs only the
 modules its subcommand uses.  ``check``, ``lambda`` and ``preorder`` on a
 complex run ``zlin``, ``adc``, ``polygraph`` and ``serialize``; on a
 presentation, and ``enumerate`` and ``oracle`` on either, ``nu`` as well;
-``catalog`` adds ``nu`` and ``catalog``, and ``roundtrip`` adds ``nu``,
-``roundtrip`` and the matrix module ``smith``.  The names the package
-serves itself (``polyadc.enumerate_nu`` and the others in ``__all__``) are
-looked up on their module when asked for.
+``catalog`` adds ``nu`` and ``catalog``, and ``roundtrip`` adds ``nu``
+and ``roundtrip``; no subcommand runs the matrix module ``smith``.  The
+names the package serves itself (``polyadc.enumerate_nu`` and the others
+in ``__all__``) are looked up on their module when asked for.
 """
 
 import sys

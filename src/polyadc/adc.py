@@ -24,14 +24,6 @@ class Chain(Record):
         _setattr(self, "degree", degree)
         _setattr(self, "vector", vector)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.degree == other.degree and self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.degree, self.vector))
-
     def support(self) -> frozenset:
         return self.vector.support()
 
@@ -232,14 +224,6 @@ class Decomposition(Record):
     def __init__(self, positive: Chain, negative: Chain):
         _setattr(self, "positive", positive)
         _setattr(self, "negative", negative)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.positive == other.positive and self.negative == other.negative
-
-    def __hash__(self):
-        return hash((self.positive, self.negative))
 
     @property
     def positive_support(self) -> frozenset:

@@ -180,10 +180,8 @@ class CompositionIndex:
     The pair record is read off the filed codes on first read:
     ``products[dim][(p, pos x, pos y)]`` is the position of ``compose(x, y,
     p)``, or None when the composite is not indexed, for every composable
-    pair of filed cells, and ``identities[dim][pos t]`` is the position of
-    ``identity(t)`` one dimension up, where it is filed.  A dimension with
-    no cells has no ``products`` entry, and one with no identity link no
-    ``identities`` entry.
+    pair of filed cells.  A dimension with no cells has no ``products``
+    entry.
     """
 
     def __init__(self, rows: "RowCodes"):
@@ -230,17 +228,6 @@ class CompositionIndex:
                             i if j in units else j if i in units
                             else position.get(rows.compose(x, coded[j], p)))
         return products
-
-    @cached_property
-    def identities(self) -> dict:  # dim -> {pos t: pos of identity(t) in dim + 1}
-        identity_code, identities = self.rows.identity, {}
-        for q, coded in self.codes.items():
-            above = self.located.get(q + 1, {})
-            links = {i: above[up] for i, up in enumerate(map(identity_code, coded))
-                     if up in above}
-            if links:
-                identities[q] = links
-        return identities
 
     def __contains__(self, table: NuTable) -> bool:
         return table in self.cells.get(table.dim, ())
@@ -357,7 +344,7 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit) -> CompositionIndex:
     because the unit's two entries there are equal, and the zero top row
     adds nothing.  So the pair would only find x, which is indexed, and
     skipping it changes no code, position, provenance, interned row or
-    ``admit`` call; the pair record still lists it.  A zero top row over
+    ``admit`` call; ``products`` still lists it.  A zero top row over
     unequal entries (possible only in a hand-built cell set) is no unit
     and is composed.  The face maps are dropped on return; the index keeps
     the codes, their positions and ``rows``.
@@ -441,8 +428,9 @@ class EnumeratedOmegaCat(Record):
     confined to them, so the record files a composite outside the cells
     as None.  Positions in the index are positions in ``cells[dim]``, so a
     table listed twice in one ``cells[dim]``, or listed under a key other
-    than its dimension, is refused with ValueError.  ``atom_names`` maps
-    each atom table to its generator's name, an empty dict when not given.
+    than its dimension, is refused with ValueError, and so is a key above
+    ``max_dim``.  ``atom_names`` maps each atom table to its generator's
+    name, an empty dict when not given.
     """
 
     # no __slots__: the cached index and cells live in the instance __dict__
@@ -461,6 +449,8 @@ class EnumeratedOmegaCat(Record):
         self.cells = cells
         self.atom_names = {} if atom_names is None else atom_names
         for q, tables in cells.items():
+            if q > max_dim:
+                raise ValueError("cells[%d] lies above max_dim %d" % (q, max_dim))
             if any(table.dim != q for table in tables):
                 raise ValueError("cells[%d] lists a table of another dimension" % q)
             if len(set(tables)) != len(tables):
@@ -499,9 +489,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     The atoms seed the closure in degree order, and its index, with the
     codes and the provenance of every cell, stays on the result for the
     roundtrip's certificate; the tables and the pair record (for the
-    relation list, the generation check and the indecomposables) are read
-    off its codes on first read.  ``admit`` reads a code's dimension and the
-    largest coefficient of its rows off :class:`RowCodes`, without a table.
+    relation list and the indecomposables) are read off its codes on first
+    read.  ``admit`` reads a code's dimension and the largest coefficient
+    of its rows off :class:`RowCodes`, without a table.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the

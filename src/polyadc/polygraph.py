@@ -17,7 +17,7 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from . import nu
-from .adc import (Adc, Chain, RelationGraph, antisymmetry_of, generating_relation,
+from .adc import (Adc, Chain, RelationGraph, _generating_successors, antisymmetry_of,
                   loop_free_report)
 from .zlin import IntVector, Record, _setattr
 
@@ -43,28 +43,12 @@ class Gen(CellExpr):
     def __init__(self, name: str):
         _setattr(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Id(CellExpr):
     __slots__ = _fields = ("inner",)
 
     def __init__(self, inner: CellExpr):
         _setattr(self, "inner", inner)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.inner,))
 
 
 class Comp(CellExpr):
@@ -78,15 +62,6 @@ class Comp(CellExpr):
         _setattr(self, "level", level)
         _setattr(self, "left", left)
         _setattr(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level == other.level and self.left == other.left
-                and self.right == other.right)
-
-    def __hash__(self):
-        return hash((self.level, self.left, self.right))
 
 
 class PolyPresentation:
@@ -534,7 +509,8 @@ def classify(pres: PolyPresentation) -> Verdict:
     """Run every classifier and cross-check the implications between them.
 
     One walk of the filed tables gives every graph but the algebraic one,
-    as successor lists; the algebraic edges are grouped into lists too.
+    as successor lists; the algebraic lists are read off the differentials
+    of the linearization, as :func:`loop_free_report` reads them.
     The graphs nest, algebraic in codim-1 in full: the two parts of
     ``d x = top tt - top ts`` have supports inside those of the top rows,
     x's codim-1 row.  A graph inside an antisymmetric one is antisymmetric,
@@ -552,14 +528,12 @@ def classify(pres: PolyPresentation) -> Verdict:
     """
     codim1, full, witness, succ = _walk(pres, order=True)
     nodes = tuple(pres.all_generators())
-    edges = generating_relation(lambda_presentation(pres)).edges
-    algebraic = defaultdict(list)
-    for u, v in edges:
-        algebraic[u].append(v)
+    algebraic = _generating_successors(lambda_presentation(pres))
     if not all(set(codim1.get(u, ())).issuperset(vs) for u, vs in algebraic.items()):
         raise InconsistentClassification(
             "generating relation outside the codim-1 graph: %r"
-            % sorted(edges - {(u, v) for u, vs in codim1.items() for v in vs}))
+            % sorted({(u, v) for u, vs in algebraic.items() for v in vs
+                      if v not in codim1.get(u, ())}))
     okf, cycf = antisymmetry_of(nodes, full)
     ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
     alg_ok, alg_cycle = (True, None) if ok1 else antisymmetry_of(nodes, algebraic)

@@ -14,9 +14,8 @@ and their provenance, that it is an isomorphism of augmented complexes.
 
 from __future__ import annotations
 
-from . import nu
+from . import nu, smith
 from .adc import Adc, is_strong_steiner_complex, validate_adc
-from .smith import determinant, quotient_free_basis, unimodular_inverse
 from .zlin import IntVector, Record, _ck
 
 
@@ -97,7 +96,7 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
             relation[ambient[i]] = relation.get(ambient[i], 0) - 1
             relation[ambient[j]] = relation.get(ambient[j], 0) - 1
             relations.append(IntVector._of(relation))
-        qb = quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
+        qb = smith.quotient_free_basis(ambient, relations, name_prefix="q%d_" % q)
         projections[q] = qb.projection
         sections[q] = qb.section
         basis_levels.append(qb.basis)
@@ -143,39 +142,6 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
 # ---------------------------------------------------------------------------
 # basis checking
 
-def _generated(index: nu.CompositionIndex, per_dim: dict) -> dict:
-    """Per dimension, a flag for each indexed cell position: is the cell
-    generated by the candidates under the index's identities and products,
-    both read off its codes?"""
-    uses = {}  # (dim, pos) -> [(pos of the other factor, pos of the composite)]
-    for q, filed in index.products.items():
-        for (_, i, j), k in filed.items():
-            if k is not None:
-                uses.setdefault((q, i), []).append((j, k))
-                if j != i:
-                    uses.setdefault((q, j), []).append((i, k))
-    generated = {q: bytearray(len(cells)) for q, cells in index.cells.items()}
-    stack = []
-
-    def mark(q, i):
-        if not generated[q][i]:
-            generated[q][i] = 1
-            stack.append((q, i))
-
-    for q, tables in per_dim.items():
-        for table in tables:
-            mark(q, index.cells[q][table])
-    while stack:
-        q, i = stack.pop()
-        j = index.identities.get(q, {}).get(i)
-        if j is not None:
-            mark(q + 1, j)
-        for other, k in uses.get((q, i), ()):
-            if generated[q][other]:
-                mark(q, k)
-    return generated
-
-
 class OmegaBasisReport(Record):
     __slots__ = _fields = ("ok", "failed", "detail")
 
@@ -192,10 +158,13 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
     Four checks, in order: the candidates generate everything under
     composition; their classes are pairwise distinct; they form a Z-basis
     of each quotient degree; and every cell class is a unique N-combination
-    of candidate classes.  Generation is decided by forward chaining over
-    the pair record of ``enum.index``, read off the filed codes: a cell is
-    generated when it is a candidate, the identity of a generated cell, or
-    the composite of a composable pair whose two factors are generated.
+    of candidate classes.  Generation is decided by the closure loop
+    (:func:`nu.close_under_composition`): the candidates are closed under
+    identities and composition, admitting only enumerated cells, so a cell
+    is generated when it is a candidate, the identity of a generated cell,
+    or the composite of two generated cells.  The closure interns its own
+    rows, so ``enum.index`` is left as it was.  The Smith form decides
+    unimodularity and gives the inverse that the N-basis step reads.
     """
     if quotient is None:
         quotient = lambda_of_enumerated(enum)
@@ -205,9 +174,11 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
             raise ValueError("candidate table is not among the enumerated cells")
         per_dim[table.dim].append(table)
 
-    generated = _generated(enum.index, per_dim)
+    closed = nu.close_under_composition(
+        [t for tables in per_dim.values() for t in tables], enum.max_dim,
+        enum.__contains__)
     for q in range(enum.max_dim + 1):
-        missing = len(enum.index.cells.get(q, ())) - sum(generated.get(q, ()))
+        missing = len(enum.index.codes.get(q, ())) - len(closed.codes.get(q, ()))
         if missing:
             return OmegaBasisReport(
                 ok=False, failed="generation",
@@ -224,7 +195,7 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
             )
 
     # Z-basis degreewise: square and unimodular
-    matrices = {}
+    inverses = {}
     for q in range(enum.max_dim + 1):
         tables = per_dim[q]
         rank = quotient.rank(q)
@@ -237,21 +208,19 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
         if rank == 0:
             continue
         basis_names = quotient.complex.generators(q)
-        dense = []
         cols = [quotient.class_of(t) for t in tables]
-        for name in basis_names:
-            dense.append([col[name] for col in cols])
-        if abs(determinant(dense)) != 1:
+        inverse = smith.unimodular_inverse(
+            [[col[name] for col in cols] for name in basis_names])
+        if inverse is None:
             return OmegaBasisReport(
                 ok=False, failed="z-basis",
                 detail="candidate classes are not unimodular in degree %d" % q,
             )
-        matrices[q] = (basis_names, dense)
+        inverses[q] = (basis_names, inverse)
 
     # N-basis: the coordinates of a cell class over the candidate classes
     # are the inverse matrix times the class; all must be non-negative
-    for q, (basis_names, dense) in matrices.items():
-        inverse = unimodular_inverse(dense)
+    for q, (basis_names, inverse) in inverses.items():
         column_of = {name: [row[j] for row in inverse]
                      for j, name in enumerate(basis_names)}
         for table in enum.cells.get(q, ()):

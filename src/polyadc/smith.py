@@ -4,8 +4,8 @@ Determinants, the Smith normal form with its unimodular transforms,
 unimodular inverses, coordinates over submonoids and free quotients.  The
 vectors, the 64-bit check and the exceptions are :mod:`polyadc.zlin`'s.
 Its readers are the explicit quotient and the basis check of
-:mod:`polyadc.roundtrip` (the certificate needs no matrix) and the tests,
-so of the command line's subcommands only ``roundtrip`` loads it.
+:mod:`polyadc.roundtrip` (the certificate needs no matrix) and the tests;
+no subcommand of the command line loads it.
 :mod:`polyadc.zlin` serves its public names as well, loading it on the
 first such lookup.
 

@@ -96,7 +96,7 @@ def test_provenance_reproduces_every_cell(complex_):
             elif len(origin) == 1:
                 (i,) = origin
                 assert identity(enum.cells[q - 1][i]) == x
-                assert index.identities[q - 1][i] == k
+                assert index.located[q][index.rows.identity(index.codes[q - 1][i])] == k
             else:
                 p, i, j = origin
                 assert i < k and j < k
@@ -286,7 +286,6 @@ def test_the_record_built_on_demand_is_the_eager_one(complex_, monkeypatch):
     assert enum.index.codes == eager.index.codes
     assert enum.index.provenance == eager.index.provenance
     assert enum.index.products == eager.index.products
-    assert enum.index.identities == eager.index.identities
     assert enum.cells == eager.cells
     assert enum.index.cells == eager.index.cells
     # the scan touches neither the codes nor the provenance

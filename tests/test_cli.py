@@ -530,6 +530,16 @@ def test_the_catalog_subcommand_runs_no_roundtrip_or_matrix_module():
     assert not modules & {"polyadc.roundtrip", "polyadc.smith"}
 
 
+def test_the_roundtrip_subcommand_runs_no_matrix_module(tmp_path):
+    # the certificate needs no matrix, and a complex that is not strong
+    # Steiner is refused before anything is enumerated
+    doc = str(export(tmp_path, "oriental", 2))
+    modules = subcommand_modules(["roundtrip", doc])
+    assert "polyadc.roundtrip" in modules and "polyadc.smith" not in modules
+    loop = str(export(tmp_path, "loop"))
+    assert "polyadc.smith" not in subcommand_modules(["roundtrip", loop], 4)
+
+
 def test_an_error_exit_runs_no_catalog_module(tmp_path):
     # exit codes 3 and 5 are chosen by the exception's code, not its class
     loop = str(export(tmp_path, "loop", form="polygraph"))

@@ -38,7 +38,7 @@ from polyadc import (
     lambda_presentation,
     quotient_free_basis,
 )
-from polyadc import nu, roundtrip, verify_equivalence
+from polyadc import nu, smith, verify_equivalence
 
 
 def reference_closure(seeds, max_dim, admit, origins=None):
@@ -129,26 +129,20 @@ def reference_indecomposables(enum):
 
 
 def reference_record(enum):
-    """The products and identity links among the cells, by position, from
-    the all-pairs scan; a composite outside the cells is None."""
-    products, identities = {}, {}
+    """The products among the cells, by position, from the all-pairs scan;
+    a composite outside the cells is None."""
+    products = {}
     for q, tables in enum.cells.items():
         position = {t: i for i, t in enumerate(tables)}
-        above = {t: i for i, t in enumerate(enum.cells.get(q + 1, ()))}
         filed = {(p, position[x], position[y]): position.get(compose(x, y, p))
                  for p, x, y in reference_pairs(tables, q)}
-        links = {i: above[identity(t)] for i, t in enumerate(tables)
-                 if q < enum.max_dim and identity(t) in above}
         if filed:
             products[q] = filed
-        if links:
-            identities[q] = links
-    return products, identities
+    return products
 
 
 def recorded(enum):
-    return ({q: filed for q, filed in enum.index.products.items() if filed},
-            {q: links for q, links in enum.index.identities.items() if links})
+    return {q: filed for q, filed in enum.index.products.items() if filed}
 
 
 def reference_missing(enum, candidates):
@@ -227,13 +221,13 @@ def assert_same_quotient(enum, monkeypatch):
     """lambda_of_enumerated hands the quotient the all-pairs relation list,
     in its order, and gets the same projections and sections back."""
     seen = {}
-    real = roundtrip.quotient_free_basis
+    real = smith.quotient_free_basis
 
     def record(ambient, relations, name_prefix):
         seen[name_prefix] = list(relations)
         return real(ambient, relations, name_prefix=name_prefix)
 
-    monkeypatch.setattr(roundtrip, "quotient_free_basis", record)
+    monkeypatch.setattr(smith, "quotient_free_basis", record)
     quotient = outcome(lambda_of_enumerated, enum)
     monkeypatch.undo()
     for q in range(enum.max_dim + 1):
@@ -352,6 +346,30 @@ def test_basis_verdicts_are_unchanged(name, params):
             assert report.detail == "%d of the %d-cells are not generated" % (missing[q], q)
         else:
             assert not any(missing.values())
+
+
+@pytest.mark.parametrize("name, params", [
+    ("oriental", (2,)), ("oriental", (3,)), ("disk", (3,)), ("theta2", (3, 2, 0, 1)),
+])
+def test_the_basis_check_leaves_the_index_alone(name, params):
+    # generation closes the candidates on rows of its own, not on the index's
+    complex_ = build(name, params).as_adc()
+    enum = enumerate_nu(complex_)
+    quotient = lambda_of_enumerated(enum)  # reads the products, which are kept
+    index = enum.index
+    products = vars(index)["products"]
+
+    def state():
+        return ({q: list(codes) for q, codes in index.codes.items()},
+                {q: list(origins) for q, origins in index.provenance.items()},
+                list(index.rows.vectors),
+                {q: dict(filed) for q, filed in products.items()})
+
+    before = state()
+    for candidates, _ in basis_cases(complex_, enum):
+        check_omega_basis(enum, candidates, quotient)
+    assert state() == before
+    assert vars(index)["products"] is products
 
 
 def reference_provenance(complex_, enum):
@@ -598,7 +616,7 @@ def index_fields(enum):
         return enum
     index = enum.index
     fields = (index.codes, index.provenance, index.located, list(index.rows.vectors),
-              index.products, index.identities)
+              index.products)
     return fields + (list(index.rows.vectors),)
 
 
@@ -676,12 +694,12 @@ def hand_built_fields(complex_, max_dim, cells, monkeypatch):
 def test_the_record_of_cells_below_max_dim_is_the_reference_closure(monkeypatch):
     complex_ = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(complex_)
-    codes, _, located, _, products, identities, _ = hand_built_fields(
+    codes, _, located, _, products, _ = hand_built_fields(
         complex_, 3, enum.cells, monkeypatch)
     # the identities of the 2-cells are offered in dim 3 and refused
     assert codes[3] == [] and located[3] == {}
-    assert 3 not in products and 2 not in identities
-    assert sorted(products) == [0, 1, 2] and sorted(identities) == [0, 1]
+    assert 3 not in products
+    assert sorted(products) == [0, 1, 2]
 
 
 def test_the_record_of_a_holed_set_is_the_reference_closure(monkeypatch):

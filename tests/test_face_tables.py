@@ -230,14 +230,15 @@ def test_graphs_nest_on_random_presentations():
 
 def test_an_algebraic_edge_outside_the_codim1_graph_is_inconsistent(monkeypatch):
     pres = build("oriental", (2,)).as_presentation()
-    real = polygraph.generating_relation
+    real = polygraph._generating_successors
 
     def forged(complex_):
-        graph = real(complex_)
-        return RelationGraph(nodes=graph.nodes, edges=graph.edges | {("012", "0")})
+        succ = real(complex_)
+        succ["012"].append("0")
+        return succ
 
     assert ("012", "0") not in preorder_report(pres).codim1.edges
-    monkeypatch.setattr(polygraph, "generating_relation", forged)
+    monkeypatch.setattr(polygraph, "_generating_successors", forged)
     with pytest.raises(InconsistentClassification, match="codim-1"):
         classify(pres)
 

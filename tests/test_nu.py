@@ -262,3 +262,15 @@ def test_a_cell_set_listing_a_table_under_another_dimension_is_refused():
     stray = {**enum.cells, 2: enum.cells[2] + (enum.cells[1][0],)}
     with pytest.raises(ValueError, match=r"cells\[2\] lists a table of another dimension"):
         EnumeratedOmegaCat(complex=k, max_dim=2, cells=stray)
+
+
+def test_a_cell_set_keyed_above_max_dim_is_refused():
+    # the quotient, the basis check and the indecomposables read the
+    # degrees up to max_dim only
+    k = build("oriental", (2,)).as_adc()
+    enum = enumerate_nu(k)
+    low = {0: enum.cells[0], 1: enum.cells[1]}
+    with pytest.raises(ValueError, match=r"cells\[1\] lies above max_dim 0"):
+        EnumeratedOmegaCat(complex=k, max_dim=0, cells=low)
+    with pytest.raises(ValueError, match=r"cells\[3\] lies above max_dim 2"):
+        EnumeratedOmegaCat(complex=k, max_dim=2, cells={**enum.cells, 3: ()})

@@ -158,6 +158,23 @@ def test_basis_check_flags_negative_coordinates():
         (False, "n-basis", "a 1-cell class is not a non-negative combination")
 
 
+def test_basis_check_flags_classes_that_are_not_unimodular():
+    # the class of the atom 01 doubled, so that the atom classes span a
+    # sublattice of index 2, or made the sum of the other two, so that
+    # they span a plane: as many classes as the rank, all distinct
+    k = triangle()
+    enum = enumerate_nu(k, max_coeff=2)
+    ql = lambda_of_enumerated(enum)
+    a01, a02, a12 = (atom_to_table(k, n) for n in ("01", "02", "12"))
+    name = ql.cell_names[1][ql.cells[1].index(a01)]
+    for forged in (ql.class_of(a01).scaled(2), ql.class_of(a02) + ql.class_of(a12)):
+        classes = ql.projections[1].columns()
+        classes[name] = forged
+        rep = check_omega_basis(enum, all_atoms(k), with_classes(ql, 1, classes))
+        assert (rep.ok, rep.failed, rep.detail) == \
+            (False, "z-basis", "candidate classes are not unimodular in degree 1")
+
+
 def test_basis_check_is_blind_to_a_change_of_quotient_basis():
     # coordinates over the candidate classes do not depend on the basis the
     # classes are written in; b0 -> b0 + b1 + b2, b1 -> b1 + b2 is unimodular

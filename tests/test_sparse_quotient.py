@@ -25,7 +25,7 @@ from polyadc import (
     quotient_free_basis,
     smith_normal_form,
 )
-from polyadc import roundtrip
+from polyadc import smith
 
 
 def dense_quotient(ambient, relations, name_prefix="q"):
@@ -75,7 +75,7 @@ def assert_agrees(ambient, relations):
 def quotient_inputs(complex_, monkeypatch):
     """The (ambient, relations) pairs lambda_of_enumerated hands over."""
     seen = []
-    real = roundtrip.quotient_free_basis
+    real = smith.quotient_free_basis
 
     def record(ambient, relations, name_prefix):
         seen.append((tuple(ambient), list(relations)))
@@ -85,7 +85,7 @@ def quotient_inputs(complex_, monkeypatch):
         enum = enumerate_nu(complex_)
     except (EnumerationCapExceeded, ValueError):
         return []
-    monkeypatch.setattr(roundtrip, "quotient_free_basis", record)
+    monkeypatch.setattr(smith, "quotient_free_basis", record)
     lambda_of_enumerated(enum)
     monkeypatch.undo()
     return seen
