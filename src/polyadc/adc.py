@@ -31,15 +31,31 @@ class Chain(Record):
         return self.vector.is_zero()
 
 
+def _name_levels(levels: tuple) -> dict:
+    """Each name of ``levels`` mapped to the index of its level; the names
+    are checked in order, and the first bad or repeated one raises."""
+    degree = {}
+    for q, level in enumerate(levels):
+        for name in level:
+            if not isinstance(name, str) or not name:
+                raise ValueError("generator names must be non-empty strings")
+            if name in degree:
+                raise ValueError("duplicate generator name %r" % name)
+            degree[name] = q
+    return degree
+
+
 class Adc:
     """Finitely generated augmented directed complex.
 
     ``basis[q]`` lists the degree-q generator names in declaration order.
     ``differential`` maps every generator of degree >= 1 to a vector over
     the degree below; ``augmentation`` maps every degree-0 generator to an
-    integer.  Structural validity (name hygiene) is enforced here; the
-    chain complex laws are checked separately by :func:`validate_adc` so a
-    broken complex can still be constructed and reported on.
+    integer inside the checked 64-bit range (one outside it raises
+    CoefficientOverflow).  Structural validity (name hygiene) is enforced
+    here; the chain complex laws are checked separately by
+    :func:`validate_adc` so a broken complex can still be constructed and
+    reported on.
     """
 
     def __init__(self, basis: Sequence[Sequence[str]],
@@ -48,16 +64,8 @@ class Adc:
         levels = [tuple(level) for level in basis]
         while levels and not levels[-1]:
             levels.pop()
-        self.basis = tuple(levels)
-        degree = {}
-        for q, level in enumerate(self.basis):
-            for name in level:
-                if not isinstance(name, str) or not name:
-                    raise ValueError("generator names must be non-empty strings")
-                if name in degree:
-                    raise ValueError("duplicate generator name %r" % name)
-                degree[name] = q
-        self._degree = degree
+        levels = tuple(levels)
+        degree = _name_levels(levels)
 
         diff = {}
         for name, vec in differential.items():
@@ -73,11 +81,10 @@ class Adc:
                     "differential of %r mentions non-generators %s" % (name, sorted(extra))
                 )
             diff[name] = vec
-        for q in range(1, len(self.basis)):
-            for name in self.basis[q]:
+        for q in range(1, len(levels)):
+            for name in levels[q]:
                 if name not in diff:
                     raise ValueError("missing differential for generator %r" % name)
-        self._diff = diff
 
         aug = {}
         for name, val in augmentation.items():
@@ -85,11 +92,27 @@ class Adc:
                 raise ValueError("augmentation given for non-degree-0 name %r" % name)
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError("augmentation of %r must be an int" % name)
-            aug[name] = val
-        if self.basis:
-            for name in self.basis[0]:
+            aug[name] = _ck(val)
+        if levels:
+            for name in levels[0]:
                 if name not in aug:
                     raise ValueError("missing augmentation for generator %r" % name)
+        self._fill(levels, degree, diff, aug)
+
+    @classmethod
+    def _of(cls, basis: tuple, degree: dict, diff: dict, aug: dict) -> "Adc":
+        """The complex on fields already known valid, taken as they stand,
+        as ``__init__`` would set them after its checks: ``basis`` a tuple of
+        name tuples, the last not empty, and ``degree`` each name's level."""
+        complex_ = object.__new__(cls)
+        complex_._fill(basis, degree, diff, aug)
+        return complex_
+
+    def _fill(self, basis, degree, diff, aug):
+        """Set the fields; the one place both constructors set them."""
+        self.basis = basis
+        self._degree = degree
+        self._diff = diff
         self._aug = aug
         self._atom_tables = {}  # name -> (rows, fault, row-0 augmentations)
         self._terms = {}  # name -> sorted items of its differential, on first use
@@ -483,5 +506,12 @@ def loop_free_report(complex_: Adc) -> LoopFreeReport:
 
 
 def is_strong_steiner_complex(complex_: Adc) -> bool:
-    """Unital and the generating relation induces a partial order."""
-    return is_unital(complex_) and loop_free_report(complex_).is_partial_order
+    """Unital and the generating relation induces a partial order, decided
+    on its successor lists without building the edge set."""
+    return is_unital(complex_) and _is_loop_free(complex_)
+
+
+def _is_loop_free(complex_: Adc) -> bool:
+    """``loop_free_report(complex_).is_partial_order``, without the graph."""
+    return antisymmetry_of(tuple(complex_.all_generators()),
+                           _generating_successors(complex_))[0]

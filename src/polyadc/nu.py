@@ -158,7 +158,12 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
     for r in range(p + 1):
         rows.append((x.rows[r][0], y.rows[r][1]))
     for r in range(p + 1, x.dim + 1):
-        rows.append((x.rows[r][0] + y.rows[r][0], x.rows[r][1] + y.rows[r][1]))
+        (xn, xp), (yn, yp) = x.rows[r], y.rows[r]
+        if xn is xp and yn is yp:  # a top row: one object on both sides
+            total = xn + yn
+            rows.append((total, total))
+        else:
+            rows.append((xn + yn, xp + yp))
     return NuTable(rows=tuple(rows))
 
 

@@ -17,8 +17,8 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from . import nu
-from .adc import (Adc, Chain, RelationGraph, _generating_successors, antisymmetry_of,
-                  loop_free_report)
+from .adc import (Adc, Chain, RelationGraph, _generating_successors, _is_loop_free,
+                  _name_levels, antisymmetry_of)
 from .zlin import IntVector, Record, _setattr
 
 
@@ -78,15 +78,7 @@ class PolyPresentation:
         while levels and not levels[-1]:
             levels.pop()
         self.generators = tuple(levels)
-        dim = {}
-        for q, level in enumerate(self.generators):
-            for name in level:
-                if not isinstance(name, str) or not name:
-                    raise ValueError("generator names must be non-empty strings")
-                if name in dim:
-                    raise ValueError("duplicate generator name %r" % name)
-                dim[name] = q
-        self._dim = dim
+        self._dim = dim = _name_levels(self.generators)
 
         bnd = {}
         for name, pair in boundary.items():
@@ -175,17 +167,21 @@ class PolyPresentation:
         - the top row of ``eval_table(e)`` is ``linearize(e)`` (a unit vector,
           0 for an identity, the sum for a composite below its top), so the
           differential is the linearized target minus the linearized source.
+
+        Names and dimensions are checked already, so a generator side is
+        read straight off its filed table, and ``Adc._of`` fills the
+        linearization from these checked fields without validating them again.
         """
-        diff = {}
+        tables, diff = self._tables, {}
         for name in self.dims(0):
             unit = IntVector.unit(name)
-            self._tables[name] = nu.NuTable(rows=((unit, unit),))
+            tables[name] = nu.NuTable(rows=((unit, unit),))
         for q in range(1, len(self.generators)):
             for name in self.generators[q]:
                 src, tgt = self._boundary[name]
                 try:
-                    ts = eval_table(self, src)
-                    tt = eval_table(self, tgt)
+                    ts = tables[src.name] if src.__class__ is Gen else eval_table(self, src)
+                    tt = tables[tgt.name] if tgt.__class__ is Gen else eval_table(self, tgt)
                 except nu.NotComposable as exc:
                     raise ValueError(
                         "boundary of %r is not composable: %s" % (name, exc)
@@ -197,10 +193,10 @@ class PolyPresentation:
                 s_top, t_top = ts.rows[-1][0], tt.rows[-1][0]
                 diff[name] = t_top - s_top
                 unit = IntVector.unit(name)
-                self._tables[name] = nu.NuTable(
+                tables[name] = nu.NuTable(
                     rows=ts.rows[:-1] + ((s_top, t_top), (unit, unit)))
-        self._lambda = Adc(self.generators, diff,
-                           {name: 1 for name in self.dims(0)})
+        self._lambda = Adc._of(self.generators, self._dim, diff,
+                               dict.fromkeys(self.dims(0), 1))
 
     def __repr__(self):
         return "PolyPresentation(%s)" % ", ".join(
@@ -294,8 +290,11 @@ def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
     boundaries are the ones the adjunction unit uses.
     """
     if isinstance(expr, Gen):
-        pres.dim_of(expr.name)  # raises on an unknown name
-        return pres._tables[expr.name]
+        table = pres._tables.get(expr.name)
+        if table is None:
+            pres.dim_of(expr.name)  # raises on an unknown name
+            table = pres._tables[expr.name]
+        return table
     if isinstance(expr, Id):
         return nu.identity(eval_table(pres, expr.inner))
     if isinstance(expr, Comp):
@@ -388,7 +387,7 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
 def is_algebraically_loop_free(pres: PolyPresentation) -> bool:
     """Antisymmetry of the generating relation on the linearization."""
-    return loop_free_report(lambda_presentation(pres)).is_partial_order
+    return _is_loop_free(lambda_presentation(pres))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def expr_to_obj(expr: CellExpr):
 
 
 def obj_to_expr(obj) -> CellExpr:
+    """The expression an object form stands for; a malformed one raises
+    :class:`DocumentError`.  The walk is recursive, so a form nested deeper
+    than the interpreter's recursion limit raises RecursionError."""
+    return _to_expr(obj, [0])
+
+
+def _to_expr(obj, ids: list) -> CellExpr:
+    """:func:`obj_to_expr`, adding to ``ids[0]`` the number of identity
+    nodes it builds, so that the parser counts them in the one walk."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DocumentError("expression must be a one-key object, got %r" % (obj,))
     if "gen" in obj:
@@ -55,13 +64,14 @@ def obj_to_expr(obj) -> CellExpr:
             raise DocumentError("gen expression needs a string name")
         return Gen(name)
     if "id" in obj:
-        return Id(obj_to_expr(obj["id"]))
+        ids[0] += 1
+        return Id(_to_expr(obj["id"], ids))
     if "comp" in obj:
         body = obj["comp"]
         if (not isinstance(body, list) or len(body) != 3
                 or not isinstance(body[0], int) or isinstance(body[0], bool)):
             raise DocumentError("comp expression needs [level, left, right]")
-        return Comp(body[0], obj_to_expr(body[1]), obj_to_expr(body[2]))
+        return Comp(body[0], _to_expr(body[1], ids), _to_expr(body[2], ids))
     raise DocumentError("unknown expression key in %r" % (obj,))
 
 
@@ -96,9 +106,12 @@ def parse_document(text: str):
     Schema problems and nesting too deep to walk raise
     :class:`DocumentError`; semantically invalid data
     (broken chain complex laws, ill-typed boundaries) surfaces as the
-    ValueError of the corresponding constructor.  A presentation whose
-    highest dimension no chain of its generators and identity expressions
-    can reach raises ValueError before its levels are laid out.
+    ValueError of the corresponding constructor; so does an augmentation
+    outside the checked 64-bit range, as CoefficientOverflow.  A
+    presentation whose highest dimension no chain of its generators and
+    identity expressions can reach raises ValueError before its levels are
+    laid out; the identity nodes are counted while the expressions are
+    built.
     """
     try:
         doc = json.loads(text)
@@ -157,18 +170,19 @@ def parse_document(text: str):
         return Adc(basis, diff, aug)
 
     boundary = {}
+    ids = [0]  # identity nodes in all the expressions, counted as they are built
     try:
         for record in records:
             name, dim = record["name"], record["dim"]
             if dim >= 1:
-                boundary[name] = (obj_to_expr(record["src"]), obj_to_expr(record["tgt"]))
+                boundary[name] = (_to_expr(record["src"], ids),
+                                  _to_expr(record["tgt"], ids))
         # A generator's dimension is one more than its source's, which is a
         # lower generator's raised by the identities on any one path of the
         # source expression; so no generator of a valid presentation lies
         # above this bound, and checking it first keeps an absurd dimension
         # from sizing the list of levels.
-        reach = len(records) - 1 + sum(_identities(expr) for pair in boundary.values()
-                                       for expr in pair)
+        reach = len(records) - 1 + ids[0]
         if max_dim > reach:
             name = next(r["name"] for r in records if r["dim"] == max_dim)
             raise ValueError(
@@ -179,20 +193,6 @@ def parse_document(text: str):
         return PolyPresentation(basis, boundary)
     except RecursionError:
         raise DocumentError("expressions nested too deeply") from None
-
-
-def _identities(expr: CellExpr) -> int:
-    """The number of identity nodes in an expression."""
-    count = 0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Id):
-            count += 1
-            stack.append(node.inner)
-        elif isinstance(node, Comp):
-            stack.extend((node.left, node.right))
-    return count
 
 
 def serialize_document(obj) -> str:

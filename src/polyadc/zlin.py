@@ -122,9 +122,21 @@ class IntVector:
     @classmethod
     def _of(cls, data: dict) -> "IntVector":
         """A vector from a dict already known to map names to ints: zeros
-        are dropped and the range is checked, the type checks are not."""
+        are dropped and the range is checked, the type checks are not.
+        ``_ck`` sees the values in insertion order, so an error names the
+        first one out of range.  :meth:`_trusted` skips the range check too.
+        """
         vec = object.__new__(cls)
         vec._entries = {k: _ck(v) for k, v in data.items() if v}
+        vec._hash = None
+        return vec
+
+    @classmethod
+    def _trusted(cls, entries: dict) -> "IntVector":
+        """The vector on ``entries`` as it stands: a dict already known to
+        map names to nonzero ints inside the checked range."""
+        vec = object.__new__(cls)
+        vec._entries = entries
         vec._hash = None
         return vec
 
@@ -132,7 +144,7 @@ class IntVector:
     def unit(cls, name: str) -> "IntVector":
         if not isinstance(name, str):
             raise TypeError("generator names must be strings, got %r" % (name,))
-        return cls._of({name: 1})
+        return cls._trusted({name: 1})
 
     def items(self) -> tuple:
         """Entries as (name, coefficient) pairs, sorted by name."""
@@ -159,12 +171,14 @@ class IntVector:
     def l1(self) -> int:
         return sum(abs(c) for c in self._entries.values())
 
+    # the parts keep values of a checked vector, or their negations, which
+    # the symmetric window also holds
     def positive_part(self) -> "IntVector":
-        return IntVector._of({k: c for k, c in self._entries.items() if c > 0})
+        return IntVector._trusted({k: c for k, c in self._entries.items() if c > 0})
 
     def negative_part(self) -> "IntVector":
         """The vector n with self = positive_part - n; n has coefficients > 0."""
-        return IntVector._of({k: -c for k, c in self._entries.items() if c < 0})
+        return IntVector._trusted({k: -c for k, c in self._entries.items() if c < 0})
 
     def __add__(self, other: "IntVector") -> "IntVector":
         data = dict(self._entries)

@@ -42,6 +42,30 @@ def test_construction_checks_names():
     assert Adc([["a"], []], {}, {"a": 1}).max_degree == 0
 
 
+def test_the_first_bad_name_in_order_is_refused():
+    bad = "generator names must be non-empty strings"
+    with pytest.raises(ValueError, match=bad):
+        Adc([["a", ["b"]]], {}, {"a": 1})  # a list is refused, not hashed
+    with pytest.raises(ValueError, match=bad):
+        Adc([["a", "", "a"]], {}, {"a": 1})  # the bad name comes first
+    with pytest.raises(ValueError, match="duplicate generator name 'a'"):
+        Adc([["a", "a", ""]], {}, {"a": 1})  # the duplicate comes first
+    with pytest.raises(ValueError, match="duplicate generator name 'a'"):
+        Adc([["a"], ["a", 7]], {}, {"a": 1})
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63 - 1)])
+def test_augmentations_at_the_edge_of_the_window_are_kept(value):
+    assert Adc([["a"]], {}, {"a": value}).eps_gen("a") == value
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63, 2**70])
+def test_augmentations_outside_the_window_overflow(value):
+    with pytest.raises(CoefficientOverflow,
+                       match="coefficient %d exceeds the checked 64-bit range" % value):
+        Adc([["a", "b"]], {}, {"a": 1, "b": value})
+
+
 def test_accessors_on_the_triangle():
     k = simplex2()
     assert k.max_degree == 2

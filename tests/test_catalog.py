@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import assert_construction_is_sound, random_presentation
+from conftest import (assert_construction_is_sound, catalog_presentations,
+                      random_presentation, reference_linearization)
 from polyadc import (
     IntVector,
+    PolyPresentation,
     build,
     catalog,
     classify,
@@ -177,3 +179,21 @@ def test_every_filed_generator_table_is_a_cell():
     presentations += [random_presentation(seed) for seed in range(120)]
     for pres in presentations:
         assert_construction_is_sound(pres)
+
+
+def test_the_filled_linearization_is_the_validated_one():
+    # construction fills the linearization from its own checked fields
+    # without validating them again; it must be what validating them makes
+    presentations = catalog_presentations()
+    presentations += [random_presentation(seed, acyclic=acyclic)
+                      for seed in range(300) for acyclic in (False, True)]
+    for pres in presentations:
+        # built afresh, so that no cache of the complex is filled yet
+        pres = PolyPresentation(pres.generators, {
+            name: pres.boundary_of(name) for name in pres.all_generators()
+            if pres.dim_of(name)})
+        lam, ref = lambda_presentation(pres), reference_linearization(pres)
+        assert list(vars(lam).items()) == list(vars(ref).items())
+        assert list(lam._diff) == list(ref._diff)
+        assert lam == ref
+        assert validate_adc(lam).ok

@@ -365,6 +365,21 @@ def test_a_lone_high_degree_generator_is_a_valid_complex(capsys, tmp_path):
     assert "unital: no" in out
 
 
+@pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+def test_an_augmentation_outside_the_checked_range_overflows(command, capsys, tmp_path):
+    # the same number as a boundary coefficient is OVERFLOW too
+    for key, value in (("augmentation", "%d" % 2**70),
+                       ("boundary", '{"y": %d}' % 2**70)):
+        doc = tmp_path / "big.json"
+        doc.write_text('{"kind": "adc", "generators": [{"name": "y", "dim": 0, '
+                       '"augmentation": 1}, {"name": "x", "dim": %d, "%s": %s}]}'
+                       % (key == "boundary", key, value))
+        code, out, err = run(command + [str(doc)], capsys)
+        assert (code, out) == (5, "")
+        assert err == ("resource error [OVERFLOW]: coefficient %d exceeds the "
+                       "checked 64-bit range\n" % 2**70)
+
+
 @pytest.mark.parametrize("dim, shown", [
     (2**14 + 1, "16385"),
     (10**18, "1000000000000000000"),

@@ -52,6 +52,25 @@ def test_construction_rejects_bad_presentations():
         )
 
 
+def test_the_first_bad_generator_name_in_order_is_refused():
+    bad = "generator names must be non-empty strings"
+    with pytest.raises(ValueError, match=bad):
+        PolyPresentation([["a", ["b"]]], {})  # a list is refused, not hashed
+    with pytest.raises(ValueError, match=bad):
+        PolyPresentation([["a", "", "a"]], {})  # the bad name comes first
+    with pytest.raises(ValueError, match="duplicate generator name 'a'"):
+        PolyPresentation([["a", "a", ""]], {})  # the duplicate comes first
+
+
+def test_eval_table_refuses_an_unknown_generator():
+    pres = o2()
+    assert eval_table(pres, Gen("01")).rows[-1] == (IntVector.unit("01"),) * 2
+    with pytest.raises(ValueError, match="unknown generator 'nope'"):
+        eval_table(pres, Gen("nope"))
+    with pytest.raises(ValueError, match="unknown generator 'nope'"):
+        eval_table(pres, Comp(0, Gen("01"), Id(Gen("nope"))))
+
+
 def test_construction_rejects_ill_typed_composites():
     with pytest.raises(ValueError):
         # f then f is not composable (f: a -> b)

@@ -142,6 +142,19 @@ def test_identity_expressions_extend_the_reach():
         parse_document(json.dumps(up))
 
 
+def test_nested_identities_on_both_sides_count_toward_the_reach():
+    # two generators and 2 + 3 identity nodes reach dimension 1 + 5 at most
+    doc = {"kind": "polygraph", "generators": [
+        {"name": "x", "dim": 0},
+        {"name": "a", "dim": 7, "src": {"id": {"id": {"gen": "x"}}},
+         "tgt": {"comp": [0, {"id": {"gen": "x"}},
+                          {"id": {"id": {"gen": "x"}}}]}}]}
+    with pytest.raises(ValueError, match="dimension 7 of 'a' is out of reach: "
+                                         "2 generators and their identity "
+                                         "expressions reach dimension 6 at most"):
+        parse_document(json.dumps(doc))
+
+
 def test_semantic_errors_are_value_errors():
     dup = {
         "kind": "adc",

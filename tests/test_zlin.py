@@ -62,6 +62,28 @@ def test_coefficients_are_checked_64_bit():
         edge.scaled(-2)
 
 
+def test_the_first_coefficient_out_of_range_is_named():
+    # the window is checked value by value in insertion order, so the
+    # message names the first offender whichever side it leaves by
+    for data, first in (({"a": 2**63, "b": -2**63}, 2**63),
+                        ({"b": -2**63, "a": 2**63}, -2**63)):
+        message = "coefficient %d exceeds the checked 64-bit range" % first
+        with pytest.raises(CoefficientOverflow, match=message):
+            IntVector._of(data)
+        with pytest.raises(CoefficientOverflow, match=message):
+            IntVector(data)
+    edges = {"a": 2**63 - 1, "b": 0, "c": -(2**63 - 1)}
+    assert IntVector._of(edges)._entries == {"a": 2**63 - 1, "c": -(2**63 - 1)}
+
+
+def test_the_parts_and_units_of_checked_vectors_stay_in_range():
+    vec = IntVector({"a": 2**63 - 1, "b": -(2**63 - 1), "c": 0})
+    assert vec.positive_part() == IntVector({"a": 2**63 - 1})
+    assert vec.negative_part() == IntVector({"b": 2**63 - 1})
+    assert vec.positive_part() - vec.negative_part() == vec
+    assert IntVector.unit("a").items() == (("a", 1),)
+
+
 def test_matrix_construction_and_apply():
     m = IntMatrix.from_dense([[1, 2], [0, -3]])
     assert m.shape == (2, 2)
