@@ -74,61 +74,59 @@ class CatalogEntry(Record):
         return self.presentation
 
 
+# The verdicts every Steiner family entry pins; each entry gets its own copy.
+_STEINER = {"atomic": True, "strong_steiner": True}
+
+
+def _presented(name: str, params: tuple, levels: list, boundary: dict,
+               expected: dict = _STEINER,
+               expressions: dict | None = None) -> CatalogEntry:
+    """A presentation-native entry, with a copy of ``expected``; trailing
+    empty levels are dropped by the presentation."""
+    return CatalogEntry(name, params, PolyPresentation(levels, boundary), None,
+                        "polygraph", expressions, dict(expected))
+
+
+def _edge(source: str, target: str) -> tuple:
+    """The boundary of a cell from one generator to another."""
+    return Gen(source), Gen(target)
+
+
+def _globe(n: int) -> tuple:
+    """The levels and boundaries of the n-sphere: s_q and t_q in each
+    dimension q <= n, both from s_(q-1) to t_(q-1)."""
+    levels = [["s%d" % q, "t%d" % q] for q in range(n + 1)]
+    boundary = {}
+    for q in range(1, n + 1):
+        boundary["s%d" % q] = boundary["t%d" % q] = _edge("s%d" % (q - 1), "t%d" % (q - 1))
+    return levels, boundary
+
+
 def _disk(n: int) -> CatalogEntry:
     if n < 0:
         raise ValueError("disk needs a dimension >= 0")
     _refuse_above_cap("disk", (n,), 2 * n + 1)
-    levels = [["s%d" % q, "t%d" % q] for q in range(n)]
+    levels, boundary = _globe(n - 1)
     levels.append(["c%d" % n])
-    boundary = {}
-    for q in range(1, n):
-        pair = (Gen("s%d" % (q - 1)), Gen("t%d" % (q - 1)))
-        boundary["s%d" % q] = pair
-        boundary["t%d" % q] = pair
-    if n >= 1:
-        boundary["c%d" % n] = (Gen("s%d" % (n - 1)), Gen("t%d" % (n - 1)))
-    pres = PolyPresentation(levels, boundary)
-    return CatalogEntry(
-        name="disk", params=(n,), presentation=pres, complex=None,
-        native="polygraph",
-        expected={"atomic": True, "strong_steiner": True},
-    )
+    if n:
+        boundary["c%d" % n] = _edge("s%d" % (n - 1), "t%d" % (n - 1))
+    return _presented("disk", (n,), levels, boundary)
 
 
 def _sphere(n: int) -> CatalogEntry:
     if n < -1:
         raise ValueError("sphere needs a dimension >= -1")
     _refuse_above_cap("sphere", (n,), 2 * n + 2)
-    levels = [["s%d" % q, "t%d" % q] for q in range(n + 1)]
-    boundary = {}
-    for q in range(1, n + 1):
-        pair = (Gen("s%d" % (q - 1)), Gen("t%d" % (q - 1)))
-        boundary["s%d" % q] = pair
-        boundary["t%d" % q] = pair
-    pres = PolyPresentation(levels, boundary)
-    return CatalogEntry(
-        name="sphere", params=(n,), presentation=pres, complex=None,
-        native="polygraph",
-        expected={"atomic": True, "strong_steiner": True},
-    )
+    return _presented("sphere", (n,), *_globe(n))
 
 
 def _ordinal(m: int) -> CatalogEntry:
     if m < 0:
         raise ValueError("ordinal needs m >= 0")
     _refuse_above_cap("ordinal", (m,), 2 * m + 1)
-    levels = [["v%d" % i for i in range(m + 1)]]
-    boundary = {}
-    if m >= 1:
-        levels.append(["e%d" % i for i in range(1, m + 1)])
-        for i in range(1, m + 1):
-            boundary["e%d" % i] = (Gen("v%d" % (i - 1)), Gen("v%d" % i))
-    pres = PolyPresentation(levels, boundary)
-    return CatalogEntry(
-        name="ordinal", params=(m,), presentation=pres, complex=None,
-        native="polygraph",
-        expected={"atomic": True, "strong_steiner": True},
-    )
+    levels = [["v%d" % i for i in range(m + 1)], ["e%d" % i for i in range(1, m + 1)]]
+    boundary = {"e%d" % i: _edge("v%d" % (i - 1), "v%d" % i) for i in range(1, m + 1)}
+    return _presented("ordinal", (m,), levels, boundary)
 
 
 def _theta2(params) -> CatalogEntry:
@@ -138,30 +136,18 @@ def _theta2(params) -> CatalogEntry:
     if m < 0 or len(ks) != m or any(k < 0 for k in ks):
         raise ValueError("theta2 parameters must be m followed by m widths")
     _refuse_above_cap("theta2", params, 2 * m + 1 + 2 * sum(ks))
-    levels = [["v%d" % i for i in range(m + 1)]]
-    ones = []
-    twos = []
+    levels = [["v%d" % i for i in range(m + 1)], [], []]
     boundary = {}
-    for i in range(1, m + 1):
-        k = ks[i - 1]
+    for i, k in enumerate(ks, 1):
         for j in range(k + 1):
             name = "f%d_%d" % (i, j)
-            ones.append(name)
-            boundary[name] = (Gen("v%d" % (i - 1)), Gen("v%d" % i))
+            levels[1].append(name)
+            boundary[name] = _edge("v%d" % (i - 1), "v%d" % i)
         for j in range(1, k + 1):
             name = "a%d_%d" % (i, j)
-            twos.append(name)
-            boundary[name] = (Gen("f%d_%d" % (i, j - 1)), Gen("f%d_%d" % (i, j)))
-    if ones:
-        levels.append(ones)
-    if twos:
-        levels.append(twos)
-    pres = PolyPresentation(levels, boundary)
-    return CatalogEntry(
-        name="theta2", params=tuple(params), presentation=pres, complex=None,
-        native="polygraph",
-        expected={"atomic": True, "strong_steiner": True},
-    )
+            levels[2].append(name)
+            boundary[name] = _edge("f%d_%d" % (i, j - 1), "f%d_%d" % (i, j))
+    return _presented("theta2", tuple(params), levels, boundary)
 
 
 def _simplex_name(vertices, sep) -> str:
@@ -172,20 +158,16 @@ def _oriental_complex(n: int) -> Adc:
     # from vertex 10 on, run-together digits would give vertex 12 and edge
     # 1-2 the same name
     sep = "-" if n >= 10 else ""
-    basis = []
-    for q in range(n + 1):
-        basis.append([_simplex_name(c, sep) for c in combinations(range(n + 1), q + 1)])
+    simplices = [list(combinations(range(n + 1), q + 1)) for q in range(n + 1)]
+    basis = [[_simplex_name(c, sep) for c in level] for level in simplices]
     diff = {}
     for q in range(1, n + 1):
-        for combo in combinations(range(n + 1), q + 1):
-            vec = IntVector()
-            for i in range(len(combo)):
-                sub = combo[:i] + combo[i + 1:]
-                term = IntVector.unit(_simplex_name(sub, sep))
-                vec = vec + (term if i % 2 == 0 else -term)
-            diff[_simplex_name(combo, sep)] = vec
-    aug = {str(v): 1 for v in range(n + 1)}
-    return Adc(basis, diff, aug)
+        for combo, name in zip(simplices[q], basis[q]):
+            # the faces are distinct, so each gets its sign as it stands
+            diff[name] = IntVector._of({
+                _simplex_name(combo[:i] + combo[i + 1:], sep): (-1) ** i
+                for i in range(q + 1)})
+    return Adc(basis, diff, {str(v): 1 for v in range(n + 1)})
 
 
 def _oriental_presentation(n: int):
@@ -240,24 +222,15 @@ def _oriental(n: int) -> CatalogEntry:
         raise ValueError("oriental needs a dimension >= 0")
     # 2**(n + 1) - 1 nonempty vertex sets, not computed past 64 bits
     _refuse_above_cap("oriental", (n,), 2 ** min(n + 1, 64) - 1)
-    return CatalogEntry(
-        name="oriental", params=(n,),
-        presentation=_oriental_presentation(n),
-        complex=_oriental_complex(n),
-        native="adc",
-        expected={"atomic": True, "strong_steiner": True},
-    )
+    return CatalogEntry("oriental", (n,), _oriental_presentation(n),
+                        _oriental_complex(n), "adc", expected=dict(_STEINER))
 
 
 def _loop() -> CatalogEntry:
-    pres = PolyPresentation(
-        [["a", "b"], ["f", "g"]],
-        {"f": (Gen("a"), Gen("b")), "g": (Gen("b"), Gen("a"))},
-    )
-    return CatalogEntry(
-        name="loop", params=(), presentation=pres, complex=None,
-        native="polygraph",
-        expected={
+    return _presented(
+        "loop", (), [["a", "b"], ["f", "g"]],
+        {"f": _edge("a", "b"), "g": _edge("b", "a")},
+        {
             "atomic": True,
             "codim1_antisymmetric": False,
             "strongly_loop_free_categorical": False,
@@ -269,14 +242,10 @@ def _loop() -> CatalogEntry:
 
 
 def _endo2cell() -> CatalogEntry:
-    pres = PolyPresentation(
-        [["x"], [], ["alpha"]],
+    return _presented(
+        "endo2cell", (), [["x"], [], ["alpha"]],
         {"alpha": (Id(Gen("x")), Id(Gen("x")))},
-    )
-    return CatalogEntry(
-        name="endo2cell", params=(), presentation=pres, complex=None,
-        native="polygraph",
-        expected={
+        {
             "atomic": False,
             "codim1_antisymmetric": True,
             "strongly_loop_free_categorical": False,
@@ -288,19 +257,15 @@ def _endo2cell() -> CatalogEntry:
 
 
 def _square() -> CatalogEntry:
-    pres = PolyPresentation(
-        [["x", "y", "z"], ["f", "g", "h"], ["alpha"]],
+    return _presented(
+        "square", (), [["x", "y", "z"], ["f", "g", "h"], ["alpha"]],
         {
-            "f": (Gen("x"), Gen("y")),
-            "g": (Gen("y"), Gen("z")),
-            "h": (Gen("y"), Gen("z")),
+            "f": _edge("x", "y"),
+            "g": _edge("y", "z"),
+            "h": _edge("y", "z"),
             "alpha": (Comp(0, Gen("f"), Gen("g")), Comp(0, Gen("f"), Gen("h"))),
         },
-    )
-    return CatalogEntry(
-        name="square", params=(), presentation=pres, complex=None,
-        native="polygraph",
-        expected={
+        {
             "atomic": False,
             "codim1_antisymmetric": False,
             "strongly_loop_free_categorical": False,
@@ -312,19 +277,14 @@ def _square() -> CatalogEntry:
 
 
 def _forest_a() -> CatalogEntry:
-    boundary = {}
-    for name, (u, v) in {
+    boundary = {name: _edge(u, v) for name, (u, v) in {
         "a": ("x", "y"), "b": ("x", "y"), "c": ("x", "y"),
         "d": ("y", "z"), "e": ("y", "z"), "f": ("y", "z"),
-    }.items():
-        boundary[name] = (Gen(u), Gen(v))
-    for name, (u, v) in {
         "alpha": ("a", "b"), "alpha'": ("a", "b"),
         "beta": ("b", "c"), "beta'": ("b", "c"),
         "gamma": ("d", "e"), "gamma'": ("d", "e"),
         "delta": ("e", "f"), "delta'": ("e", "f"),
-    }.items():
-        boundary[name] = (Gen(u), Gen(v))
+    }.items()}
     boundary["A"] = (
         Comp(0, Gen("alpha"), Gen("delta")),
         Comp(0, Gen("alpha'"), Gen("delta'")),
@@ -333,16 +293,12 @@ def _forest_a() -> CatalogEntry:
         Comp(0, Gen("beta"), Gen("gamma")),
         Comp(0, Gen("beta'"), Gen("gamma'")),
     )
-    pres = PolyPresentation(
-        [
-            ["x", "y", "z"],
-            ["a", "b", "c", "d", "e", "f"],
-            ["alpha", "alpha'", "beta", "beta'",
-             "gamma", "gamma'", "delta", "delta'"],
-            ["A", "B"],
-        ],
-        boundary,
-    )
+    levels = [
+        ["x", "y", "z"],
+        ["a", "b", "c", "d", "e", "f"],
+        ["alpha", "alpha'", "beta", "beta'", "gamma", "gamma'", "delta", "delta'"],
+        ["A", "B"],
+    ]
 
     # two routes through A and B with the same linearization
     w1 = Comp(0, Id(Gen("a")), Gen("gamma"))
@@ -363,17 +319,16 @@ def _forest_a() -> CatalogEntry:
         Comp(1, Id(u1), Comp(1, Gen("B"), Id(u2))),
         Comp(1, Id(u3), Comp(1, Gen("A"), Id(u4))),
     )
-    return CatalogEntry(
-        name="forestA", params=(), presentation=pres, complex=None,
-        native="polygraph",
-        expressions={"H1": h1, "H2": h2},
-        expected={
+    return _presented(
+        "forestA", (), levels, boundary,
+        {
             "atomic": True,
             "strongly_loop_free_categorical": False,
             "strongly_loop_free_algebraic": False,
             "steiner_orderable": False,
             "strong_steiner": False,
         },
+        {"H1": h1, "H2": h2},
     )
 
 

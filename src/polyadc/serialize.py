@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _str
 
-from .adc import Adc, RelationGraph
+from .adc import Adc, RelationGraph, _law_failures
 from .polygraph import CellExpr, Comp, Gen, Id, PolyPresentation
 from .zlin import IntVector
 
@@ -104,14 +104,17 @@ def parse_document(text: str):
     """Parse a JSON document into an Adc or a PolyPresentation.
 
     Schema problems and nesting too deep to walk raise
-    :class:`DocumentError`; semantically invalid data
-    (broken chain complex laws, ill-typed boundaries) surfaces as the
-    ValueError of the corresponding constructor; so does an augmentation
-    outside the checked 64-bit range, as CoefficientOverflow.  A
-    presentation whose highest dimension no chain of its generators and
-    identity expressions can reach raises ValueError before its levels are
-    laid out; the identity nodes are counted while the expressions are
-    built.
+    :class:`DocumentError`; semantically invalid data (bad names,
+    ill-typed boundaries) surfaces as the ValueError of the corresponding
+    constructor; so does an augmentation outside the checked 64-bit range,
+    as CoefficientOverflow.  An ADC document must be a chain complex: the
+    first failure of :func:`polyadc.adc.validate_adc` (dd = 0 on each
+    generator of degree >= 2, then eps-d = 0 on each edge) raises
+    ValueError naming the law and the generator, and a sum on the way that
+    leaves the checked range raises CoefficientOverflow.  A presentation
+    whose highest dimension no chain of its generators and identity
+    expressions can reach raises ValueError before its levels are laid out;
+    the identity nodes are counted while the expressions are built.
     """
     try:
         doc = json.loads(text)
@@ -167,7 +170,13 @@ def parse_document(text: str):
                     if not isinstance(k, str) or not isinstance(v, int) or isinstance(v, bool):
                         raise DocumentError("boundary of %r must map names to integers" % name)
                 diff[name] = IntVector._of(bd)  # the entries are checked above
-        return Adc(basis, diff, aug)
+        complex_ = Adc(basis, diff, aug)
+        failure = next(_law_failures(complex_), None)
+        if failure is not None:
+            law, name, value = failure
+            raise ValueError("not a chain complex: %s = 0 fails at %r (%s)"
+                             % (law, name, value))
+        return complex_
 
     boundary = {}
     ids = [0]  # identity nodes in all the expressions, counted as they are built

@@ -125,6 +125,36 @@ def test_validate_reports_broken_augmentation():
     assert rep.failures[0][:2] == ("eps-d", "f")
 
 
+def test_the_augmentation_checks_each_product_and_partial_sum():
+    k = Adc([["a", "b", "c"]], {}, {"a": 2**62, "b": 2**62, "c": -(2**62)})
+    with pytest.raises(CoefficientOverflow, match="coefficient %d " % 2**64):
+        k.eps(IntVector({"a": 4}))  # the product
+    # the terms are taken in name order: a + b leaves the window before c
+    # brings the total back to 2**62
+    with pytest.raises(CoefficientOverflow, match="coefficient %d " % 2**63):
+        k.eps(IntVector({"c": 1, "b": 1, "a": 1}))
+    assert k.eps(IntVector({"a": 1, "c": 1})) == 0
+    assert k.eps(IntVector({"b": -1})) == -(2**62)
+
+
+def test_validation_and_atoms_overflow_on_an_augmentation_sum():
+    k = Adc([["a", "b"], ["e"]], {"e": IntVector({"a": 4, "b": -3})},
+            {"a": 2**62, "b": 1})
+    with pytest.raises(CoefficientOverflow):
+        validate_adc(k)
+    with pytest.raises(CoefficientOverflow):
+        unitality_failures(k)
+
+
+def test_a_broken_complex_still_constructs_and_is_reported_on():
+    # dd t = b - c; parsing its document refuses it (tests/test_serialize.py)
+    k = Adc([["a", "b", "c"], ["e", "f"], ["t"]],
+            {"e": IntVector({"a": -1, "b": 1}), "f": IntVector({"a": -1, "c": 1}),
+             "t": IntVector({"e": 1, "f": -1})},
+            {"a": 1, "b": 1, "c": 1})
+    assert validate_adc(k).failures == (("dd", "t", "IntVector(+1*b -1*c)"),)
+
+
 def test_decompose_splits_signs():
     k = simplex2()
     d = decompose(k, k.chain(1, IntVector({"01": 2, "02": -1})))

@@ -1,5 +1,6 @@
 """The built-in catalog: shapes, invariants, and pinned classifications."""
 
+import json
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from polyadc import (
     lambda_presentation,
     linearize,
     loop_free_report,
+    serialize_document,
     truncate_adc,
     validate_adc,
 )
@@ -66,6 +68,45 @@ def test_ordinal_and_theta_shapes():
     assert [len(level) for level in build("ordinal", (0,)).as_presentation().generators] == [1]
     theta = build("theta2", (3, 2, 0, 1)).as_presentation()
     assert [len(level) for level in theta.generators] == [4, 6, 3]
+
+
+# The entries whose builders leave levels empty or let them be trimmed: their
+# vertices and edges (name, source, target), all with augmentation 1.
+EDGE_ENTRIES = [
+    ("disk", (0,), ["c0"], []),
+    ("sphere", (-1,), [], []),
+    ("sphere", (0,), ["s0", "t0"], []),
+    ("ordinal", (0,), ["v0"], []),
+    ("theta2", (0,), ["v0"], []),
+    ("theta2", (1, 0), ["v0", "v1"], [("f1_0", "v0", "v1")]),
+]
+
+
+def _canonical(kind, records):
+    return json.dumps({"generators": records, "kind": kind}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, params, vertices, edges", EDGE_ENTRIES,
+                         ids=["%s%s" % (e[0], list(e[1])) for e in EDGE_ENTRIES])
+def test_the_edge_parameters_have_pinned_documents(name, params, vertices, edges):
+    entry = build(name, params)
+    assert serialize_document(entry.as_presentation()) == _canonical("polygraph", [
+        {"dim": 0, "name": v} for v in vertices] + [
+        {"dim": 1, "name": e, "src": {"gen": s}, "tgt": {"gen": t}}
+        for e, s, t in edges])
+    assert serialize_document(entry.as_adc()) == _canonical("adc", [
+        {"augmentation": 1, "dim": 0, "name": v} for v in vertices] + [
+        {"boundary": {s: -1, t: 1}, "dim": 1, "name": e} for e, s, t in edges])
+
+
+def test_entries_do_not_share_their_expected_verdicts():
+    for name, params in [("disk", (1,)), ("sphere", (1,)), ("ordinal", (1,)),
+                         ("theta2", (1, 1)), ("oriental", (1,))]:
+        first = build(name, params)
+        first.expected["atomic"] = False
+        assert build(name, params).expected == {"atomic": True, "strong_steiner": True}
+        assert build("disk", (2,)).expected["atomic"] is True
 
 
 def test_oriental_complex_counts_and_validity():

@@ -283,6 +283,45 @@ def test_roundtrip_outcomes(capsys, tmp_path):
     assert "more than 10 cells" in err
 
 
+def test_roundtrip_json_outcomes(capsys, tmp_path):
+    doc = export(tmp_path, "oriental", 2)
+    code, out, err = run(["roundtrip", "--json", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "cell_counts": {"0": 3, "1": 7, "2": 8},
+        "ok": True,
+        "ranks": {"0": 3, "1": 3, "2": 1},
+        "reason": None,
+    }, indent=2, sort_keys=True) + "\n"
+
+    doc = export(tmp_path, "loop", form="polygraph")
+    code, out, err = run(["roundtrip", "--json", str(doc)], capsys)
+    assert (code, err) == (4, "")
+    # refused before enumeration, so no degree has a count
+    assert out == json.dumps({
+        "cell_counts": {},
+        "ok": False,
+        "ranks": {},
+        "reason": "not a strong Steiner complex",
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def test_check_and_preorder_print_the_cycle_of_a_complex(capsys, tmp_path):
+    doc = export(tmp_path, "loop")
+    code, out, err = run(["check", str(doc)], capsys)
+    assert (code, err) == (4, "")
+    assert out == ("unital: yes\n"
+                   "generating relation is a partial order: no\n"
+                   "  cycle: f -> b -> g -> a -> f\n"
+                   "strong Steiner: no\n")
+
+    code, out, err = run(["preorder", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("nodes: 4, edges: 4\n"
+                   "antisymmetric: no\n"
+                   "  cycle: f -> b -> g -> a -> f\n")
+
+
 def test_cap_errors_say_how_far_the_run_got(capsys, tmp_path):
     doc = export(tmp_path, "oriental", 4)
     code, out, err = run(["roundtrip", str(doc), "--max-cells", "50"], capsys)
@@ -378,6 +417,53 @@ def test_an_augmentation_outside_the_checked_range_overflows(command, capsys, tm
         assert (code, out) == (5, "")
         assert err == ("resource error [OVERFLOW]: coefficient %d exceeds the "
                        "checked 64-bit range\n" % 2**70)
+
+
+def _adc_document(tmp_path, augmentations, boundaries):
+    records = [{"name": name, "dim": 0, "augmentation": value}
+               for name, value in augmentations.items()]
+    records += [{"name": name, "dim": dim, "boundary": boundary}
+                for name, (dim, boundary) in boundaries.items()]
+    doc = tmp_path / "complex.json"
+    doc.write_text(json.dumps({"kind": "adc", "generators": records}))
+    return doc
+
+
+@pytest.mark.parametrize("command", READERS + [["check", "--json"]],
+                         ids=lambda argv: "-".join(argv))
+def test_documents_that_are_not_chain_complexes_are_refused(command, capsys, tmp_path):
+    # dd t = b - c
+    doc = _adc_document(tmp_path, {"a": 1, "b": 1, "c": 1}, {
+        "e": (1, {"a": -1, "b": 1}), "f": (1, {"a": -1, "c": 1}),
+        "t": (2, {"e": 1, "f": -1})})
+    code, out, err = run(command + [str(doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("validation error: not a chain complex: dd = 0 fails at 't' "
+                   "(IntVector(+1*b -1*c))\n")
+
+    # eps d e = 1 - 2; the law dd is checked first, on every generator
+    doc = _adc_document(tmp_path, {"a": 2, "b": 1}, {
+        "e": (1, {"a": -1, "b": 1}), "s": (2, {"e": 1}), "u": (2, {})})
+    code, out, err = run(command + [str(doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("validation error: not a chain complex: dd = 0 fails at 's' "
+                   "(IntVector(-1*a +1*b))\n")
+    doc = _adc_document(tmp_path, {"a": 2, "b": 1}, {
+        "e": (1, {"a": -1, "b": 1}), "u": (2, {})})
+    code, out, err = run(command + [str(doc)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "validation error: not a chain complex: eps-d = 0 fails at 'e' (-1)\n"
+
+
+@pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+def test_an_augmentation_sum_outside_the_checked_range_overflows(command, capsys,
+                                                                 tmp_path):
+    # 4 * 2**62 = 2**64 is a product no computation may keep
+    doc = _adc_document(tmp_path, {"a": 2**62, "b": 1}, {"e": (1, {"a": 4, "b": -3})})
+    code, out, err = run(command + [str(doc)], capsys)
+    assert (code, out) == (5, "")
+    assert err == ("resource error [OVERFLOW]: coefficient %d exceeds the "
+                   "checked 64-bit range\n" % 2**64)
 
 
 @pytest.mark.parametrize("dim, shown", [

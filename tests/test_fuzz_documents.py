@@ -3,7 +3,7 @@
 Mutates catalog and random presentation documents and runs each mutant
 through ``cli.main`` in-process for the reading subcommands.  Every run must
 end with a documented exit code (0, or 2 to 5) and no exception may escape.
-Two kinds of mutation are made:
+Three kinds of mutation are made:
 
 - JSON-level: replace, delete or duplicate one value anywhere in the
   document.  Most of these stop at the schema check.
@@ -12,13 +12,18 @@ Two kinds of mutation are made:
   compose two at a random level.  These reach construction, and every such
   mutant that constructs also passes the reference checks of its
   linearization.
+- Number-level, on ADC documents only: replace an augmentation or a
+  boundary coefficient by a value at or past the checked 64-bit window, or
+  move it by one.  These keep the schema and reach the range checks and the
+  chain complex laws.  They come from a stream of their own, one for every
+  five mutants of the other two kinds, after those.
 
 The tests run a fixed seeded slice, and, when Hypothesis is installed, the
 same checks on mutants whose every choice Hypothesis draws and on small
 documents it builds from scratch.  Run the file as a script for a larger
 one, for example ``PYTHONPATH=src python tests/test_fuzz_documents.py 3000``
-for 3,000 mutants per subcommand; it prints the exit codes it saw and exits
-non-zero on the first failure.
+for 3,000 mutants and 600 number mutants per subcommand; it prints the exit
+codes it saw and exits non-zero on the first failure.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import pytest
 
 from conftest import assert_construction_is_sound, random_presentation
 from polyadc import (
+    CoefficientOverflow,
     DocumentError,
     PolyPresentation,
     build,
@@ -71,6 +77,11 @@ RANDOM_SEEDS = range(40)
 # names no document declares
 ODD_VALUES = [None, True, 0, 1, -1, 2, 7, 2**63, 2**70, 1.5, "", "a", "zz",
               [], {}, [0], {"gen": "zz"}]
+# integers a number mutation may put into an augmentation or a coefficient:
+# the edges of the checked window, the first values past it, and a product
+# 4 * 2**62 past it
+WINDOW = 2**63 - 1
+EDGE_NUMBERS = [WINDOW, -WINDOW, WINDOW + 1, -WINDOW - 1, 2**70, 2**62, 4, 0]
 
 
 def base_documents() -> list:
@@ -159,10 +170,29 @@ def mutate_expressions(rng, doc):
 
 
 # ---------------------------------------------------------------------------
+# number-level mutation
+
+def mutate_numbers(rng, doc):
+    records = doc["generators"]
+    if rng.random() < 0.5:
+        container = rng.choice([r for r in records if "augmentation" in r])
+        key = "augmentation"
+    else:
+        container = rng.choice([r["boundary"] for r in records if r.get("boundary")])
+        key = rng.choice(sorted(container))
+    if rng.random() < 0.5:
+        container[key] = rng.choice(EDGE_NUMBERS)
+    else:
+        container[key] += rng.choice((-1, 1))
+
+
+# ---------------------------------------------------------------------------
 
 def mutants(count, seed=SEED):
-    """``count`` mutant texts, each with a flag saying whether it was made
-    by expression-level mutation."""
+    """``count`` mutant texts made by JSON- or expression-level mutation,
+    then ``count // 5`` made by number-level mutation from a stream of their
+    own, so that the first ``count`` do not depend on the last; each comes
+    with a flag saying whether it was made by expression-level mutation."""
     rng = random.Random(seed)
     bases = base_documents()
     with_exprs = [doc for doc in bases if expression_slots(doc)]
@@ -176,6 +206,13 @@ def mutants(count, seed=SEED):
             else:
                 mutate_json(rng, doc)
         out.append((json.dumps(doc), by_expression))
+    rng = random.Random(seed + 1)
+    complexes = [doc for doc in bases if doc["kind"] == "adc"]
+    for _ in range(count // 5):
+        doc = copy.deepcopy(rng.choice(complexes))
+        for _ in range(rng.randint(1, 2)):
+            mutate_numbers(rng, doc)
+        out.append((json.dumps(doc), False))
     return out
 
 
@@ -226,6 +263,31 @@ def test_mutated_documents_exit_with_a_documented_code(command, mutant_slice, tm
     path = str(tmp_path / "mutant.json")
     for text, _ in mutant_slice:
         check_mutant(text, path, [command])
+
+
+def _augmentations(text) -> list:
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("kind") != "adc" or \
+            not isinstance(doc.get("generators"), list):
+        return []
+    return [record["augmentation"] for record in doc["generators"]
+            if isinstance(record, dict) and isinstance(record.get("augmentation"), int)]
+
+
+def test_the_slice_reaches_the_number_checks(mutant_slice):
+    # an augmentation outside the checked window, refused as an overflow, and
+    # a complex that breaks a chain law
+    wide = broken = 0
+    for text, _ in mutant_slice:
+        values = _augmentations(text)
+        try:
+            parse_document(text)
+        except CoefficientOverflow:
+            wide += any(abs(value) > WINDOW for value in values)
+        except (DocumentError, ValueError) as exc:
+            broken += str(exc).startswith("not a chain complex: ")
+    assert wide >= 1
+    assert broken >= 1
 
 
 def test_constructed_expression_mutants_pass_the_reference_checks(mutant_slice):
@@ -323,8 +385,8 @@ def main(argv):
             codes.update(check_mutant(text, path))
             if by_expression:
                 check_construction(text)
-    print("%d mutants x %d subcommands; exit codes %s" % (
-        count, len(SUBCOMMANDS),
+    print("%d mutants and %d number mutants x %d subcommands; exit codes %s" % (
+        count, count // 5, len(SUBCOMMANDS),
         ", ".join("%d: %d" % item for item in sorted(codes.items()))))
     return 0
 

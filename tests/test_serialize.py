@@ -7,6 +7,7 @@ import pytest
 from conftest import random_presentation
 from polyadc import (
     Adc,
+    CoefficientOverflow,
     Comp,
     DocumentError,
     Gen,
@@ -20,6 +21,7 @@ from polyadc import (
     parse_document,
     serialize_document,
     to_dot,
+    validate_adc,
 )
 from polyadc.serialize import (MAX_DEGREE, DegreeCapExceeded, expr_to_obj,
                                obj_to_expr)
@@ -308,6 +310,45 @@ def test_edge_values_have_the_encoder_bytes():
     text = assert_encoder_bytes(complex_)
     assert '"boundary": {}' in text
     assert text.isascii()
+    # not a chain complex, so the parser refuses it at the first law that
+    # fails, before the overflow that checking the last 2-cell would meet
+    with pytest.raises(ValueError, match="not a chain complex: dd = 0 fails at '/'"):
+        parse_document(text)
+
+
+def test_documents_that_are_not_chain_complexes_are_refused():
+    # dd t = b - c, though every atom is unital and the relation acyclic
+    k = Adc([["a", "b", "c"], ["e", "f"], ["t"]],
+            {"e": IntVector({"a": -1, "b": 1}), "f": IntVector({"a": -1, "c": 1}),
+             "t": IntVector({"e": 1, "f": -1})},
+            {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match=r"^not a chain complex: dd = 0 fails at "
+                                         r"'t' \(IntVector\(\+1\*b -1\*c\)\)$"):
+        parse_document(serialize_document(k))
+    # eps d e = 2 fails only once every dd is 0
+    k = Adc([["a", "b"], ["e"]], {"e": IntVector({"a": 1, "b": 1})}, {"a": 1, "b": 1})
+    with pytest.raises(ValueError, match=r"^not a chain complex: eps-d = 0 fails "
+                                         r"at 'e' \(2\)$"):
+        parse_document(serialize_document(k))
+    # the sum 4 * 2**62 overflows before any law can be read off it
+    k = Adc([["a", "b"], ["e"]], {"e": IntVector({"a": 4, "b": -3})},
+            {"a": 2**62, "b": 1})
+    with pytest.raises(CoefficientOverflow):
+        parse_document(serialize_document(k))
+
+
+def test_edge_values_of_a_chain_complex_round_trip_through_the_parser():
+    big = 2**63 - 1
+    names = ODD_NAMES
+    # eps d of the first edge sums big, then -big, then 0 * -big, in name order
+    complex_ = Adc([names[:4], names[4:6], names[6:]],
+                   {names[4]: IntVector({names[1]: 1, names[2]: -big, names[3]: 1}),
+                    names[5]: IntVector(),
+                    names[6]: IntVector({names[5]: big}),
+                    names[7]: IntVector({names[5]: -big})},
+                   {names[0]: -1, names[1]: big, names[2]: 0, names[3]: -big})
+    assert validate_adc(complex_).ok
+    text = assert_encoder_bytes(complex_)
     assert parse_document(text) == complex_
 
 
@@ -349,7 +390,18 @@ def test_random_documents_with_any_names_have_the_encoder_bytes():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(complexes())
     def adc_prop(complex_):
-        assert parse_document(assert_encoder_bytes(complex_)) == complex_
+        text = assert_encoder_bytes(complex_)
+        try:
+            lawful = validate_adc(complex_).ok
+        except CoefficientOverflow:
+            lawful = False
+        if lawful:
+            assert parse_document(text) == complex_
+        else:  # the parser refuses what is not a chain complex
+            with pytest.raises((ValueError, CoefficientOverflow)) as refusal:
+                parse_document(text)
+            assert refusal.type is CoefficientOverflow or \
+                str(refusal.value).startswith("not a chain complex: ")
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1),
