@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "zlin": ("AmbiguousCoordinates", "CoefficientOverflow", "IntVector",
              "TorsionError"),
-    "smith": ("IntMatrix", "SmithDecomposition", "determinant", "mat_mul",
-              "monoid_coordinates", "quotient_free_basis", "smith_normal_form",
-              "unimodular_inverse"),
+    "smith": ("SmithDecomposition", "determinant", "mat_mul", "monoid_coordinates",
+              "quotient_free_basis", "smith_normal_form", "unimodular_inverse"),
     "adc": ("Adc", "Chain", "Decomposition", "RelationGraph", "atom_table",
             "decompose", "generating_relation", "is_strong_steiner_complex",
             "is_unital", "loop_free_report", "truncate_adc", "unitality_failures",

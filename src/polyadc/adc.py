@@ -251,6 +251,17 @@ def _law_failures(complex_: Adc):
             yield ("eps-d", name, str(e))
 
 
+def _require_chain_complex(complex_: Adc) -> None:
+    """Raise ValueError naming the first failure of :func:`validate_adc`,
+    as ``not a chain complex: <law> = 0 fails at <generator> (<value>)``;
+    the parser and the enumeration refuse a broken complex with it."""
+    failure = next(_law_failures(complex_), None)
+    if failure is not None:
+        law, name, value = failure
+        raise ValueError("not a chain complex: %s = 0 fails at %r (%s)"
+                         % (law, name, value))
+
+
 # ---------------------------------------------------------------------------
 # canonical decomposition and atoms
 
@@ -521,9 +532,18 @@ def loop_free_report(complex_: Adc) -> LoopFreeReport:
 
 
 def is_strong_steiner_complex(complex_: Adc) -> bool:
-    """Unital and the generating relation induces a partial order, decided
-    on its successor lists without building the edge set."""
-    return is_unital(complex_) and _is_loop_free(complex_)
+    """Every atom table is a cell and the generating relation induces a
+    partial order, decided on its successor lists without building the
+    edge set.
+
+    The atoms' faults (:func:`atom_fault`) are the ones their tables
+    record: a fault-free atom has augmentations 1, so the complex is
+    unital, and a complex whose atoms are all fault-free is a chain
+    complex (a dd failure gives some atom two rows with different
+    boundaries, and an eps-d failure an edge with unequal augmentations).
+    """
+    return (all(_atom(complex_, name)[1] is None for name in complex_.all_generators())
+            and _is_loop_free(complex_))
 
 
 def _is_loop_free(complex_: Adc) -> bool:

@@ -171,50 +171,23 @@ def _oriental_complex(n: int) -> Adc:
 
 
 def _oriental_presentation(n: int):
+    """The oriental as a presentation, for n <= 3, on the names of
+    :func:`_oriental_complex`: each edge ij goes from i to j and each
+    triangle ijk from ik to ij composed with jk.  The 3-simplex's boundary
+    is the paper's worked example and is written out."""
     if n > 3:
         return None
-    if n == 0:
-        return PolyPresentation([["0"]], {})
-    if n == 1:
-        return PolyPresentation(
-            [["0", "1"], ["01"]],
-            {"01": (Gen("0"), Gen("1"))},
-        )
-    if n == 2:
-        return PolyPresentation(
-            [["0", "1", "2"], ["01", "02", "12"], ["012"]],
-            {
-                "01": (Gen("0"), Gen("1")),
-                "02": (Gen("0"), Gen("2")),
-                "12": (Gen("1"), Gen("2")),
-                "012": (Gen("02"), Comp(0, Gen("01"), Gen("12"))),
-            },
-        )
-    boundary = {
-        "01": (Gen("0"), Gen("1")),
-        "02": (Gen("0"), Gen("2")),
-        "03": (Gen("0"), Gen("3")),
-        "12": (Gen("1"), Gen("2")),
-        "13": (Gen("1"), Gen("3")),
-        "23": (Gen("2"), Gen("3")),
-        "012": (Gen("02"), Comp(0, Gen("01"), Gen("12"))),
-        "013": (Gen("03"), Comp(0, Gen("01"), Gen("13"))),
-        "023": (Gen("03"), Comp(0, Gen("02"), Gen("23"))),
-        "123": (Gen("13"), Comp(0, Gen("12"), Gen("23"))),
-        "0123": (
+    vertices = "0123"[:n + 1]
+    levels = [["".join(c) for c in combinations(vertices, q + 1)] for q in range(n + 1)]
+    boundary = {i + j: _edge(i, j) for i, j in combinations(vertices, 2)}
+    for i, j, k in combinations(vertices, 3):
+        boundary[i + j + k] = (Gen(i + k), Comp(0, Gen(i + j), Gen(j + k)))
+    if n == 3:
+        boundary["0123"] = (
             Comp(1, Gen("023"), Comp(0, Gen("012"), Id(Gen("23")))),
             Comp(1, Gen("013"), Comp(0, Id(Gen("01")), Gen("123"))),
-        ),
-    }
-    return PolyPresentation(
-        [
-            ["0", "1", "2", "3"],
-            ["01", "02", "03", "12", "13", "23"],
-            ["012", "013", "023", "123"],
-            ["0123"],
-        ],
-        boundary,
-    )
+        )
+    return PolyPresentation(levels, boundary)
 
 
 def _oriental(n: int) -> CatalogEntry:

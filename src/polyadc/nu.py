@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from itertools import product
 
-from .adc import Adc, _atom, atom_table
+from .adc import Adc, _atom, _require_chain_complex, atom_table
 from .zlin import IntVector, Record, _setattr
 
 
@@ -57,9 +57,6 @@ class NuTable(Record):
     @property
     def dim(self) -> int:
         return len(self.rows) - 1
-
-    def row(self, p: int):
-        return self.rows[p]
 
     def is_trivial(self) -> bool:
         """True for identity tables: positive dimension with zero top row."""
@@ -501,8 +498,11 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
     count reached and the flag to raise in its message, and ValueError
-    when an atom table is not actually a cell (which happens for complexes
-    that are not unital).  The atoms are not run through
+    when an atom table is not actually a cell: with the parser's message
+    when the complex breaks a chain complex law (the first failure of
+    :func:`polyadc.adc.validate_adc`, looked up only once an atom has a
+    fault), and otherwise naming the atom and the condition, since the
+    complex is not unital.  The atoms are not run through
     :func:`is_valid_table`: one lookup of each generator's kept atom
     (``polyadc.adc._atom``) gives its rows and the violated condition,
     read off the boundaries that building the rows computed.
@@ -519,6 +519,7 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
             for name in complex_.generators(q):
                 atom_rows, cond, _ = _atom(complex_, name)
                 if cond is not None:
+                    _require_chain_complex(complex_)
                     raise ValueError(
                         "atom table of %r violates cell condition %d; "
                         "the complex is not unital enough to enumerate" % (name, cond)

@@ -2,7 +2,8 @@
 
 The linearization of a cell set is the free group on its cells modulo the
 relation identifying each composite with the sum of its factors, one degree
-at a time.  :func:`lambda_of_enumerated` computes it with explicit matrices
+at a time.  :func:`lambda_of_enumerated` computes it with the Smith-form
+quotient of :mod:`polyadc.smith`, keeping each cell's class as a vector,
 and :func:`check_omega_basis` decides whether a family of cells is a basis
 of it.  When the starting complex is strong Steiner the atoms form such a
 basis and the whole construction collapses back onto the complex it came
@@ -23,8 +24,11 @@ class QuotientLambda(Record):
     """The degreewise quotient of an enumerated cell set.
 
     ``complex`` carries the induced differential and augmentation on the
-    fresh quotient bases; ``projections[q]`` maps the free group on the
-    degree-q cells onto the degree-q part.
+    fresh quotient bases.  ``projections[q]`` maps each degree-q cell name
+    to its class, a vector over the degree-q quotient basis, and
+    ``sections[q]`` maps each degree-q basis name to a vector over the cell
+    names that the projection sends back to it; both are the
+    :class:`polyadc.smith.QuotientBasis` fields of that degree.
     """
 
     __slots__ = ("complex", "cells", "cell_names", "projections", "sections",
@@ -37,14 +41,13 @@ class QuotientLambda(Record):
     def __init__(self, complex: Adc,
                  cells: dict,        # q -> tuple of NuTable, ambient order
                  cell_names: dict,   # q -> tuple of str, aligned with cells
-                 projections: dict,  # q -> IntMatrix (quotient basis x cell names)
-                 sections: dict):    # q -> IntMatrix (cell names x quotient basis)
+                 projections: dict,  # q -> {cell name: class over the quotient basis}
+                 sections: dict):    # q -> {basis name: vector over the cell names}
         self._fill(complex, cells, cell_names, projections, sections)
         self._classes = {}
         for q, projection in projections.items():
-            columns = projection.columns()
             for table, name in zip(cells.get(q, ()), cell_names.get(q, ())):
-                self._classes[table] = columns[name]
+                self._classes[table] = projection[name]
 
     def class_of(self, table: nu.NuTable) -> IntVector:
         """The image of a cell in the quotient basis of its degree."""
@@ -63,10 +66,13 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
     One relation per composable pair (composite minus the two factors),
     listed by level, then left factor, then right factor, each in cell
     order; the pairs and their composites are read from
-    ``enum.index.products``, one scan of the filed codes.  The differential
-    of a quotient generator is transported through a section, using the
-    faces of the cells.  Raises ValueError when a composite or a face of
-    the enumerated cells was not itself enumerated.
+    ``enum.index.products``, one scan of the filed codes.  Each degree's
+    quotient gives every cell name its class and every basis name its
+    section vector over the cells.  The differential of a quotient
+    generator is transported through its section vector, using the faces
+    of the cells and the classes one degree down.  Raises ValueError when
+    a composite or a face of the enumerated cells was not itself
+    enumerated.
     """
     cells = {q: tuple(ts) for q, ts in enum.cells.items()}
     cell_names = {
@@ -101,13 +107,12 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
         sections[q] = qb.section
         basis_levels.append(qb.basis)
 
-    classes = {q: projection.columns() for q, projection in projections.items()}
     differential = {}
     augmentation = {}
     for q, level in enumerate(basis_levels):
-        section_cols = sections[q].columns()
+        below = projections.get(q - 1)  # the classes of the (q-1)-cells
         for gen in level:
-            section_col = section_cols[gen]
+            section_col = sections[q][gen]
             if q == 0:
                 augmentation[gen] = sum(c for _, c in section_col.items())
                 continue
@@ -122,7 +127,7 @@ def lambda_of_enumerated(enum: nu.EnumeratedOmegaCat) -> QuotientLambda:
                             "a face of an enumerated %d-cell was not enumerated; "
                             "the cell set is not face-closed" % q
                         )
-                step = classes[q - 1][name_of[tgt]] - classes[q - 1][name_of[src]]
+                step = below[name_of[tgt]] - below[name_of[src]]
                 dvec = dvec + step.scaled(coeff)
             differential[gen] = dvec
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _str
 
-from .adc import Adc, RelationGraph, _law_failures
+from .adc import Adc, RelationGraph, _require_chain_complex
 from .polygraph import CellExpr, Comp, Gen, Id, PolyPresentation
 from .zlin import IntVector
 
@@ -171,11 +171,7 @@ def parse_document(text: str):
                         raise DocumentError("boundary of %r must map names to integers" % name)
                 diff[name] = IntVector._of(bd)  # the entries are checked above
         complex_ = Adc(basis, diff, aug)
-        failure = next(_law_failures(complex_), None)
-        if failure is not None:
-            law, name, value = failure
-            raise ValueError("not a chain complex: %s = 0 fails at %r (%s)"
-                             % (law, name, value))
+        _require_chain_complex(complex_)
         return complex_
 
     boundary = {}
@@ -260,10 +256,11 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: RelationGraph, dims, name: str = "relation") -> str:
-    """Render a relation graph as DOT, nodes labeled name:dimension; each
-    name is escaped once, in the node loop, and reused for the edges."""
-    lines = ["digraph %s {" % name]
+def to_dot(graph: RelationGraph, dims) -> str:
+    """Render a relation graph as the DOT digraph ``relation``, nodes
+    labeled name:dimension; each name is escaped once, in the node loop,
+    and reused for the edges."""
+    lines = ["digraph relation {"]
     quoted = {}
     for node in graph.nodes:
         esc = quoted[node] = _dot_escape(node)

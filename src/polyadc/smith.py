@@ -1,8 +1,11 @@
-"""Integer matrices over named generators and the algebra built on them.
+"""Dense integer matrices and the algebra built on them.
 
 Determinants, the Smith normal form with its unimodular transforms,
-unimodular inverses, coordinates over submonoids and free quotients.  The
-vectors, the 64-bit check and the exceptions are :mod:`polyadc.zlin`'s.
+unimodular inverses, coordinates over submonoids and free quotients.  A
+matrix is a dense list of rows; a quotient hands back its projection and
+its section as columns, one :class:`~polyadc.zlin.IntVector` per ambient
+name and per basis name.  The vectors, the 64-bit check and the
+exceptions are :mod:`polyadc.zlin`'s.
 Its readers are the explicit quotient and the basis check of
 :mod:`polyadc.roundtrip` (the certificate needs no matrix) and the tests;
 no subcommand of the command line loads it.
@@ -20,113 +23,9 @@ left (reduce-then-SNF, as in Kaczynski, Mrozek and Slusarek 1998).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from .zlin import AmbiguousCoordinates, IntVector, Record, TorsionError, _ck
-
-
-class IntMatrix:
-    """Integer matrix with named, ordered rows and columns.
-
-    Entries are stored sparsely; zero entries are dropped.
-    """
-
-    __slots__ = ("row_names", "col_names", "_entries")
-
-    def __init__(self, row_names: Sequence[str], col_names: Sequence[str], entries=()):
-        self.row_names = tuple(row_names)
-        self.col_names = tuple(col_names)
-        if len(set(self.row_names)) != len(self.row_names):
-            raise ValueError("duplicate row names")
-        if len(set(self.col_names)) != len(self.col_names):
-            raise ValueError("duplicate column names")
-        rows = set(self.row_names)
-        cols = set(self.col_names)
-        if isinstance(entries, Mapping):
-            entries = entries.items()
-        data = {}
-        for (r, c), v in entries:
-            if r not in rows or c not in cols:
-                raise ValueError("entry (%r, %r) outside the declared index sets" % (r, c))
-            if v:
-                data[(r, c)] = _ck(v)
-        self._entries = data
-
-    @classmethod
-    def identity(cls, names: Sequence[str]) -> "IntMatrix":
-        names = tuple(names)
-        return cls(names, names, {(n, n): 1 for n in names})
-
-    @classmethod
-    def from_dense(cls, dense, row_names=None, col_names=None) -> "IntMatrix":
-        m = len(dense)
-        n = len(dense[0]) if m else 0
-        if any(len(row) != n for row in dense):
-            raise ValueError("ragged dense matrix")
-        if row_names is None:
-            row_names = tuple("r%d" % i for i in range(m))
-        if col_names is None:
-            col_names = tuple("c%d" % j for j in range(n))
-        entries = {}
-        for i, rname in enumerate(row_names):
-            for j, cname in enumerate(col_names):
-                if dense[i][j]:
-                    entries[(rname, cname)] = dense[i][j]
-        return cls(row_names, col_names, entries)
-
-    @property
-    def shape(self):
-        return (len(self.row_names), len(self.col_names))
-
-    def entry(self, r: str, c: str) -> int:
-        return self._entries.get((r, c), 0)
-
-    def row(self, r: str) -> IntVector:
-        return IntVector((c, v) for (ri, c), v in self._entries.items() if ri == r)
-
-    def column(self, c: str) -> IntVector:
-        return IntVector((r, v) for (r, ci), v in self._entries.items() if ci == c)
-
-    def columns(self) -> dict:
-        """Every column, keyed by its name, from one pass over the entries."""
-        data = {c: {} for c in self.col_names}
-        for (r, c), v in self._entries.items():
-            data[c][r] = v
-        return {c: IntVector._of(col) for c, col in data.items()}
-
-    def to_dense(self):
-        return [
-            [self._entries.get((r, c), 0) for c in self.col_names]
-            for r in self.row_names
-        ]
-
-    def apply(self, vector: IntVector) -> IntVector:
-        """Matrix times column vector; the vector lives over the column names."""
-        cols = set(self.col_names)
-        for name in vector.support():
-            if name not in cols:
-                raise ValueError("vector entry %r outside the column names" % name)
-        out = {}
-        for (r, c), v in self._entries.items():
-            coeff = vector[c]
-            if coeff:
-                out[r] = out.get(r, 0) + v * coeff
-        return IntVector(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (
-            self.row_names == other.row_names
-            and self.col_names == other.col_names
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.row_names, self.col_names, tuple(sorted(self._entries.items()))))
-
-    def __repr__(self):
-        return "IntMatrix(%d x %d)" % self.shape
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +107,14 @@ class SmithDecomposition(Record):
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
-    Accepts an :class:`IntMatrix` or a dense list of rows.  The pivot is
-    always the smallest nonzero absolute value of the remaining submatrix,
-    ties broken by row then column, which makes the output reproducible.
+    Takes a dense list of rows.  The pivot is always the smallest nonzero
+    absolute value of the remaining submatrix, ties broken by row then
+    column, which makes the output reproducible.
     """
-    if isinstance(matrix, IntMatrix):
-        a = [list(row) for row in matrix.to_dense()]
-        n = matrix.shape[1]
-    else:
-        a = [list(row) for row in matrix]
-        n = len(a[0]) if a else 0
-        if any(len(row) != n for row in a):
-            raise ValueError("ragged input matrix")
+    a = [list(row) for row in matrix]
+    n = len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise ValueError("ragged input matrix")
     for row in a:
         for v in row:
             _ck(v)
@@ -440,19 +335,29 @@ def _search_monoid(vector, gens):
 class QuotientBasis(Record):
     """Free basis of Z[ambient]/<relations> plus the projection onto it.
 
-    ``projection`` has one row per new basis name and one column per ambient
-    name; the class of an ambient generator is the corresponding column.
-    ``section`` is a right inverse of the projection, used to transport maps
-    defined on the ambient group down to the quotient.
+    ``projection`` maps each ambient name, in ambient order, to its class,
+    a vector over the basis names.  ``section`` maps each basis name, in
+    basis order, to a vector over the ambient names; it is a right inverse
+    of the projection, used to transport maps defined on the ambient group
+    down to the quotient.
     """
 
     __slots__ = _fields = ("basis", "projection", "section")
 
-    def __init__(self, basis: tuple, projection: IntMatrix, section: IntMatrix):
+    def __init__(self, basis: tuple, projection: dict, section: dict):
         self._fill(basis, projection, section)
 
     def class_of(self, vector: IntVector) -> IntVector:
-        return self.projection.apply(vector)
+        """The sum of the classes of the vector's names, scaled by its
+        coefficients; a name outside the ambient raises ValueError."""
+        for name in vector._entries:
+            if name not in self.projection:
+                raise ValueError("vector entry %r outside the ambient names" % name)
+        out = {}
+        for name, coeff in vector._entries.items():
+            for b, v in self.projection[name]._entries.items():
+                out[b] = _ck(out.get(b, 0) + _ck(v * coeff))
+        return IntVector._of(out)
 
 
 def quotient_free_basis(ambient: Sequence[str], relations: Iterable[IntVector],
@@ -531,14 +436,11 @@ def quotient_free_basis(ambient: Sequence[str], relations: Iterable[IntVector],
             for b, v in classes[h].items():
                 acc[b] = _ck(acc.get(b, 0) + _ck(c * v))
         classes[g] = acc
-    proj_entries = {(b, g): v for g in ambient for b, v in classes[g].items() if v}
-    sect_entries = {(g, b): snf.U_inv[j][i]
-                    for b, i in zip(basis, free)
-                    for j, g in enumerate(survivors) if snf.U_inv[j][i]}
     return QuotientBasis(
         basis=basis,
-        projection=IntMatrix(basis, ambient, proj_entries),
-        section=IntMatrix(ambient, basis, sect_entries),
+        projection={g: IntVector._of(classes[g]) for g in ambient},
+        section={b: IntVector._of({g: snf.U_inv[j][i] for j, g in enumerate(survivors)})
+                 for b, i in zip(basis, free)},
     )
 
 

@@ -9,8 +9,10 @@ number that would mask a modelling mistake.
 
 The matrix algebra (determinants, the Smith normal form, inverses,
 quotients and monoid coordinates) is :mod:`polyadc.smith`, which only the
-quotient path reads.  Its public names are still served from here, and
-the first lookup of one loads that module.
+quotient path reads; its matrices are dense lists of rows, and a quotient
+hands back its projection and section as columns of these vectors.  Its
+public names are still served from here, and the first lookup of one
+loads that module.
 """
 
 from __future__ import annotations
@@ -224,9 +226,9 @@ ZERO = IntVector()
 
 # the matrix algebra's public names, served by __getattr__ from polyadc.smith
 _MOVED = frozenset((
-    "IntMatrix", "SmithDecomposition", "QuotientBasis", "determinant",
-    "mat_mul", "monoid_coordinates", "quotient_free_basis",
-    "smith_normal_form", "unimodular_inverse",
+    "SmithDecomposition", "QuotientBasis", "determinant", "mat_mul",
+    "monoid_coordinates", "quotient_free_basis", "smith_normal_form",
+    "unimodular_inverse",
 ))
 
 

@@ -17,10 +17,14 @@ from polyadc import (
     is_unital,
     lambda_presentation,
     loop_free_report,
+    parse_document,
+    serialize_document,
     truncate_adc,
     unitality_failures,
     validate_adc,
+    verify_equivalence,
 )
+from polyadc.adc import atom_fault
 
 
 def simplex2():
@@ -146,13 +150,35 @@ def test_validation_and_atoms_overflow_on_an_augmentation_sum():
         unitality_failures(k)
 
 
+def dd_broken():
+    """dd t = b - c, while every augmentation is 1 and every atom's
+    augmentations are (1, 1)."""
+    return Adc([["a", "b", "c"], ["e", "f"], ["t"]],
+               {"e": IntVector({"a": -1, "b": 1}), "f": IntVector({"a": -1, "c": 1}),
+                "t": IntVector({"e": 1, "f": -1})},
+               {"a": 1, "b": 1, "c": 1})
+
+
 def test_a_broken_complex_still_constructs_and_is_reported_on():
-    # dd t = b - c; parsing its document refuses it (tests/test_serialize.py)
-    k = Adc([["a", "b", "c"], ["e", "f"], ["t"]],
-            {"e": IntVector({"a": -1, "b": 1}), "f": IntVector({"a": -1, "c": 1}),
-             "t": IntVector({"e": 1, "f": -1})},
-            {"a": 1, "b": 1, "c": 1})
+    # parsing its document refuses it (tests/test_serialize.py)
+    k = dd_broken()
     assert validate_adc(k).failures == (("dd", "t", "IntVector(+1*b -1*c)"),)
+
+
+def test_a_complex_that_breaks_dd_is_not_strong_steiner():
+    k = dd_broken()
+    assert is_unital(k)
+    assert atom_fault(k, "t") == 2
+    assert not is_strong_steiner_complex(k)
+    rep = verify_equivalence(k)
+    assert (rep.ok, rep.reason) == (False, "not a strong Steiner complex")
+    # the enumeration and the parser refuse it with one message
+    message = "not a chain complex: dd = 0 fails at 't' (IntVector(+1*b -1*c))"
+    with pytest.raises(ValueError) as enumerated:
+        enumerate_nu(k)
+    with pytest.raises(ValueError) as parsed:
+        parse_document(serialize_document(k))
+    assert str(enumerated.value) == str(parsed.value) == message
 
 
 def test_decompose_splits_signs():

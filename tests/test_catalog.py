@@ -1,5 +1,6 @@
 """The built-in catalog: shapes, invariants, and pinned classifications."""
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from polyadc import (
     build,
     catalog,
     classify,
+    cli,
     eval_table,
     lambda_presentation,
     linearize,
@@ -139,6 +141,24 @@ def test_oriental_presentation_linearizes_to_the_complex():
         assert lambda_presentation(entry.as_presentation()) == entry.as_adc()
     with pytest.raises(ValueError):
         build("oriental", (4,)).as_presentation()
+
+
+# sha256 of `polyadc catalog oriental n --form polygraph`, from when these
+# presentations were written out by hand
+ORIENTAL_PRESENTATION_SHA256 = {
+    0: "cd8dc523cdba7a96eb69221ef41d15c56a8b750c7e7b14145fc46214e44f3eeb",
+    1: "fb3117c99208e9664ce04b1ce7d85c9c6ffd734a3a72dfa329dc33537c62fafc",
+    2: "259c4b79c54beac2f00adc983cdf71500698a6eea66965f24bcbc422b0c7330b",
+    3: "5484fb77ae73381ee7012fc10c3fadafcf2364aa691df7eebcf611025e7627db",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORIENTAL_PRESENTATION_SHA256))
+def test_oriental_presentations_have_pinned_bytes(n, capsys):
+    assert cli.main(["catalog", "oriental", str(n), "--form", "polygraph"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        ORIENTAL_PRESENTATION_SHA256[n]
 
 
 def test_adc_form_is_the_linearization():

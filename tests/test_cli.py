@@ -689,14 +689,14 @@ EXPORTED = {
                   "top_row_certificate", "verify_equivalence"),
     "serialize": ("DegreeCapExceeded", "DocumentError", "parse_document",
                   "serialize_document", "to_dot"),
-    "zlin": ("AmbiguousCoordinates", "CoefficientOverflow", "IntMatrix",
-             "IntVector", "SmithDecomposition", "TorsionError", "determinant",
-             "mat_mul", "monoid_coordinates", "quotient_free_basis",
-             "smith_normal_form", "unimodular_inverse"),
+    "zlin": ("AmbiguousCoordinates", "CoefficientOverflow", "IntVector",
+             "SmithDecomposition", "TorsionError", "determinant", "mat_mul",
+             "monoid_coordinates", "quotient_free_basis", "smith_normal_form",
+             "unimodular_inverse"),
 }
-MOVED_TO_SMITH = ("IntMatrix", "SmithDecomposition", "QuotientBasis", "determinant",
-                  "mat_mul", "monoid_coordinates", "quotient_free_basis",
-                  "smith_normal_form", "unimodular_inverse")
+MOVED_TO_SMITH = ("SmithDecomposition", "QuotientBasis", "determinant", "mat_mul",
+                  "monoid_coordinates", "quotient_free_basis", "smith_normal_form",
+                  "unimodular_inverse")
 
 
 def test_the_package_serves_every_name_it_exported_before():

@@ -43,6 +43,7 @@ import pytest
 from conftest import assert_construction_is_sound, random_presentation
 from polyadc import (
     CoefficientOverflow,
+    DegreeCapExceeded,
     DocumentError,
     PolyPresentation,
     build,
@@ -242,10 +243,12 @@ def check_mutant(text, path, commands=SUBCOMMANDS):
 
 def check_construction(text) -> bool:
     """Whether a mutant constructs a presentation; one that does must pass
-    the reference checks of its linearization."""
+    the reference checks of its linearization.  A document refused with a
+    documented error (a schema or value error, a number outside the checked
+    range, a degree above the cap) constructs nothing."""
     try:
         pres = parse_document(text)
-    except (DocumentError, ValueError):
+    except (DocumentError, ValueError, CoefficientOverflow, DegreeCapExceeded):
         return False
     if not isinstance(pres, PolyPresentation):
         return False

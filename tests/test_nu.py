@@ -21,8 +21,10 @@ from polyadc import (
     face,
     identity,
     indecomposables,
+    is_strong_steiner_complex,
     is_valid_table,
     lambda_presentation,
+    validate_adc,
 )
 from polyadc.adc import atom_fault
 
@@ -179,7 +181,7 @@ def test_enumeration_needs_valid_atoms():
          "12": IntVector({"2": 1, "1": -1}), "012": IntVector({"12": 1, "02": 1, "01": 1})},
         {"0": 1, "1": 1, "2": 1},
     )
-    with pytest.raises(ValueError, match="^atom table of '012' violates cell condition 2"):
+    with pytest.raises(ValueError, match="^not a chain complex: dd = 0 fails at '012' "):
         enumerate_nu(broken)
 
 
@@ -215,6 +217,31 @@ def test_atom_faults_agree_with_the_cell_conditions():
             assert atom_fault(k, name) == cond
             faults.add(cond)
     assert faults == {None, 2, 3}
+
+
+def test_enumeration_names_a_broken_law_before_unitality():
+    # on arbitrary boundaries and augmentations: a complex that breaks a
+    # chain complex law is refused with the first failure the parser would
+    # name, one that only fails unitality with the faulty atom, and neither
+    # is strong Steiner
+    refusals = set()
+    for seed in range(200):
+        k = random_adc(seed)
+        failures = validate_adc(k).failures
+        try:
+            enumerate_nu(k, max_cells=200, max_coeff=4)
+        except ValueError as exc:
+            if failures:
+                want = "not a chain complex: %s = 0 fails at %r (%s)" % failures[0]
+                assert str(exc) == want
+            else:
+                assert str(exc).endswith("the complex is not unital enough to enumerate")
+            refusals.add(bool(failures))
+        else:
+            assert not failures
+        if failures:
+            assert not is_strong_steiner_complex(k)
+    assert refusals == {False, True}
 
 
 def test_brute_force_agrees_with_enumeration():

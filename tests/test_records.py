@@ -15,7 +15,6 @@ from polyadc import (
     EnumeratedOmegaCat,
     Gen,
     Id,
-    IntMatrix,
     IntVector,
     NuTable,
     QuotientLambda,
@@ -34,8 +33,8 @@ POINT = NuTable(((A, A),))
 GRAPH = RelationGraph(("a", "b"), frozenset({("a", "b")}))
 REPR_GRAPH = "RelationGraph(nodes=('a', 'b'), edges=frozenset({('a', 'b')}))"
 ONE_POINT = Adc([["a"]], {}, {"a": 1})
-PROJECTION = IntMatrix(("q0",), ("c0_0",), {("q0", "c0_0"): 1})
-SECTION = IntMatrix(("c0_0",), ("q0",), {("c0_0", "q0"): 1})
+PROJECTION = {"c0_0": IntVector.unit("q0")}
+SECTION = {"q0": IntVector.unit("c0_0")}
 
 
 class Case:
@@ -110,8 +109,8 @@ CASES = [
          (ONE_POINT, {0: (POINT,)}, {0: ("c0_0",)}, {0: PROJECTION}, {0: SECTION}),
          "QuotientLambda(complex=Adc(0:1), "
          "cells={0: (NuTable(dim=0, top=IntVector(+1*a)),)}, "
-         "cell_names={0: ('c0_0',)}, projections={0: IntMatrix(1 x 1)}, "
-         "sections={0: IntMatrix(1 x 1)})",
+         "cell_names={0: ('c0_0',)}, projections={0: {'c0_0': IntVector(+1*q0)}}, "
+         "sections={0: {'q0': IntVector(+1*c0_0)}})",
          frozen=False),
     Case(OmegaBasisReport, ("ok", "failed", "detail"),
          (False, "generation", "1 of the 0-cells are not generated"),
@@ -125,11 +124,14 @@ CASES = [
          "SmithDecomposition(U=((1,),), D=((2,),), V=((-1,),), U_inv=((1,),))"),
     Case(QuotientBasis, ("basis", "projection", "section"),
          (("q0",), PROJECTION, SECTION),
-         "QuotientBasis(basis=('q0',), projection=IntMatrix(1 x 1), "
-         "section=IntMatrix(1 x 1))"),
+         "QuotientBasis(basis=('q0',), projection={'c0_0': IntVector(+1*q0)}, "
+         "section={'q0': IntVector(+1*c0_0)})"),
 ]
 IDS = [case.cls.__name__ for case in CASES]
 UNHASHABLE = {CatalogEntry, EnumeratedOmegaCat, QuotientLambda}
+# records whose pinned values include dicts, with values that hash
+HASHABLE_VALUES = {RoundtripReport: (True, None, (0,), (1,)),
+                   QuotientBasis: (("q0",), (), ())}
 
 
 def test_every_record_class_is_pinned():
@@ -211,11 +213,11 @@ def test_hash(case):
             hash(obj)
     elif case.cls is NuTable:
         assert hash(obj) == hash(obj.rows) == hash(case.make())
-    elif case.cls is RoundtripReport:
-        with pytest.raises(TypeError):  # its count fields are dicts
+    elif case.cls in HASHABLE_VALUES:
+        with pytest.raises(TypeError):  # it holds dicts
             hash(obj)
-        hashable = RoundtripReport(True, None, (0,), (1,))
-        assert hash(hashable) == hash((True, None, (0,), (1,)))
+        values = HASHABLE_VALUES[case.cls]
+        assert hash(case.cls(*values)) == hash(values)
     else:
         assert hash(obj) == hash(case.values) == hash(case.make())
 

@@ -5,7 +5,6 @@ import pytest
 from polyadc import (
     EnumeratedOmegaCat,
     EnumerationCapExceeded,
-    IntMatrix,
     IntVector,
     QuotientLambda,
     atom_to_table,
@@ -134,11 +133,8 @@ def test_equivalence_propagates_enumeration_caps():
 
 def with_classes(ql, q, classes):
     """``ql`` with the degree-q class of each cell name replaced as given."""
-    old = ql.projections[q]
-    projection = IntMatrix(old.row_names, old.col_names,
-                           {(b, c): v for c, col in classes.items() for b, v in col.items()})
     return QuotientLambda(complex=ql.complex, cells=ql.cells, cell_names=ql.cell_names,
-                          projections={**ql.projections, q: projection},
+                          projections={**ql.projections, q: classes},
                           sections=ql.sections)
 
 
@@ -151,7 +147,7 @@ def test_basis_check_flags_negative_coordinates():
     # composite's coordinates over them are (1, -1, 0)
     a01, a12 = atom_to_table(k, "01"), atom_to_table(k, "12")
     both = ql.cell_names[1][ql.cells[1].index(compose(a01, a12, 0))]
-    classes = ql.projections[1].columns()
+    classes = dict(ql.projections[1])
     classes[both] = ql.class_of(a01) - ql.class_of(a12)
     rep = check_omega_basis(enum, all_atoms(k), with_classes(ql, 1, classes))
     assert (rep.ok, rep.failed, rep.detail) == \
@@ -168,7 +164,7 @@ def test_basis_check_flags_classes_that_are_not_unimodular():
     a01, a02, a12 = (atom_to_table(k, n) for n in ("01", "02", "12"))
     name = ql.cell_names[1][ql.cells[1].index(a01)]
     for forged in (ql.class_of(a01).scaled(2), ql.class_of(a02) + ql.class_of(a12)):
-        classes = ql.projections[1].columns()
+        classes = dict(ql.projections[1])
         classes[name] = forged
         rep = check_omega_basis(enum, all_atoms(k), with_classes(ql, 1, classes))
         assert (rep.ok, rep.failed, rep.detail) == \
@@ -185,7 +181,7 @@ def test_basis_check_is_blind_to_a_change_of_quotient_basis():
     shear = {b0: IntVector({b0: 1, b1: 1, b2: 1}), b1: IntVector({b1: 1, b2: 1}),
              b2: IntVector.unit(b2)}
     classes = {}
-    for name, cls in ql.projections[1].columns().items():
+    for name, cls in ql.projections[1].items():
         classes[name] = IntVector()
         for b, c in cls.items():
             classes[name] = classes[name] + shear[b].scaled(c)

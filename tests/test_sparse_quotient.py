@@ -6,7 +6,8 @@ matrix.  The two may pick different free bases, so they are compared by
 what a quotient must satisfy: the same rank and the same torsion verdict,
 a projection that kills every relation, a section that the projection
 undoes, and ``e - section(projection(e))`` lying in the relation lattice,
-which the dense projection decides.
+which the dense projection decides.  Projections and sections are columns:
+one vector per ambient name and one per basis name.
 """
 
 import random
@@ -16,7 +17,6 @@ import pytest
 from polyadc import (
     CoefficientOverflow,
     EnumerationCapExceeded,
-    IntMatrix,
     IntVector,
     TorsionError,
     build,
@@ -29,23 +29,29 @@ from polyadc import smith
 
 
 def dense_quotient(ambient, relations, name_prefix="q"):
-    """The free quotient from the Smith form of the full relation matrix."""
+    """The free quotient from the Smith form of the full relation matrix,
+    one row per ambient name and one column per relation; only its
+    projection is read, so it has no section."""
     ambient = tuple(ambient)
     relations = [IntVector(r) for r in relations]
-    rel_names = tuple("r%d" % i for i in range(len(relations)))
-    mat = IntMatrix(ambient, rel_names,
-                    {(nm, rn): relations[j][nm]
-                     for j, rn in enumerate(rel_names) for nm in relations[j].support()})
-    snf = smith_normal_form(mat)
+    snf = smith_normal_form([[r[nm] for r in relations] for nm in ambient])
     diag = snf.diagonal
     for d in diag:
         if d not in (0, 1):
             raise TorsionError("invariant factor %d in quotient" % d)
     free = [i for i in range(len(ambient)) if i >= len(diag) or diag[i] == 0]
     basis = tuple("%s%d" % (name_prefix, k) for k in range(len(free)))
-    return IntMatrix(basis, ambient, {(basis[k], amb): snf.U[i][j]
-                                      for k, i in enumerate(free)
-                                      for j, amb in enumerate(ambient) if snf.U[i][j]})
+    projection = {amb: IntVector({b: snf.U[i][j] for b, i in zip(basis, free)})
+                  for j, amb in enumerate(ambient)}
+    return smith.QuotientBasis(basis, projection, {})
+
+
+def lift(qb, vector):
+    """The section applied to a vector over the quotient basis."""
+    out = IntVector()
+    for b, c in vector.items():
+        out = out + qb.section[b].scaled(c)
+    return out
 
 
 def outcome(fn, *args):
@@ -61,15 +67,15 @@ def assert_agrees(ambient, relations):
     if isinstance(want, tuple):
         assert got == want
         return
-    assert len(got.basis) == len(want.row_names)
+    assert len(got.basis) == len(want.basis)
     for r in relations:
         assert got.class_of(r).is_zero()
     for b in got.basis:
-        assert got.projection.apply(got.section.column(b)) == IntVector.unit(b)
+        assert got.class_of(got.section[b]) == IntVector.unit(b)
     for e in ambient:
         unit = IntVector.unit(e)
-        back = got.section.apply(got.class_of(unit))
-        assert want.apply(unit - back).is_zero()
+        back = lift(got, got.class_of(unit))
+        assert want.class_of(unit - back).is_zero()
 
 
 def quotient_inputs(complex_, monkeypatch):

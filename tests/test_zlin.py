@@ -8,7 +8,6 @@ from conftest import minors_diagonal, random_matrix
 from polyadc import (
     AmbiguousCoordinates,
     CoefficientOverflow,
-    IntMatrix,
     IntVector,
     TorsionError,
     determinant,
@@ -18,6 +17,7 @@ from polyadc import (
     smith_normal_form,
     unimodular_inverse,
 )
+from polyadc.smith import QuotientBasis
 
 
 def test_vector_arithmetic_and_parts():
@@ -84,31 +84,6 @@ def test_the_parts_and_units_of_checked_vectors_stay_in_range():
     assert IntVector.unit("a").items() == (("a", 1),)
 
 
-def test_matrix_construction_and_apply():
-    m = IntMatrix.from_dense([[1, 2], [0, -3]])
-    assert m.shape == (2, 2)
-    assert m.to_dense() == [[1, 2], [0, -3]]
-    assert m.entry("r0", "c1") == 2
-    assert m.row("r1") == IntVector({"c1": -3})
-    assert m.column("c0") == IntVector({"r0": 1})
-    assert m.columns() == {"c0": IntVector({"r0": 1}), "c1": IntVector({"r0": 2, "r1": -3})}
-    assert IntMatrix(("r",), ("c",)).columns() == {"c": IntVector()}
-    assert m.apply(IntVector({"c0": 1, "c1": 1})) == IntVector({"r0": 3, "r1": -3})
-    eye = IntMatrix.identity(("x", "y"))
-    v = IntVector({"x": 7, "y": -2})
-    assert eye.apply(v) == v
-
-
-def test_matrix_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        IntMatrix(("r", "r"), ("c",))
-    with pytest.raises(ValueError):
-        IntMatrix(("r",), ("c",), {("r", "z"): 1})
-    m = IntMatrix.from_dense([[1]])
-    with pytest.raises(ValueError):
-        m.apply(IntVector({"nope": 1}))
-
-
 def test_determinant():
     assert determinant([]) == 1
     assert determinant([[5]]) == 5
@@ -138,11 +113,6 @@ def test_smith_normal_form_edge_cases():
     assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
     with pytest.raises(ValueError):
         smith_normal_form([[1], [2, 3]])
-
-
-def test_smith_normal_form_accepts_named_matrices():
-    m = IntMatrix.from_dense([[2, 4], [6, 8]])
-    assert smith_normal_form(m).diagonal == (2, 4)
 
 
 def test_smith_normal_form_randomized():
@@ -248,7 +218,7 @@ def test_quotient_identifies_generators():
     assert qb.class_of(IntVector.unit("x")) != IntVector()
     # the section is a right inverse of the projection
     for name in qb.basis:
-        assert qb.projection.apply(qb.section.column(name)) == IntVector.unit(name)
+        assert qb.class_of(qb.section[name]) == IntVector.unit(name)
 
 
 def test_quotient_with_no_relations_is_free_on_ambient():
@@ -263,6 +233,26 @@ def test_quotient_kills_related_chain():
     qb = quotient_free_basis(["a", "b", "c"], [rel])
     assert qb.class_of(rel) == IntVector()
     assert len(qb.basis) == 2
+
+
+def test_quotient_columns_follow_ambient_and_basis_order():
+    qb = quotient_free_basis(["z", "x", "y"], [IntVector({"x": 1, "y": -1})])
+    assert list(qb.projection) == ["z", "x", "y"]
+    assert list(qb.section) == list(qb.basis) == ["q0", "q1"]
+    assert qb.class_of(IntVector({"z": 2, "x": -1})) == \
+        qb.projection["z"].scaled(2) - qb.projection["x"]
+    with pytest.raises(ValueError, match="outside the ambient names"):
+        qb.class_of(IntVector({"x": 1, "w": 1}))
+
+
+def test_quotient_classes_check_every_product_and_partial_sum():
+    big = 2**62
+    qb = QuotientBasis(("q0",), {n: IntVector({"q0": big}) for n in "xyz"}, {})
+    assert qb.class_of(IntVector({"x": 1})) == IntVector({"q0": big})
+    with pytest.raises(CoefficientOverflow):  # 2 * 2**62
+        qb.class_of(IntVector({"x": 2, "y": -1}))
+    with pytest.raises(CoefficientOverflow):  # x + y on the way to x + y - z
+        qb.class_of(IntVector({"x": 1, "y": 1, "z": -1}))
 
 
 def test_quotient_torsion_and_bad_relations():
