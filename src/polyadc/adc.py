@@ -5,6 +5,12 @@ with a fixed ordered basis per degree.  The direction data (the positivity
 cone) is the N-span of the chosen basis, so it never needs to be stored
 separately: a chain is "positive" exactly when its coefficients are
 non-negative.
+
+A complex is strong Steiner when it is unital (:func:`unitality_failures`
+is empty) and its generating relation induces a partial order
+(:func:`loop_free_report`); :func:`is_strong_steiner_complex` decides both
+at once.  Every loop-freeness check in the package runs one Tarjan over
+successor lists (:func:`antisymmetry_of`).
 """
 
 from __future__ import annotations
@@ -209,18 +215,6 @@ class Adc:
         )
 
 
-def truncate_adc(complex_: Adc, n: int) -> Adc:
-    """The complex restricted to degrees <= n."""
-    if n < -1:
-        raise ValueError("truncation degree must be >= -1")
-    basis = complex_.basis[: n + 1]
-    keep = {name for level in basis for name in level}
-    diff = {name: complex_.diff(name)
-            for q in range(1, len(basis)) for name in basis[q]}
-    aug = {name: complex_.eps_gen(name) for name in (basis[0] if basis else ())}
-    return Adc(basis, diff, aug)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -263,37 +257,7 @@ def _require_chain_complex(complex_: Adc) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical decomposition and atoms
-
-class Decomposition(Record):
-    """c = positive - negative with both parts in the positivity cone."""
-
-    __slots__ = _fields = ("positive", "negative")
-
-    def __init__(self, positive: Chain, negative: Chain):
-        _setattr(self, "positive", positive)
-        _setattr(self, "negative", negative)
-
-    @property
-    def positive_support(self) -> frozenset:
-        return self.positive.support()
-
-    @property
-    def negative_support(self) -> frozenset:
-        return self.negative.support()
-
-    @property
-    def support(self) -> frozenset:
-        return self.positive_support | self.negative_support
-
-
-def decompose(complex_: Adc, chain: Chain) -> Decomposition:
-    chain = complex_.chain(chain.degree, chain.vector)
-    return Decomposition(
-        positive=Chain(chain.degree, chain.vector.positive_part()),
-        negative=Chain(chain.degree, chain.vector.negative_part()),
-    )
-
+# atoms
 
 def atom_table(complex_: Adc, name: str) -> tuple:
     """The rows of the source/target table spanned by a single generator.
@@ -305,25 +269,18 @@ def atom_table(complex_: Adc, name: str) -> tuple:
     return _atom(complex_, name)[0]
 
 
-def atom_fault(complex_: Adc, name: str) -> int | None:
-    """The first cell condition the atom table of ``name`` violates, or None.
-
-    The conditions are numbered as in :func:`polyadc.nu.is_valid_table`.
-    Positivity (1) and equal top rows (4) hold by construction.  The
-    boundary condition (2) holds exactly when the two rows of each degree
-    p >= 1 have one boundary, which building the rows computes anyway, and
-    the augmentation (3) is read off row 0.
-    """
-    return _atom(complex_, name)[1]
-
-
 def _atom(complex_: Adc, name: str) -> tuple:
     """(rows, fault, (eps of neg_0, eps of pos_0)) of a generator's atom
     table, built once per complex and read by every atom accessor.
 
-    A 0-generator's row is its unit vector on both sides, so its two
-    augmentations are the one it was given; above degree 0 they are
-    summed off row 0.
+    ``fault`` is the first cell condition the table violates, or None,
+    numbered as in :func:`polyadc.nu.is_valid_table`.  Positivity (1) and
+    equal top rows (4) hold by construction.  The boundary condition (2)
+    holds exactly when the two rows of each degree p >= 1 have one
+    boundary, which building the rows computes anyway, and the
+    augmentation (3) is read off row 0.  A 0-generator's row is its unit
+    vector on both sides, so its two augmentations are the one it was
+    given; above degree 0 they are summed off row 0.
     """
     kept = complex_._atom_tables.get(name)
     if kept is not None:
@@ -367,17 +324,13 @@ def unitality_failures(complex_: Adc) -> tuple:
     return tuple(failures)
 
 
-def is_unital(complex_: Adc) -> bool:
-    return not unitality_failures(complex_)
-
-
 # ---------------------------------------------------------------------------
 # the generating relation and loop-freeness
 
 class RelationGraph(Record):
-    """A directed graph on generator names, in a fixed node order.  The
-    checks run on successor lists (:func:`antisymmetry_of`), not on the
-    edge set."""
+    """A directed graph on generator names, in a fixed node order, as a
+    report gives it.  The checks run on successor lists
+    (:func:`antisymmetry_of`), not on the edge set."""
 
     __slots__ = _fields = ("nodes", "edges")
 
@@ -389,67 +342,14 @@ class RelationGraph(Record):
         """The graph whose edges are read off a map from node to successors."""
         return cls(nodes, frozenset([(u, v) for u, vs in succ.items() for v in vs]))
 
-    def successors(self):
-        succ = {n: [] for n in self.nodes}
-        for u, v in sorted(self.edges):
-            succ[u].append(v)
-        return succ
 
-    def sccs(self) -> tuple:
-        """Strongly connected components, as tuples."""
-        components = []
-        _tarjan(self.nodes, self.successors(), components)
-        return tuple(components)
-
-    def antisymmetry(self):
-        """(True, None) when the reachability preorder is a partial order,
-        otherwise (False, witness cycle of length >= 2)."""
-        return antisymmetry_of(self.nodes, self.successors())
-
-    @staticmethod
-    def _cycle_in(succ, members, start):
-        # shortest path start -> start through at least one other node,
-        # inside members (a direct self-loop would not witness length >= 2)
-        parents = {}
-        frontier = [start]
-        while frontier and start not in parents:
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    if v in members and v not in parents and v != u:
-                        parents[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        path = [start]
-        while parents[path[-1]] != start:
-            path.append(parents[path[-1]])
-        return tuple(reversed(path))
-
-    def transitive_closure(self) -> frozenset:
-        """All pairs (u, v) with a directed path of length >= 1 from u to v."""
-        succ = self.successors()
-        pairs = set()
-        for u in self.nodes:
-            seen = set()
-            frontier = list(succ[u])
-            while frontier:
-                v = frontier.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                frontier.extend(succ[v])
-            pairs.update((u, v) for v in seen)
-        return frozenset(pairs)
-
-
-def _tarjan(nodes: tuple, succ: Mapping, components: list | None = None):
-    """Strongly connected components (Tarjan, SIAM J. Comput. 1972), in one
-    loop over an explicit stack whose bottom frame walks the roots in node
-    order.  ``succ`` maps a node to its successor list, sorted in place on
-    first reaching the node, or leaves it out.  A component closes root
-    first.  Each goes to ``components`` if given; else the first of two or
-    more nodes is returned, or None.  ``low`` holds an open node's low-link
-    and ``done`` for a closed one."""
+def _tarjan(nodes: tuple, succ: Mapping):
+    """The first strongly connected component of two or more nodes, or
+    None (Tarjan, SIAM J. Comput. 1972), in one loop over an explicit
+    stack whose bottom frame walks the roots in node order.  ``succ`` maps
+    a node to its successor list, sorted in place on first reaching the
+    node, or leaves it out.  A component closes root first.  ``low`` holds
+    an open node's low-link and ``done`` for a closed one."""
     low, stack, done = {None: -1}, [], len(nodes) + 1
     work = [(None, iter(nodes), -1, 0)]  # node, its successors, index, stack height
     while True:
@@ -474,25 +374,42 @@ def _tarjan(nodes: tuple, succ: Mapping, components: list | None = None):
                 parent = work[-1][0]
                 if lowest < low[parent]:
                     low[parent] = lowest
-                continue
-            comp = tuple(stack[height:])
-            del stack[height:]
-            if components is not None:
-                components.append(comp)
-            elif len(comp) > 1:
-                return comp
-            for w in comp:
-                low[w] = done
+            elif len(stack) - height > 1:
+                return tuple(stack[height:])
+            else:
+                low[stack.pop()] = done
+
+
+def _cycle_in(succ: Mapping, members: set, start) -> tuple:
+    """The shortest path from ``start`` back to it through at least one
+    other node, inside ``members`` (a direct self-loop would not witness
+    a cycle of length >= 2)."""
+    parents = {}
+    frontier = [start]
+    while frontier and start not in parents:
+        nxt = []
+        for u in frontier:
+            for v in succ[u]:
+                if v in members and v not in parents and v != u:
+                    parents[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    path = [start]
+    while parents[path[-1]] != start:
+        path.append(parents[path[-1]])
+    return tuple(reversed(path))
 
 
 def antisymmetry_of(nodes: tuple, succ: Mapping) -> tuple:
-    """:meth:`RelationGraph.antisymmetry` on a successor map, as
-    :func:`_tarjan` takes it; the lists it sorts include the first
-    cycle's, so the witness is the one the sorted edge set gives."""
+    """(True, None) when the reachability preorder of a successor map, as
+    :func:`_tarjan` takes it, is a partial order, otherwise (False, a
+    witness cycle of length >= 2 from the root of the first component of
+    two or more nodes).  The lists :func:`_tarjan` sorts include that
+    component's, so the witness is the one the sorted edge set gives."""
     comp = _tarjan(nodes, succ)
     if comp is None:
         return True, None
-    return False, RelationGraph._cycle_in(succ, set(comp), comp[0])
+    return False, _cycle_in(succ, set(comp), comp[0])
 
 
 class LoopFreeReport(Record):
@@ -515,17 +432,13 @@ def _generating_successors(complex_: Adc) -> dict:
     return succ
 
 
-def generating_relation(complex_: Adc) -> RelationGraph:
-    """The relation on basis elements generated by the differentials.
+def loop_free_report(complex_: Adc) -> LoopFreeReport:
+    """The relation on basis elements generated by the differentials, and
+    whether it induces a partial order.
 
     a precedes b when a appears in the negative part of d(b); a precedes b
     when b appears in the positive part of d(a).
     """
-    return RelationGraph.from_successors(tuple(complex_.all_generators()),
-                                         _generating_successors(complex_))
-
-
-def loop_free_report(complex_: Adc) -> LoopFreeReport:
     succ = _generating_successors(complex_)
     graph = RelationGraph.from_successors(tuple(complex_.all_generators()), succ)
     return LoopFreeReport(graph, *antisymmetry_of(graph.nodes, succ))
@@ -536,17 +449,12 @@ def is_strong_steiner_complex(complex_: Adc) -> bool:
     partial order, decided on its successor lists without building the
     edge set.
 
-    The atoms' faults (:func:`atom_fault`) are the ones their tables
-    record: a fault-free atom has augmentations 1, so the complex is
-    unital, and a complex whose atoms are all fault-free is a chain
-    complex (a dd failure gives some atom two rows with different
-    boundaries, and an eps-d failure an edge with unequal augmentations).
+    The atoms' faults are the ones their tables record (:func:`_atom`): a
+    fault-free atom has augmentations 1, so the complex is unital, and a
+    complex whose atoms are all fault-free is a chain complex (a dd
+    failure gives some atom two rows with different boundaries, and an
+    eps-d failure an edge with unequal augmentations).
     """
     return (all(_atom(complex_, name)[1] is None for name in complex_.all_generators())
-            and _is_loop_free(complex_))
-
-
-def _is_loop_free(complex_: Adc) -> bool:
-    """``loop_free_report(complex_).is_partial_order``, without the graph."""
-    return antisymmetry_of(tuple(complex_.all_generators()),
-                           _generating_successors(complex_))[0]
+            and antisymmetry_of(tuple(complex_.all_generators()),
+                                _generating_successors(complex_))[0])

@@ -4,10 +4,11 @@ Single-invocation, single-threaded orchestration over the library calls;
 every subcommand reads one document (or builds one from the catalog), runs
 the requested analysis and prints a report.
 
-Exit codes: 0 success, 1 usage, 2 unreadable, malformed or too deeply
-nested document, 3 validation failure, 4 negative verdict (check/roundtrip),
-5 resource cap (enumeration, brute-force or catalog size cap, ADC degree
-cap, torsion, overflow).
+Exit codes: 0 success, 1 usage error, or an output file that cannot be
+written, 2 unreadable, malformed or too deeply nested document, 3
+validation failure, 4 negative verdict (check/roundtrip), 5 resource cap
+(enumeration, brute-force or catalog size cap, ADC degree cap, torsion,
+overflow).
 """
 
 from __future__ import annotations
@@ -132,12 +133,20 @@ def _as_complex(doc) -> Adc:
     return doc
 
 
-def _write_out(text: str, path):
+def _write_out(text: str, path) -> int:
+    """Write to the file at ``path``, or to stdout when it is None; the
+    exit code: 0, or 1 with an error on stderr when the file cannot be
+    written."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (path, exc.strerror), file=sys.stderr)
+        return 1
+    return 0
 
 
 def _fmt_set(names) -> str:
@@ -232,8 +241,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_lambda(args) -> int:
     doc = _load(args.file)
-    _write_out(serialize_document(_as_complex(doc)), args.out)
-    return 0
+    return _write_out(serialize_document(_as_complex(doc)), args.out)
 
 
 def _cmd_preorder(args) -> int:
@@ -248,8 +256,8 @@ def _cmd_preorder(args) -> int:
         graph = lfr.graph
         anti, cycle = lfr.is_partial_order, lfr.cycle
         dims = {name: doc.degree_of(name) for name in doc.all_generators()}
-    if args.dot is not None:
-        _write_out(to_dot(graph, dims), args.dot)
+    if args.dot is not None and _write_out(to_dot(graph, dims), args.dot):
+        return 1
     if args.json:
         print(json.dumps({
             "nodes": list(graph.nodes),
@@ -298,8 +306,7 @@ def _cmd_catalog(args) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    _write_out(text, args.out)
-    return 0
+    return _write_out(text, args.out)
 
 
 def _cmd_oracle(args) -> int:

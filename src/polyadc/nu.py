@@ -65,15 +65,6 @@ class NuTable(Record):
         neg, pos = self.rows[-1]
         return neg.is_zero() and pos.is_zero()
 
-    def max_coeff(self) -> int:
-        best = 0
-        for row in self.rows:
-            for vec in row:
-                for c in vec._entries.values():
-                    if c > best or -c > best:
-                        best = abs(c)
-        return best
-
     def key(self):
         """A canonical sorting key; total on tables of equal dimension."""
         return tuple((neg.items(), pos.items()) for neg, pos in self.rows)
@@ -470,9 +461,6 @@ class EnumeratedOmegaCat(Record):
         # reached only when enumerate_nu left the cells to its index
         return {q: self.index.tables(q) for q in range(self.max_dim + 1)}
 
-    def cell_set(self, q: int) -> frozenset:
-        return frozenset(self.cells.get(q, ()))
-
     def __contains__(self, table: NuTable) -> bool:
         return table in self.index
 
@@ -491,9 +479,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     The atoms seed the closure in degree order, and its index, with the
     codes and the provenance of every cell, stays on the result for the
     roundtrip's certificate; the tables and the pair record (for the
-    relation list and the indecomposables) are read off its codes on first
-    read.  ``admit`` reads a code's dimension and the largest coefficient
-    of its rows off :class:`RowCodes`, without a table.
+    relation list) are read off its codes on first read.  ``admit`` reads a
+    code's dimension and the largest coefficient of its rows off
+    :class:`RowCodes`, without a table.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
@@ -564,11 +552,18 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
     the basis sizes; useful only as ground truth on small complexes.
     Raises :class:`EnumerationCapExceeded`, before building anything, when
     the candidate vectors would outnumber ``MAX_BRUTE_FORCE_VECTORS``.
+
+    There are no generators above the top degree n, so above n the cell
+    conditions force every row: row n is an equal pair and every higher row
+    is zero.  A q-cell for q > n is therefore an n-cell padded with q - n
+    zero rows; more than ``MAX_BRUTE_FORCE_VECTORS`` padded rows in all
+    are refused before any is built.
     """
-    if q < 0:
+    top = min(q, complex_.max_degree)
+    if top < 0:
         return ()
     count = 0
-    for p in range(q + 1):
+    for p in range(top + 1):
         count += (coeff_cap + 1) ** len(complex_.generators(p))
         if count > MAX_BRUTE_FORCE_VECTORS:
             raise EnumerationCapExceeded(
@@ -577,66 +572,50 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
                 % (MAX_BRUTE_FORCE_VECTORS, p, coeff_cap))
 
     def vectors(p):
+        # in the order of their items, so that the search below meets the
+        # cells in NuTable.key order
         gens = complex_.generators(p)
         out = []
         for combo in product(range(coeff_cap + 1), repeat=len(gens)):
             out.append(IntVector(zip(gens, combo)))
-        return out
+        return sorted(out, key=IntVector.items)
 
     level0 = [v for v in vectors(0) if complex_.eps(v) == 1]
-    if q == 0:
-        return tuple(sorted((NuTable(rows=((v, v),)) for v in level0),
-                            key=NuTable.key))
-
-    by_boundary = {}
-    for p in range(1, q + 1):
-        bucket = {}
-        for v in vectors(p):
-            bucket.setdefault(complex_.boundary_vec(p, v), []).append(v)
-        by_boundary[p] = bucket
-
-    results = []
-
-    def extend(rows, p):
-        below_neg, below_pos = rows[-1]
-        want = below_pos - below_neg
-        candidates = by_boundary[p].get(want, ())
-        if p == q:
-            for v in candidates:
-                results.append(NuTable(rows=tuple(rows) + ((v, v),)))
-            return
-        for vn in candidates:
-            for vp in candidates:
-                extend(rows + [(vn, vp)], p + 1)
-
-    for vn in level0:
-        for vp in level0:
-            extend([(vn, vp)], 1)
-
-    return tuple(sorted(results, key=NuTable.key))
-
-
-# ---------------------------------------------------------------------------
-# indecomposables
-
-def indecomposables(enum: EnumeratedOmegaCat) -> dict:
-    """Per dimension, the non-identity cells with no two-factor splitting.
-
-    A cell counts as decomposable only when it is a composite of two
-    non-identity cells; padding with identities does not count.  The
-    splittings are the pairs that ``enum.index.products`` reads off the
-    filed codes.  An identity table is one of positive dimension with a
-    zero top row, which is read off its code too, so only the cells
-    returned are decoded.
-    """
-    index = enum.index
-    zero = index.rows.zero
-    out = {}
-    for q in range(enum.max_dim + 1):
-        coded = index.codes.get(q, ())
-        trivial = [q > 0 and code[-1] == code[-2] == zero for code in coded]
-        split = {k for (_, i, j), k in index.products.get(q, {}).items()
-                 if not trivial[i] and not trivial[j]}
-        out[q] = tuple(index.rows.decode(code) for k, code in enumerate(coded)
-                       if not trivial[k] and k not in split)
-    return out
+    if top == 0:
+        cells = [NuTable(rows=((v, v),)) for v in level0]
+    else:
+        by_boundary = {}
+        for p in range(1, top + 1):
+            bucket = {}
+            for v in vectors(p):
+                bucket.setdefault(complex_.boundary_vec(p, v), []).append(v)
+            by_boundary[p] = bucket
+        # depth first, on an explicit stack: ``rows`` holds the rows chosen
+        # so far, shared by all their extensions, and ``pending`` the pairs
+        # left to try in each degree from 0 up to ``len(rows)``, in order
+        cells, rows = [], []
+        pending = [product(level0, repeat=2)]
+        while pending:
+            pair = next(pending[-1], None)
+            if pair is None:
+                pending.pop()
+                if pending:
+                    rows.pop()
+                continue
+            rows.append(pair)
+            candidates = by_boundary[len(rows)].get(pair[1] - pair[0], ())
+            if len(rows) == top:
+                cells.extend(NuTable(rows=tuple(rows) + ((v, v),)) for v in candidates)
+                rows.pop()
+            else:
+                pending.append(product(candidates, repeat=2))
+    if q > top:
+        if len(cells) * (q - top) > MAX_BRUTE_FORCE_VECTORS:
+            raise EnumerationCapExceeded(
+                "brute force would pad %d cells of degree %d with %d zero rows "
+                "each, more than %d rows; lower --dim"
+                % (len(cells), top, q - top, MAX_BRUTE_FORCE_VECTORS))
+        zero = IntVector()
+        padding = ((zero, zero),) * (q - top)
+        cells = [NuTable(rows=cell.rows + padding) for cell in cells]
+    return tuple(cells)

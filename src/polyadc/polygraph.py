@@ -8,6 +8,11 @@ parallelism of each source and target; it evaluates the boundaries to cell
 tables over the linearized complex and reads the linearization off their top
 rows.  The cell conditions and the chain complex laws then hold by
 construction (see :meth:`PolyPresentation._check_boundaries`).
+
+:func:`classify` gives every verdict on a presentation, with its witness:
+atomicity, the two support preorders, algebraic loop-freeness and
+orderability.  :func:`preorder_report` gives the two preorders' graphs.
+Both read one walk of the filed tables (:func:`_walk`).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from . import nu
-from .adc import (Adc, Chain, RelationGraph, _generating_successors, _is_loop_free,
-                  _name_levels, antisymmetry_of)
+from .adc import (Adc, Chain, RelationGraph, _generating_successors, _name_levels,
+                  antisymmetry_of)
 from .zlin import IntVector, Record, _setattr
 
 
@@ -305,51 +310,33 @@ def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
 
 
 # ---------------------------------------------------------------------------
-# atomicity
+# the walk of the filed tables
 
-class AtomicityReport(Record):
-    __slots__ = _fields = ("ok", "witness")
-
-    def __init__(self, ok: bool,
-                 witness: tuple | None):  # (generator, level, common support)
-        self._fill(ok, witness)
-
-
-def is_atomic(pres: PolyPresentation) -> AtomicityReport:
-    """Sources and targets of every generator have disjoint supports in
-    every dimension strictly below the generator."""
-    witness = _walk(pres, graphs=False)[2]
-    return AtomicityReport(ok=witness is None, witness=witness)
-
-
-def _walk(pres: PolyPresentation, graphs: bool = True, order: bool = False) -> tuple:
+def _walk(pres: PolyPresentation) -> tuple:
     """One pass over the filed tables, each row's support taken once:
     ``(codim1, full, witness, succ)``.
 
+    ``codim1`` and ``full`` are the codim-1 and full graphs as successor
+    lists, and ``succ`` maps each generator to the generators it must be
+    ordered before, as a set; a generator without any is left out.
     ``witness`` is the first atomicity witness in generator and level
-    order, or None.  With ``graphs`` the pass also gives the codim-1 and
-    full graphs as successor lists, and with ``order`` the generators each
-    must be ordered before, as sets; a generator without any is left out,
-    and what is not asked for is None.  Asked for neither, the pass stops
-    at the witness.  Row p is in degree p, so no list repeats a name.
+    order, ``(generator, level, common support)``, or None.  Row p is in
+    degree p, so no list repeats a name.
     """
-    codim1, full = (defaultdict(list), defaultdict(list)) if graphs else (None, None)
-    succ, witness = defaultdict(set) if order else None, None
+    codim1, full, succ = defaultdict(list), defaultdict(list), defaultdict(set)
+    witness = None
     for name in pres.all_generators():
         rows = pres._tables[name].rows
         for p in range(len(rows) - 1):
             src, tgt = rows[p][0]._entries, rows[p][1]._entries
             if witness is None and not src.keys().isdisjoint(tgt):
                 witness = (name, p, frozenset(src).intersection(tgt))
-                if not (graphs or order):
-                    return None, None, witness, None
-            if graphs:
-                for graph in (full, codim1) if p == len(rows) - 2 else (full,):
-                    for a in src:
-                        graph[a].append(name)
-                    if tgt:
-                        graph[name].extend(tgt)
-            if order and tgt:
+            for graph in (full, codim1) if p == len(rows) - 2 else (full,):
+                for a in src:
+                    graph[a].append(name)
+                if tgt:
+                    graph[name].extend(tgt)
+            if tgt:
                 for a in src:
                     succ[a].update(tgt)
     return codim1, full, witness, succ
@@ -374,8 +361,9 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
     The codimension-1 graph relates a generator to the supports of its
     immediate source and target; the full graph does the same for faces of
-    every lower dimension.  Both are decided on the successor lists of one
-    walk, as in :func:`classify`, and their edge sets read off those lists.
+    every lower dimension.  Both are decided on the successor lists of the
+    one walk :func:`classify` takes, and their edge sets read off those
+    lists; the walk's atomicity witness and order constraints go unused.
     """
     codim1, full, _, _ = _walk(pres)
     nodes = tuple(pres.all_generators())
@@ -385,35 +373,18 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
                           RelationGraph.from_successors(nodes, full), ok1, cyc1, okf, cycf)
 
 
-def is_algebraically_loop_free(pres: PolyPresentation) -> bool:
-    """Antisymmetry of the generating relation on the linearization."""
-    return _is_loop_free(lambda_presentation(pres))
-
-
 # ---------------------------------------------------------------------------
 # orderability in the sense of Steiner
 
-class OrderabilityReport(Record):
-    """``order`` is a witness linear order on all generators; ``cycle`` a
-    constraint cycle, where length 1 means a self-constraint."""
-
-    __slots__ = _fields = ("ok", "order", "cycle")
-
-    def __init__(self, ok: bool, order: tuple | None, cycle: tuple | None):
-        self._fill(ok, order, cycle)
-
-
-def is_steiner_orderable(pres: PolyPresentation) -> OrderabilityReport:
-    """Look for a linear order putting every face-source strictly below
-    every face-target, at all levels below each generator."""
-    succ = _walk(pres, graphs=False, order=True)[3]
-    return _order(tuple(pres.all_generators()), succ)
-
-
-def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
+def _order(nodes: tuple, succ: dict) -> tuple:
+    """``(order, cycle)``: a linear order on all generators putting every
+    face-source strictly below every face-target, at all levels below each
+    generator, and None; or None and a constraint cycle, where length 1
+    means a self-constraint.  Kahn's algorithm takes the earliest ready
+    generator first."""
     for name in nodes:
         if name in succ.get(name, ()):
-            return OrderabilityReport(ok=False, order=None, cycle=(name,))
+            return None, (name,)
 
     position = {name: i for i, name in enumerate(nodes)}
     indeg = {name: 0 for name in nodes}
@@ -431,7 +402,7 @@ def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
             if indeg[b] == 0:
                 insort(ready, -position[b])
     if len(order) == len(nodes):
-        return OrderabilityReport(ok=True, order=tuple(order), cycle=None)
+        return tuple(order), None
 
     # every stuck node keeps a predecessor among the stuck nodes, so walking
     # back through the earliest ones must close a cycle
@@ -445,8 +416,7 @@ def _order(nodes: tuple, succ: dict) -> OrderabilityReport:
     while node not in seen:
         seen[node] = len(seen)
         node = earliest[node]
-    cycle = tuple(reversed(list(seen)[seen[node]:]))
-    return OrderabilityReport(ok=False, order=None, cycle=cycle)
+    return None, tuple(reversed(list(seen)[seen[node]:]))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +477,11 @@ def _maybe_list(value):
 def classify(pres: PolyPresentation) -> Verdict:
     """Run every classifier and cross-check the implications between them.
 
-    One walk of the filed tables gives every graph but the algebraic one,
-    as successor lists; the algebraic lists are read off the differentials
-    of the linearization, as :func:`loop_free_report` reads them.
+    One walk of the filed tables (:func:`_walk`) gives the atomicity
+    witness, the orderability constraints and every graph but the
+    algebraic one, as successor lists; the algebraic lists are read off the
+    differentials of the linearization, as :func:`loop_free_report` reads
+    them.
     The graphs nest, algebraic in codim-1 in full: the two parts of
     ``d x = top tt - top ts`` have supports inside those of the top rows,
     x's codim-1 row.  A graph inside an antisymmetric one is antisymmetric,
@@ -525,7 +497,7 @@ def classify(pres: PolyPresentation) -> Verdict:
     :class:`InconsistentClassification`.  The second is checked as the
     nesting that the skips rely on.
     """
-    codim1, full, witness, succ = _walk(pres, order=True)
+    codim1, full, witness, succ = _walk(pres)
     nodes = tuple(pres.all_generators())
     algebraic = _generating_successors(lambda_presentation(pres))
     if not all(set(codim1.get(u, ())).issuperset(vs) for u, vs in algebraic.items()):
@@ -536,7 +508,7 @@ def classify(pres: PolyPresentation) -> Verdict:
     okf, cycf = antisymmetry_of(nodes, full)
     ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
     alg_ok, alg_cycle = (True, None) if ok1 else antisymmetry_of(nodes, algebraic)
-    order = _order(nodes, succ)
+    order, order_cycle = _order(nodes, succ)
     if okf and witness is not None:
         raise InconsistentClassification(
             "categorically loop-free but not atomic: %r" % (witness,))
@@ -544,4 +516,4 @@ def classify(pres: PolyPresentation) -> Verdict:
         raise InconsistentClassification(
             "atomic and algebraically loop-free but not categorically: %r" % (cycf,))
     return Verdict(witness is None, witness, ok1, cyc1, okf, cycf, alg_ok, alg_cycle,
-                   order.ok, order.order, order.cycle)
+                   order is not None, order, order_cycle)

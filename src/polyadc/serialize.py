@@ -36,26 +36,12 @@ class DegreeCapExceeded(Exception):
     code = "DEGREE_CAP"
 
 
-def expr_to_obj(expr: CellExpr):
-    if isinstance(expr, Gen):
-        return {"gen": expr.name}
-    if isinstance(expr, Id):
-        return {"id": expr_to_obj(expr.inner)}
-    if isinstance(expr, Comp):
-        return {"comp": [expr.level, expr_to_obj(expr.left), expr_to_obj(expr.right)]}
-    raise TypeError("not a cell expression: %r" % (expr,))
-
-
-def obj_to_expr(obj) -> CellExpr:
-    """The expression an object form stands for; a malformed one raises
-    :class:`DocumentError`.  The walk is recursive, so a form nested deeper
-    than the interpreter's recursion limit raises RecursionError."""
-    return _to_expr(obj, [0])
-
-
 def _to_expr(obj, ids: list) -> CellExpr:
-    """:func:`obj_to_expr`, adding to ``ids[0]`` the number of identity
-    nodes it builds, so that the parser counts them in the one walk."""
+    """The expression an object form stands for, adding to ``ids[0]`` the
+    number of identity nodes it builds, so that the parser counts them in
+    the one walk.  A malformed form raises :class:`DocumentError`.  The
+    walk is recursive, so a form nested deeper than the interpreter's
+    recursion limit raises RecursionError."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DocumentError("expression must be a one-key object, got %r" % (obj,))
     if "gen" in obj:

@@ -170,9 +170,6 @@ class IntVector:
     def is_nonnegative(self) -> bool:
         return all(c > 0 for c in self._entries.values())
 
-    def l1(self) -> int:
-        return sum(abs(c) for c in self._entries.values())
-
     # the parts keep values of a checked vector, or their negations, which
     # the symmetric window also holds
     def positive_part(self) -> "IntVector":

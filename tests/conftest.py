@@ -1,6 +1,7 @@
-"""Shared helpers: a seeded presentation generator, a Smith-form oracle,
-the reference checks of a presentation's linearization, the reference
-condensation of a relation graph and the reference closure loop."""
+"""Shared helpers: seeded presentation and complex generators, a
+Smith-form oracle, the reference checks of a presentation's
+linearization, the reference condensation of a relation graph, the
+reference closure loop, and the small readers the tests share."""
 
 from __future__ import annotations
 
@@ -12,11 +13,14 @@ from math import gcd
 from polyadc import (
     Adc,
     Comp,
+    EnumerationCapExceeded,
     Gen,
     Id,
+    IntVector,
     PolyPresentation,
     build,
     determinant,
+    enumerate_nu,
     eval_table,
     is_valid_table,
     lambda_presentation,
@@ -169,6 +173,59 @@ def random_presentation(seed, acyclic=False) -> PolyPresentation:
     return PolyPresentation(levels, boundary)
 
 
+def attached_complex(seed, top_dim, per_level=4, acyclic=True) -> Adc:
+    """A random complex of dimension up to ``top_dim``, built by attaching
+    generators along parallel cells.
+
+    It starts from 2-4 vertices and 2-5 edges between distinct vertices,
+    each from the lower to the higher vertex with ``acyclic``, else in a
+    random direction.  Then, for n from 2 to ``top_dim``, it enumerates the
+    cells up to degree n - 1 and groups the nontrivial (n - 1)-cells by
+    their rows below the top, so that the cells of a group are parallel.
+    Up to ``per_level`` times it picks two cells x and y of one group whose
+    top rows have disjoint supports and attaches an n-generator with
+    boundary top(y) - top(x).  The parallelism gives dd = 0, so every
+    output is a chain complex.  Attaching stops at a level whose
+    enumeration hits its caps or finds an atom that is not a cell.
+    """
+    rng = random.Random(seed)
+    vertices = ["v%d" % i for i in range(rng.randint(2, 4))]
+    levels = [vertices]
+    diff = {}
+    edges = []
+    for i in range(rng.randint(2, 5)):
+        u, v = sorted(rng.sample(vertices, 2))
+        if not acyclic and rng.random() < 0.5:
+            u, v = v, u
+        name = "e%d" % i
+        diff[name] = IntVector({v: 1, u: -1})
+        edges.append(name)
+    levels.append(edges)
+    for n in range(2, top_dim + 1):
+        complex_ = Adc(levels, diff, dict.fromkeys(vertices, 1))
+        try:
+            cells = enumerate_nu(complex_, max_dim=n - 1, max_cells=3000).nontrivial(n - 1)
+        except (EnumerationCapExceeded, ValueError):
+            break
+        groups = {}
+        for cell in cells:
+            groups.setdefault(cell.rows[:-1], []).append(cell.rows[-1][0])
+        pairs = [(x, y) for tops in groups.values()
+                 for i, x in enumerate(tops) for j, y in enumerate(tops)
+                 if (i < j or not acyclic and i > j)
+                 and x.support().isdisjoint(y.support())]
+        attached = []
+        for i in range(per_level if pairs else 0):
+            x, y = rng.choice(pairs)
+            name = "g%d_%d" % (n, i)
+            diff[name] = y - x
+            attached.append(name)
+        if not attached:
+            break
+        levels.append(attached)
+    return Adc(levels, diff, dict.fromkeys(vertices, 1))
+
+
 def catalog_presentations():
     """Every catalog presentation, for sweep tests."""
     entries = []
@@ -185,6 +242,29 @@ def catalog_presentations():
     for name in ("loop", "endo2cell", "square", "forestA"):
         entries.append(build(name))
     return [entry.as_presentation() for entry in entries]
+
+
+def expr_obj(expr):
+    """The object form of an expression, as a document writes it."""
+    if isinstance(expr, Gen):
+        return {"gen": expr.name}
+    if isinstance(expr, Id):
+        return {"id": expr_obj(expr.inner)}
+    return {"comp": [expr.level, expr_obj(expr.left), expr_obj(expr.right)]}
+
+
+def largest_coeff(table) -> int:
+    """The largest absolute coefficient in any row of a table."""
+    return max((abs(c) for row in table.rows for vec in row for _, c in vec.items()),
+               default=0)
+
+
+def truncated(complex_, n) -> Adc:
+    """The complex restricted to degrees <= n."""
+    basis = complex_.basis[: n + 1]
+    diff = {name: complex_.diff(name) for level in basis[1:] for name in level}
+    aug = {name: complex_.eps_gen(name) for name in (basis[0] if basis else ())}
+    return Adc(basis, diff, aug)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +300,35 @@ def assert_construction_is_sound(pres):
 # ---------------------------------------------------------------------------
 # the reference condensation
 
+def successors(nodes, edges) -> dict:
+    """Each node's successors under an edge set, in name order."""
+    succ = {n: [] for n in nodes}
+    for u, v in sorted(edges):
+        succ[u].append(v)
+    return succ
+
+
+def reachable_pairs(graph) -> frozenset:
+    """All pairs (u, v) of a RelationGraph with a directed path of length
+    >= 1 from u to v."""
+    succ = successors(graph.nodes, graph.edges)
+    pairs = set()
+    for u in graph.nodes:
+        seen = set()
+        frontier = list(succ[u])
+        while frontier:
+            v = frontier.pop()
+            if v not in seen:
+                seen.add(v)
+                frontier.extend(succ[v])
+        pairs.update((u, v) for v in seen)
+    return frozenset(pairs)
+
+
 def reference_sccs(graph) -> tuple:
     """Strongly connected components of a RelationGraph (Tarjan, iterative),
     as tuples, all of them, computed eagerly from the sorted edges."""
-    succ = graph.successors()
+    succ = successors(graph.nodes, graph.edges)
     index = {}
     low = {}
     on_stack = set()
@@ -274,7 +379,7 @@ def reference_sccs(graph) -> tuple:
 def reference_cycle_in(graph, members, start) -> tuple:
     """Shortest path start -> start through at least one other node,
     inside members."""
-    succ = graph.successors()
+    succ = successors(graph.nodes, graph.edges)
     parents = {}
     frontier = [v for v in succ[start] if v in members and v != start]
     for v in frontier:

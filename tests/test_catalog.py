@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (assert_construction_is_sound, catalog_presentations,
-                      random_presentation, reference_linearization)
+                      random_presentation, reference_linearization, truncated)
 from polyadc import (
     IntVector,
     PolyPresentation,
@@ -20,7 +20,6 @@ from polyadc import (
     linearize,
     loop_free_report,
     serialize_document,
-    truncate_adc,
     validate_adc,
 )
 
@@ -62,7 +61,7 @@ def test_disk_and_sphere_shapes():
     for n in range(3):
         high = lambda_presentation(build("disk", (n + 1,)).as_presentation())
         low = lambda_presentation(build("sphere", (n,)).as_presentation())
-        assert truncate_adc(high, n) == low
+        assert truncated(high, n) == low
 
 
 def test_ordinal_and_theta_shapes():

@@ -359,6 +359,56 @@ def test_oracle_refuses_a_huge_candidate_space(capsys, tmp_path):
             "lower --cap or --dim") in err
 
 
+def test_oracle_pads_the_cells_above_the_top_degree(capsys, tmp_path):
+    # above degree 2 the cell conditions force every row: the 2-cells are
+    # padded with zero rows, so all are identities
+    doc = export(tmp_path, "oriental", 2)
+    code, out, err = run(["oracle", "--dim", "1200", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "dim 1200 with coefficients up to 3: 8 cells, 0 nontrivial\n"
+
+
+def test_oracle_searches_a_tall_complex_without_recursion(capsys, tmp_path):
+    # one vertex and one 1200-cell over it: the search walks 1200 degrees
+    doc = tmp_path / "tall.json"
+    doc.write_text('{"kind": "adc", "generators": [{"name": "v", "dim": 0, '
+                   '"augmentation": 1}, {"name": "a", "dim": 1200, "boundary": {}}]}')
+    code, out, err = run(["oracle", "--dim", "1200", "--cap", "1", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "dim 1200 with coefficients up to 1: 2 cells, 1 nontrivial\n"
+
+
+def test_oracle_refuses_padding_past_the_cap_before_building_it(capsys, tmp_path):
+    doc = export(tmp_path, "oriental", 2)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["oracle", "--dim", "1000000000", str(doc)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (5, "")
+    assert err == ("resource error [ENUM_CAP]: brute force would pad 8 cells of "
+                   "degree 2 with 999999998 zero rows each, more than 1000000 rows; "
+                   "lower --dim\n")
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("argv", [["lambda", "{doc}", "--out"],
+                                  ["catalog", "oriental", "2", "--out"],
+                                  ["preorder", "{doc}", "--dot"]],
+                         ids=["lambda", "catalog", "preorder"])
+@pytest.mark.parametrize("where, reason", [("missing/out.txt", "No such file or directory"),
+                                           (".", "Is a directory")],
+                         ids=["missing-directory", "directory"])
+def test_an_output_file_that_cannot_be_written_is_an_error(argv, where, reason, capsys,
+                                                           tmp_path):
+    doc = export(tmp_path, "oriental", 2)
+    path = str(tmp_path / where)
+    code, out, err = run([arg.format(doc=doc) for arg in argv] + [path], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write %s: %s\n" % (path, reason)
+
+
 READERS = [["check"], ["enumerate"], ["lambda"], ["preorder"], ["roundtrip"],
            ["oracle", "--dim", "0"]]
 
@@ -672,19 +722,17 @@ def test_checking_a_complex_runs_no_enumeration_module(tmp_path):
 # the names the package served when it imported every submodule up front
 
 EXPORTED = {
-    "adc": ("Adc", "Chain", "Decomposition", "RelationGraph", "atom_table",
-            "decompose", "generating_relation", "is_strong_steiner_complex",
-            "is_unital", "loop_free_report", "truncate_adc", "unitality_failures",
+    "adc": ("Adc", "Chain", "RelationGraph", "atom_table",
+            "is_strong_steiner_complex", "loop_free_report", "unitality_failures",
             "validate_adc"),
     "catalog": ("CatalogCapExceeded", "CatalogEntry", "build"),
     "nu": ("EnumeratedOmegaCat", "EnumerationCapExceeded", "NotComposable",
            "NuTable", "atom_to_table", "brute_force_nu", "composable", "compose",
-           "enumerate_nu", "face", "identity", "indecomposables", "is_valid_table"),
+           "enumerate_nu", "face", "identity", "is_valid_table"),
     "polygraph": ("CellExpr", "Comp", "Gen", "Id", "InconsistentClassification",
                   "PolyPresentation", "Verdict", "classify", "eval_table",
-                  "expr_dim", "face_expr", "is_algebraically_loop_free",
-                  "is_atomic", "is_steiner_orderable", "lambda_presentation",
-                  "linearize", "preorder_report", "support_expr"),
+                  "expr_dim", "face_expr", "lambda_presentation", "linearize",
+                  "preorder_report", "support_expr"),
     "roundtrip": ("QuotientLambda", "check_omega_basis", "lambda_of_enumerated",
                   "top_row_certificate", "verify_equivalence"),
     "serialize": ("DegreeCapExceeded", "DocumentError", "parse_document",
@@ -714,6 +762,42 @@ def test_the_package_serves_every_name_it_exported_before():
         sorted(everything + list(EXPORTED) + ["smith"])
     assert set(star) - {"__builtins__"} <= set(dir(polyadc))
     assert {"__version__", "__path__"} <= set(dir(polyadc))
+
+
+# names that only tests read, deleted from the library
+DELETED = {
+    "adc": ("Decomposition", "atom_fault", "decompose", "generating_relation",
+            "is_unital", "truncate_adc"),
+    "nu": ("indecomposables",),
+    "polygraph": ("AtomicityReport", "OrderabilityReport", "is_algebraically_loop_free",
+                  "is_atomic", "is_steiner_orderable"),
+    "serialize": ("expr_to_obj", "obj_to_expr"),
+}
+DELETED_METHODS = {
+    ("adc", "RelationGraph"): ("antisymmetry", "sccs", "successors",
+                               "transitive_closure"),
+    ("nu", "NuTable"): ("max_coeff",),
+    ("nu", "EnumeratedOmegaCat"): ("cell_set",),
+    ("zlin", "IntVector"): ("l1",),
+}
+
+
+def test_the_names_only_tests_read_are_gone():
+    import polyadc
+    gone = []
+    for module, names in DELETED.items():
+        for name in names:
+            for owner in (polyadc, getattr(polyadc, module)):
+                with pytest.raises(AttributeError):
+                    getattr(owner, name)
+            gone.append(name)
+    for (module, cls), names in DELETED_METHODS.items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(getattr(getattr(polyadc, module), cls), name)
+            gone.append(name)
+    assert len(gone) == 21
+    assert not set(gone) & set(dir(polyadc))
 
 
 def test_an_unknown_name_raises_and_loads_nothing():

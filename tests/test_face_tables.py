@@ -1,8 +1,8 @@
 """Generator tables filed at construction against the expression walks.
 
 The reference classifiers below are the ``face_expr``/``support_expr``
-double loops that the filed tables replaced in ``is_atomic``,
-``preorder_report`` and ``is_steiner_orderable``, each graph condensed
+double loops that the filed tables replaced in the atomicity check,
+``preorder_report`` and the orderability check, each graph condensed
 eagerly by the reference Tarjan in ``conftest``; the reference verdict
 composes them with the generating relation read off the split
 differentials, condensing every graph.  The reference generator table is
@@ -28,11 +28,9 @@ from polyadc import (
     classify,
     eval_table,
     face_expr,
-    generating_relation,
-    is_atomic,
-    is_steiner_orderable,
     lambda_presentation,
     linearize,
+    loop_free_report,
     preorder_report,
     support_expr,
     unitality_failures,
@@ -49,13 +47,13 @@ def faces(pres, name):
 
 
 def reference_is_atomic(pres):
+    """(atomic, witness)."""
     for name in pres.all_generators():
         for p, src_supp, tgt_supp in faces(pres, name):
             common = src_supp & tgt_supp
             if common:
-                return polygraph.AtomicityReport(
-                    ok=False, witness=(name, p, frozenset(common)))
-    return polygraph.AtomicityReport(ok=True, witness=None)
+                return False, (name, p, frozenset(common))
+    return True, None
 
 
 def reference_preorder_report(pres):
@@ -82,6 +80,7 @@ def reference_preorder_report(pres):
 
 
 def reference_is_steiner_orderable(pres):
+    """(orderable, order, constraint cycle)."""
     nodes = tuple(pres.all_generators())
     position = {name: i for i, name in enumerate(nodes)}
     succ = {name: set() for name in nodes}
@@ -92,7 +91,7 @@ def reference_is_steiner_orderable(pres):
                     succ[a].add(b)
     for name in nodes:
         if name in succ[name]:
-            return polygraph.OrderabilityReport(ok=False, order=None, cycle=(name,))
+            return False, None, (name,)
     indeg = {name: 0 for name in nodes}
     for a in nodes:
         for b in succ[a]:
@@ -108,7 +107,7 @@ def reference_is_steiner_orderable(pres):
             if indeg[b] == 0:
                 ready.add(b)
     if len(order) == len(nodes):
-        return polygraph.OrderabilityReport(ok=True, order=tuple(order), cycle=None)
+        return True, tuple(order), None
     member = {name for name in nodes if indeg[name] > 0}
     preds = {name: [] for name in member}
     for a in member:
@@ -123,8 +122,7 @@ def reference_is_steiner_orderable(pres):
         seen[node] = len(path)
         path.append(node)
         node = min(preds[node], key=position.__getitem__)
-    cycle = tuple(reversed(path[seen[node]:]))
-    return polygraph.OrderabilityReport(ok=False, order=None, cycle=cycle)
+    return False, None, tuple(reversed(path[seen[node]:]))
 
 
 def reference_generator_table(pres, name):
@@ -165,18 +163,18 @@ def reference_generating_relation(complex_):
 
 
 def reference_verdict(pres):
-    atom = reference_is_atomic(pres)
+    atomic, witness = reference_is_atomic(pres)
     pre = reference_preorder_report(pres)
     alg_ok, alg_cycle = reference_antisymmetry(
         reference_generating_relation(lambda_presentation(pres)))
-    order = reference_is_steiner_orderable(pres)
+    orderable, order, order_cycle = reference_is_steiner_orderable(pres)
     return polygraph.Verdict(
-        atomic=atom.ok, atomic_witness=atom.witness,
+        atomic=atomic, atomic_witness=witness,
         codim1_antisymmetric=pre.codim1_antisymmetric, codim1_cycle=pre.codim1_cycle,
         full_antisymmetric=pre.full_antisymmetric, full_cycle=pre.full_cycle,
         strongly_loop_free_algebraic=alg_ok, algebraic_cycle=alg_cycle,
-        steiner_orderable=order.ok, steiner_order=order.order,
-        steiner_cycle=order.cycle,
+        steiner_orderable=orderable, steiner_order=order,
+        steiner_cycle=order_cycle,
     )
 
 
@@ -198,15 +196,16 @@ PRESENTATIONS = presentations()
 def test_classifiers_match_the_expression_walks(label, pres):
     for name in pres.all_generators():
         assert eval_table(pres, Gen(name)) == reference_generator_table(pres, name)
-    assert is_atomic(pres) == reference_is_atomic(pres)
+    verdict, reference = classify(pres), reference_verdict(pres)
+    assert (verdict.atomic, verdict.atomic_witness) == reference_is_atomic(pres)
     report = preorder_report(pres)
     assert report == reference_preorder_report(pres)
-    assert is_steiner_orderable(pres) == reference_is_steiner_orderable(pres)
-    verdict, reference = classify(pres), reference_verdict(pres)
+    assert ((verdict.steiner_orderable, verdict.steiner_order, verdict.steiner_cycle)
+            == reference_is_steiner_orderable(pres))
     assert verdict == reference
     assert (json.dumps(verdict.as_dict(), sort_keys=True)
             == json.dumps(reference.as_dict(), sort_keys=True))
-    algebraic = generating_relation(lambda_presentation(pres))
+    algebraic = loop_free_report(lambda_presentation(pres)).graph
     assert algebraic == reference_generating_relation(lambda_presentation(pres))
     assert algebraic.edges <= report.codim1.edges <= report.full.edges
 
@@ -221,7 +220,7 @@ def test_graphs_nest_on_random_presentations():
     def check(seed):
         pres = random_presentation(seed)
         report = preorder_report(pres)
-        algebraic = generating_relation(lambda_presentation(pres))
+        algebraic = loop_free_report(lambda_presentation(pres)).graph
         assert algebraic.edges <= report.codim1.edges <= report.full.edges
         assert classify(pres) == reference_verdict(pres)
 

@@ -20,13 +20,12 @@ from polyadc import (
     enumerate_nu,
     face,
     identity,
-    indecomposables,
     is_strong_steiner_complex,
     is_valid_table,
     lambda_presentation,
     validate_adc,
 )
-from polyadc.adc import atom_fault
+from polyadc.adc import _atom
 
 
 def triangle():
@@ -136,14 +135,6 @@ def test_compose_rejects_mismatches():
         compose(a012, a012, 5)
 
 
-def test_max_coeff_reads_every_entry_of_every_row():
-    small, big = IntVector({"a": 1}), IntVector({"a": 1, "b": 3})
-    assert NuTable(rows=((big, small), (small, small))).max_coeff() == 3
-    assert NuTable(rows=((small, small), (small, big))).max_coeff() == 3
-    assert NuTable(rows=((IntVector({"a": -5}), small),)).max_coeff() == 5
-    assert NuTable(rows=((IntVector(), IntVector()),)).max_coeff() == 0
-
-
 def test_enumeration_of_the_triangle():
     enum = enumerate_nu(triangle(), max_coeff=2)
     assert {q: len(cells) for q, cells in enum.cells.items()} == {0: 3, 1: 7, 2: 8}
@@ -214,7 +205,7 @@ def test_atom_faults_agree_with_the_cell_conditions():
     for k in complexes:
         for name in k.all_generators():
             ok, cond = is_valid_table(k, atom_to_table(k, name))
-            assert atom_fault(k, name) == cond
+            assert _atom(k, name)[1] == cond
             faults.add(cond)
     assert faults == {None, 2, 3}
 
@@ -249,7 +240,19 @@ def test_brute_force_agrees_with_enumeration():
     enum = enumerate_nu(k, max_coeff=2)
     for q in range(3):
         exhaustive = brute_force_nu(k, q, coeff_cap=2)
-        assert set(exhaustive) == enum.cell_set(q)
+        assert set(exhaustive) == set(enum.cells[q])
+
+
+def test_brute_force_lists_the_cells_in_key_order_and_pads_above_the_top():
+    zero = IntVector()
+    for k in (triangle(), build("disk", (3,)).as_adc(), build("theta2", (2, 1, 2)).as_adc()):
+        top = brute_force_nu(k, k.max_degree, coeff_cap=2)
+        for q in range(k.max_degree + 3):
+            cells = brute_force_nu(k, q, coeff_cap=2)
+            assert list(cells) == sorted(set(cells), key=NuTable.key)
+            if q > k.max_degree:
+                pad = ((zero, zero),) * (q - k.max_degree)
+                assert cells == tuple(NuTable(rows=t.rows + pad) for t in top)
 
 
 def test_brute_force_smallest_cases():
@@ -258,14 +261,6 @@ def test_brute_force_smallest_cases():
     assert len(cells) == 3
     assert sorted(t.is_trivial() for t in cells) == [False, True, True]
     assert brute_force_nu(interval, -1, coeff_cap=2) == ()
-
-
-def test_indecomposables_of_the_triangle():
-    k = triangle()
-    ind = indecomposables(enumerate_nu(k, max_coeff=2))
-    assert set(ind[0]) == {atom_to_table(k, n) for n in ("0", "1", "2")}
-    assert set(ind[1]) == {atom_to_table(k, n) for n in ("01", "02", "12")}
-    assert set(ind[2]) == {atom_to_table(k, "012")}
 
 
 @pytest.mark.parametrize("where", ["front", "end"])
@@ -292,8 +287,7 @@ def test_a_cell_set_listing_a_table_under_another_dimension_is_refused():
 
 
 def test_a_cell_set_keyed_above_max_dim_is_refused():
-    # the quotient, the basis check and the indecomposables read the
-    # degrees up to max_dim only
+    # the quotient and the basis check read the degrees up to max_dim only
     k = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(k)
     low = {0: enum.cells[0], 1: enum.cells[1]}

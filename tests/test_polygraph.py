@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import reachable_pairs
 from polyadc import (
     CoefficientOverflow,
     Comp,
@@ -16,12 +17,10 @@ from polyadc import (
     eval_table,
     expr_dim,
     face_expr,
-    is_algebraically_loop_free,
-    is_atomic,
-    is_steiner_orderable,
     is_valid_table,
     lambda_presentation,
     linearize,
+    loop_free_report,
     preorder_report,
     serialize_document,
     support_expr,
@@ -152,12 +151,12 @@ def test_eval_table_matches_table_composition():
 
 
 def test_atomicity_witnesses():
-    assert is_atomic(o2()).ok
-    sq = is_atomic(build("square").as_presentation())
-    assert not sq.ok
-    assert sq.witness == ("alpha", 1, frozenset({"f"}))
-    endo = is_atomic(build("endo2cell").as_presentation())
-    assert endo.witness == ("alpha", 0, frozenset({"x"}))
+    assert classify(o2()).atomic
+    sq = classify(build("square").as_presentation())
+    assert not sq.atomic
+    assert sq.atomic_witness == ("alpha", 1, frozenset({"f"}))
+    endo = classify(build("endo2cell").as_presentation())
+    assert endo.atomic_witness == ("alpha", 0, frozenset({"x"}))
 
 
 def test_preorders_on_the_triangle():
@@ -167,7 +166,7 @@ def test_preorders_on_the_triangle():
     assert rep.codim1.edges < rep.full.edges
     assert rep.codim1_antisymmetric and rep.full_antisymmetric
     # on an atomic presentation the two closures agree
-    assert rep.codim1.transitive_closure() == rep.full.transitive_closure()
+    assert reachable_pairs(rep.codim1) == reachable_pairs(rep.full)
 
 
 def test_preorder_cycles():
@@ -182,17 +181,20 @@ def test_preorder_cycles():
 
 
 def test_algebraic_loop_freeness():
-    assert is_algebraically_loop_free(o2())
-    assert is_algebraically_loop_free(build("square").as_presentation())
-    assert not is_algebraically_loop_free(build("loop").as_presentation())
-    assert not is_algebraically_loop_free(build("forestA").as_presentation())
+    def loop_free(pres):
+        return loop_free_report(lambda_presentation(pres)).is_partial_order
+
+    assert loop_free(o2())
+    assert loop_free(build("square").as_presentation())
+    assert not loop_free(build("loop").as_presentation())
+    assert not loop_free(build("forestA").as_presentation())
 
 
 def test_orderability_witness_order_meets_every_constraint():
     pres = o2()
-    rep = is_steiner_orderable(pres)
-    assert rep.ok
-    index = {name: i for i, name in enumerate(rep.order)}
+    rep = classify(pres)
+    assert rep.steiner_orderable
+    index = {name: i for i, name in enumerate(rep.steiner_order)}
     assert sorted(index) == sorted(pres.all_generators())
     for name in pres.all_generators():
         q = pres.dim_of(name)
@@ -205,11 +207,11 @@ def test_orderability_witness_order_meets_every_constraint():
 
 
 def test_orderability_failures():
-    assert is_steiner_orderable(build("square").as_presentation()).cycle == ("f",)
-    assert is_steiner_orderable(build("endo2cell").as_presentation()).cycle == ("x",)
-    loop = is_steiner_orderable(build("loop").as_presentation())
-    assert not loop.ok
-    assert set(loop.cycle) == {"a", "b"}
+    assert classify(build("square").as_presentation()).steiner_cycle == ("f",)
+    assert classify(build("endo2cell").as_presentation()).steiner_cycle == ("x",)
+    loop = classify(build("loop").as_presentation())
+    assert not loop.steiner_orderable
+    assert set(loop.steiner_cycle) == {"a", "b"}
 
 
 def test_classify_square():

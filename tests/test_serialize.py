@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import random_presentation
+from conftest import expr_obj, random_presentation
 from polyadc import (
     Adc,
     CoefficientOverflow,
@@ -16,20 +16,24 @@ from polyadc import (
     PolyPresentation,
     RelationGraph,
     build,
-    generating_relation,
     lambda_presentation,
+    loop_free_report,
     parse_document,
     serialize_document,
     to_dot,
     validate_adc,
 )
-from polyadc.serialize import (MAX_DEGREE, DegreeCapExceeded, expr_to_obj,
-                               obj_to_expr)
+from polyadc.serialize import MAX_DEGREE, DegreeCapExceeded
 
 
 def test_expression_round_trip():
     expr = Comp(1, Gen("023"), Comp(0, Gen("012"), Id(Gen("23"))))
-    assert obj_to_expr(expr_to_obj(expr)) == expr
+    pres = build("oriental", (3,)).as_presentation()
+    assert pres.src("0123") == expr
+    doc = json.loads(serialize_document(pres))
+    record = next(r for r in doc["generators"] if r["name"] == "0123")
+    assert record["src"] == expr_obj(expr)
+    assert parse_document(json.dumps(doc)).src("0123") == expr
 
 
 def test_expression_schema_errors():
@@ -41,8 +45,11 @@ def test_expression_schema_errors():
         {"comp": ["0", {"gen": "a"}, {"gen": "b"}]},
         {"what": 1},
     ):
+        doc = {"kind": "polygraph", "generators": [
+            {"name": "a", "dim": 0},
+            {"name": "f", "dim": 1, "src": bad, "tgt": {"gen": "a"}}]}
         with pytest.raises(DocumentError):
-            obj_to_expr(bad)
+            parse_document(json.dumps(doc))
 
 
 def test_documents_round_trip_both_kinds():
@@ -182,14 +189,14 @@ def test_empty_document_round_trips():
 
 def test_dot_export():
     k = build("oriental", (1,)).as_adc()
-    g = generating_relation(k)
+    g = loop_free_report(k).graph
     dot = to_dot(g, {n: k.degree_of(n) for n in g.nodes})
     assert dot.startswith("digraph relation {")
     assert '"0" [label="0:0"];' in dot
     assert '"0" -> "01";' in dot
     assert dot.rstrip().endswith("}")
     forest = lambda_presentation(build("forestA").as_presentation())
-    fg = generating_relation(forest)
+    fg = loop_free_report(forest).graph
     quoted = to_dot(fg, {n: forest.degree_of(n) for n in fg.nodes})
     assert '"alpha\'" [label="alpha\':2"];' in quoted
 
@@ -253,7 +260,7 @@ def reference_doc(obj):
             else:
                 src, tgt = obj.boundary_of(name)
                 gens.append({"name": name, "dim": q,
-                             "src": expr_to_obj(src), "tgt": expr_to_obj(tgt)})
+                             "src": expr_obj(src), "tgt": expr_obj(tgt)})
     return {"kind": "polygraph", "generators": gens}
 
 

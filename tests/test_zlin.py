@@ -31,7 +31,6 @@ def test_vector_arithmetic_and_parts():
     assert v.negative_part() == IntVector({"b": 1})
     assert v == v.positive_part() - v.negative_part()
     assert v.support() == {"a", "b"}
-    assert v.l1() == 3
     assert not v.is_nonnegative()
     assert v.positive_part().is_nonnegative()
 
