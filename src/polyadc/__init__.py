@@ -5,13 +5,16 @@ Importing the package runs none of its modules.  Each submodule is put in
 ``sys.modules`` and on the package through
 :class:`importlib.util.LazyLoader`, and is compiled and run on the first
 lookup of one of its attributes, so a command line call runs only the
-modules its subcommand uses.  ``check``, ``lambda`` and ``preorder`` on a
-complex run ``zlin``, ``adc``, ``polygraph`` and ``serialize``; on a
-presentation, and ``enumerate`` and ``oracle`` on either, ``nu`` as well;
-``catalog`` adds ``nu`` and ``catalog``, and ``roundtrip`` adds ``nu``
-and ``roundtrip``; no subcommand runs the matrix module ``smith``.  The
-names the package serves itself (``polyadc.enumerate_nu`` and the others
-in ``__all__``) are looked up on their module when asked for.
+modules its subcommand uses.  Every subcommand runs ``zlin``, ``adc`` and
+``serialize``.  A presentation adds ``polygraph`` and the table algebra
+``table``, so ``check``, ``lambda`` and ``preorder`` run no ``nu`` on a
+presentation and no ``polygraph`` on a complex.  ``enumerate`` and
+``oracle`` add ``nu`` and ``table``, ``roundtrip`` adds ``roundtrip`` as
+well, and ``catalog`` adds ``catalog``, ``polygraph`` and ``table``; no
+subcommand runs the matrix module ``smith``.  The names the package
+serves itself (``polyadc.enumerate_nu`` and the others in ``__all__``) are
+looked up on their module when asked for; ``table``'s are served through
+``nu``.
 
 The criterion of the paper, that the strong Steiner complexes are the
 linearizations of the loop-free polygraphs, is one call on each side:
@@ -64,7 +67,9 @@ def _lazy(name):
     return module
 
 
-globals().update((name, _lazy(name)) for name in _EXPORTS)
+# ``table`` serves its names through ``nu``, and is registered for the
+# modules that import it
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "table"))
 
 
 def __getattr__(name):

@@ -274,7 +274,7 @@ def _atom(complex_: Adc, name: str) -> tuple:
     table, built once per complex and read by every atom accessor.
 
     ``fault`` is the first cell condition the table violates, or None,
-    numbered as in :func:`polyadc.nu.is_valid_table`.  Positivity (1) and
+    numbered as in :func:`polyadc.table.is_valid_table`.  Positivity (1) and
     equal top rows (4) hold by construction.  The boundary condition (2)
     holds exactly when the two rows of each degree p >= 1 have one
     boundary, which building the rows computes anyway, and the

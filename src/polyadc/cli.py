@@ -4,8 +4,8 @@ Single-invocation, single-threaded orchestration over the library calls;
 every subcommand reads one document (or builds one from the catalog), runs
 the requested analysis and prints a report.
 
-Exit codes: 0 success, 1 usage error, or an output file that cannot be
-written, 2 unreadable, malformed or too deeply nested document, 3
+Exit codes: 0 success, 1 usage error, or an output file or stdout that
+cannot be written, 2 unreadable, malformed or too deeply nested document, 3
 validation failure, 4 negative verdict (check/roundtrip), 5 resource cap
 (enumeration, brute-force or catalog size cap, ADC degree cap, torsion,
 overflow).
@@ -15,23 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog as catalog_mod
-from . import nu, roundtrip
+from . import nu, polygraph, roundtrip
 from .adc import Adc, loop_free_report, unitality_failures
-from .polygraph import (
-    InconsistentClassification,
-    PolyPresentation,
-    classify,
-    lambda_presentation,
-    preorder_report,
-)
 from .serialize import DocumentError, parse_document, serialize_document, to_dot
 
 # The ``code`` of each exception that ends a run with exit code 5: the
 # enumeration, brute-force and catalog caps, the ADC degree cap, torsion
-# and overflow.  Matching the code, not the class, loads no module for it.
+# and overflow.  Matching the code, not the class, loads no module for it,
+# as matching ``INCONSISTENT`` keeps a complex's run clear of ``polygraph``.
 RESOURCE_CODES = frozenset({"ENUM_CAP", "CATALOG_CAP", "DEGREE_CAP", "TORSION",
                             "OVERFLOW"})
 
@@ -128,9 +123,9 @@ def _load(path: str):
 
 
 def _as_complex(doc) -> Adc:
-    if isinstance(doc, PolyPresentation):
-        return lambda_presentation(doc)
-    return doc
+    if isinstance(doc, Adc):
+        return doc
+    return polygraph.lambda_presentation(doc)
 
 
 def _write_out(text: str, path) -> int:
@@ -168,8 +163,8 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_check(args) -> int:
     doc = _load(args.file)
-    if isinstance(doc, PolyPresentation):
-        verdict = classify(doc)
+    if not isinstance(doc, Adc):
+        verdict = polygraph.classify(doc)
         if args.json:
             print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
         else:
@@ -246,8 +241,8 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_preorder(args) -> int:
     doc = _load(args.file)
-    if isinstance(doc, PolyPresentation):
-        report = preorder_report(doc)
+    if not isinstance(doc, Adc):
+        report = polygraph.preorder_report(doc)
         graph = report.full
         anti, cycle = report.full_antisymmetric, report.full_cycle
         dims = {name: doc.dim_of(name) for name in doc.all_generators()}
@@ -336,18 +331,29 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is left unwritten goes to the null
+        # device, so the interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout: %s" % exc.strerror, file=sys.stderr)
+        return 1
     except DocumentError as exc:
         print("document error: %s" % exc, file=sys.stderr)
         return 2
-    except InconsistentClassification as exc:
-        print("internal inconsistency: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:
-        if getattr(exc, "code", None) not in RESOURCE_CODES:
+        code = getattr(exc, "code", None)
+        if code == "INCONSISTENT":
+            print("internal inconsistency: %s" % exc, file=sys.stderr)
+            return 3
+        if code not in RESOURCE_CODES:
             raise
         print("resource error [%s]: %s" % (exc.code, exc), file=sys.stderr)
         return 5

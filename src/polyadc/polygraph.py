@@ -21,7 +21,7 @@ from bisect import insort
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
-from . import nu
+from . import table
 from .adc import (Adc, Chain, RelationGraph, _generating_successors, _name_levels,
                   antisymmetry_of)
 from .zlin import IntVector, Record, _setattr
@@ -180,14 +180,14 @@ class PolyPresentation:
         tables, diff = self._tables, {}
         for name in self.dims(0):
             unit = IntVector.unit(name)
-            tables[name] = nu.NuTable(rows=((unit, unit),))
+            tables[name] = table.NuTable(rows=((unit, unit),))
         for q in range(1, len(self.generators)):
             for name in self.generators[q]:
                 src, tgt = self._boundary[name]
                 try:
                     ts = tables[src.name] if src.__class__ is Gen else eval_table(self, src)
                     tt = tables[tgt.name] if tgt.__class__ is Gen else eval_table(self, tgt)
-                except nu.NotComposable as exc:
+                except table.NotComposable as exc:
                     raise ValueError(
                         "boundary of %r is not composable: %s" % (name, exc)
                     ) from exc
@@ -198,7 +198,7 @@ class PolyPresentation:
                 s_top, t_top = ts.rows[-1][0], tt.rows[-1][0]
                 diff[name] = t_top - s_top
                 unit = IntVector.unit(name)
-                tables[name] = nu.NuTable(
+                tables[name] = table.NuTable(
                     rows=ts.rows[:-1] + ((s_top, t_top), (unit, unit)))
         self._lambda = Adc._of(self.generators, self._dim, diff,
                                dict.fromkeys(self.dims(0), 1))
@@ -286,7 +286,7 @@ def lambda_presentation(pres: PolyPresentation) -> Adc:
     return pres._lambda
 
 
-def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
+def eval_table(pres: PolyPresentation, expr: CellExpr) -> table.NuTable:
     """Evaluate an expression to a cell table over the linearization.
 
     A generator's table is filed at construction from its declared
@@ -295,17 +295,17 @@ def eval_table(pres: PolyPresentation, expr: CellExpr) -> nu.NuTable:
     boundaries are the ones the adjunction unit uses.
     """
     if isinstance(expr, Gen):
-        table = pres._tables.get(expr.name)
-        if table is None:
+        filed = pres._tables.get(expr.name)
+        if filed is None:
             pres.dim_of(expr.name)  # raises on an unknown name
-            table = pres._tables[expr.name]
-        return table
+            filed = pres._tables[expr.name]
+        return filed
     if isinstance(expr, Id):
-        return nu.identity(eval_table(pres, expr.inner))
+        return table.identity(eval_table(pres, expr.inner))
     if isinstance(expr, Comp):
         left = eval_table(pres, expr.left)
         right = eval_table(pres, expr.right)
-        return nu.compose(left, right, expr.level)
+        return table.compose(left, right, expr.level)
     raise TypeError("not a cell expression: %r" % (expr,))
 
 

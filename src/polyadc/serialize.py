@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _str
 
+from . import polygraph
 from .adc import Adc, RelationGraph, _require_chain_complex
-from .polygraph import CellExpr, Comp, Gen, Id, PolyPresentation
 from .zlin import IntVector
 
 
@@ -36,7 +36,7 @@ class DegreeCapExceeded(Exception):
     code = "DEGREE_CAP"
 
 
-def _to_expr(obj, ids: list) -> CellExpr:
+def _to_expr(obj, ids: list) -> polygraph.CellExpr:
     """The expression an object form stands for, adding to ``ids[0]`` the
     number of identity nodes it builds, so that the parser counts them in
     the one walk.  A malformed form raises :class:`DocumentError`.  The
@@ -48,16 +48,16 @@ def _to_expr(obj, ids: list) -> CellExpr:
         name = obj["gen"]
         if not isinstance(name, str):
             raise DocumentError("gen expression needs a string name")
-        return Gen(name)
+        return polygraph.Gen(name)
     if "id" in obj:
         ids[0] += 1
-        return Id(_to_expr(obj["id"], ids))
+        return polygraph.Id(_to_expr(obj["id"], ids))
     if "comp" in obj:
         body = obj["comp"]
         if (not isinstance(body, list) or len(body) != 3
                 or not isinstance(body[0], int) or isinstance(body[0], bool)):
             raise DocumentError("comp expression needs [level, left, right]")
-        return Comp(body[0], _to_expr(body[1], ids), _to_expr(body[2], ids))
+        return polygraph.Comp(body[0], _to_expr(body[1], ids), _to_expr(body[2], ids))
     raise DocumentError("unknown expression key in %r" % (obj,))
 
 
@@ -181,7 +181,7 @@ def parse_document(text: str):
                 "identity expressions reach dimension %d at most"
                 % (max_dim, name, len(records), reach))
         basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
-        return PolyPresentation(basis, boundary)
+        return polygraph.PolyPresentation(basis, boundary)
     except RecursionError:
         raise DocumentError("expressions nested too deeply") from None
 
@@ -202,7 +202,7 @@ def serialize_document(obj) -> str:
                     head = '"boundary": %s' % ("{\n%s\n      }" % terms if terms else "{}")
                 records.append('    {\n      %s,\n      "dim": %d,\n      "name": %s\n    }'
                                % (head, q, _str(name)))
-    elif isinstance(obj, PolyPresentation):
+    elif isinstance(obj, polygraph.PolyPresentation):
         kind = "polygraph"
         for q, level in enumerate(obj.generators):
             for name in level:
@@ -219,15 +219,15 @@ def serialize_document(obj) -> str:
     return '{\n  "generators": %s,\n  "kind": "%s"\n}\n' % (body, kind)
 
 
-def _expr_text(expr: CellExpr, indent: str) -> str:
+def _expr_text(expr: polygraph.CellExpr, indent: str) -> str:
     """The object form of an expression, laid out as a value on a line
     indented by ``indent``."""
     inner = indent + "  "
-    if isinstance(expr, Gen):
+    if isinstance(expr, polygraph.Gen):
         return '{\n%s"gen": %s\n%s}' % (inner, _str(expr.name), indent)
-    if isinstance(expr, Id):
+    if isinstance(expr, polygraph.Id):
         return '{\n%s"id": %s\n%s}' % (inner, _expr_text(expr.inner, inner), indent)
-    if isinstance(expr, Comp):
+    if isinstance(expr, polygraph.Comp):
         item = inner + "  "
         return '{\n%s"comp": [\n%s%d,\n%s%s,\n%s%s\n%s]\n%s}' % (
             inner, item, expr.level, item, _expr_text(expr.left, item),

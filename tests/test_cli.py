@@ -699,8 +699,8 @@ def test_an_error_exit_runs_no_catalog_module(tmp_path):
     invalid.write_text(json.dumps({"kind": "adc", "generators": [
         {"name": "v", "dim": 0, "augmentation": 1},
         {"name": "v", "dim": 0, "augmentation": 1}]}))
-    assert not subcommand_modules(["check", str(invalid)], 3) & {"polyadc.catalog",
-                                                                "polyadc.nu"}
+    assert not subcommand_modules(["check", str(invalid)], 3) & {
+        "polyadc.catalog", "polyadc.nu", "polyadc.polygraph"}
 
 
 def test_the_resource_codes_are_the_cap_exceptions_codes():
@@ -714,8 +714,59 @@ def test_the_resource_codes_are_the_cap_exceptions_codes():
 def test_checking_a_complex_runs_no_enumeration_module(tmp_path):
     doc = str(export(tmp_path, "oriental", 2))
     assert subcommand_modules(["check", doc]) == {
-        "polyadc.cli", "polyadc.zlin", "polyadc.adc", "polyadc.polygraph",
-        "polyadc.serialize"}
+        "polyadc.cli", "polyadc.zlin", "polyadc.adc", "polyadc.serialize"}
+
+
+# the modules a subcommand runs beyond cli, zlin, adc and serialize: a
+# complex runs no polygraph, and check, lambda and preorder on a
+# presentation run no nu
+@pytest.mark.parametrize("form, argv, more", [
+    ("adc", ["check", "--json"], ()),
+    ("adc", ["lambda"], ()),
+    ("adc", ["preorder"], ()),
+    ("adc", ["enumerate"], ("nu", "table")),
+    ("adc", ["oracle", "--dim", "1"], ("nu", "table")),
+    ("adc", ["roundtrip"], ("nu", "roundtrip", "table")),
+    ("polygraph", ["check"], ("polygraph", "table")),
+    ("polygraph", ["check", "--json"], ("polygraph", "table")),
+    ("polygraph", ["lambda"], ("polygraph", "table")),
+    ("polygraph", ["preorder"], ("polygraph", "table")),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v) or "no more")
+def test_a_subcommand_runs_only_the_modules_its_input_needs(tmp_path, form, argv, more):
+    doc = str(export(tmp_path, "oriental", 2, form=form))
+    assert subcommand_modules(argv[:1] + [doc] + argv[1:]) == {
+        "polyadc." + name for name in ("cli", "zlin", "adc", "serialize") + more}
+
+
+def test_an_inconsistent_classification_exits_3(tmp_path, capsys, monkeypatch):
+    from polyadc import polygraph
+
+    def inconsistent(pres):
+        raise polygraph.InconsistentClassification("codim-1 cycle in a strong Steiner")
+
+    monkeypatch.setattr(polygraph, "classify", inconsistent)
+    doc = str(export(tmp_path, "oriental", 2, form="polygraph"))
+    assert run(["check", doc], capsys) == (
+        3, "", "internal inconsistency: codim-1 cycle in a strong Steiner\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["check", "--json", "DOC"], ["catalog", "oriental", "9"]],
+                         ids=" ".join)
+def test_a_closed_stdout_is_an_output_that_cannot_be_written(tmp_path, argv, unbuffered):
+    # catalog writes through _write_out, check with print
+    doc = str(export(tmp_path, "oriental", 2))
+    argv = [doc if arg == "DOC" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polyadc.cli"] + argv, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------
