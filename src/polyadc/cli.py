@@ -128,12 +128,36 @@ def _as_complex(doc) -> Adc:
     return polygraph.lambda_presentation(doc)
 
 
+def _stdout(text: str) -> None:
+    """Write to stdout; every stdout write of a subcommand goes here.
+
+    The encoded text goes to the byte stream under ``sys.stdout`` until all
+    of it is written: an unbuffered stdout (``PYTHONUNBUFFERED``) is a raw
+    file whose write may be cut short when the reader closes the pipe, and
+    the loop's next write then raises the ``BrokenPipeError`` that
+    :func:`main` reports.  A text stream with no byte stream under it, as
+    ``contextlib.redirect_stdout`` may give, takes the text as it is.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
+def _print(line: str) -> None:
+    _stdout(line + "\n")
+
+
 def _write_out(text: str, path) -> int:
     """Write to the file at ``path``, or to stdout when it is None; the
     exit code: 0, or 1 with an error on stderr when the file cannot be
     written."""
     if path is None:
-        sys.stdout.write(text)
+        _stdout(text)
         return 0
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -166,34 +190,34 @@ def _cmd_check(args) -> int:
     if not isinstance(doc, Adc):
         verdict = polygraph.classify(doc)
         if args.json:
-            print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
+            _print(json.dumps(verdict.as_dict(), indent=2, sort_keys=True))
         else:
-            print("atomic: %s" % _yesno(verdict.atomic))
+            _print("atomic: %s" % _yesno(verdict.atomic))
             if not verdict.atomic:
                 name, level, common = verdict.atomic_witness
-                print("  atomicity violated at (%s, %d): %s"
-                      % (name, level, _fmt_set(common)))
-            print("codim-1 preorder antisymmetric: %s"
-                  % _yesno(verdict.codim1_antisymmetric))
+                _print("  atomicity violated at (%s, %d): %s"
+                       % (name, level, _fmt_set(common)))
+            _print("codim-1 preorder antisymmetric: %s"
+                   % _yesno(verdict.codim1_antisymmetric))
             if verdict.codim1_cycle:
-                print("  cycle: %s" % _fmt_cycle(verdict.codim1_cycle))
-            print("full preorder antisymmetric: %s"
-                  % _yesno(verdict.full_antisymmetric))
+                _print("  cycle: %s" % _fmt_cycle(verdict.codim1_cycle))
+            _print("full preorder antisymmetric: %s"
+                   % _yesno(verdict.full_antisymmetric))
             if verdict.full_cycle:
-                print("  cycle: %s" % _fmt_cycle(verdict.full_cycle))
-            print("algebraically loop-free: %s"
-                  % _yesno(verdict.strongly_loop_free_algebraic))
-            print("orderable: %s" % _yesno(verdict.steiner_orderable))
+                _print("  cycle: %s" % _fmt_cycle(verdict.full_cycle))
+            _print("algebraically loop-free: %s"
+                   % _yesno(verdict.strongly_loop_free_algebraic))
+            _print("orderable: %s" % _yesno(verdict.steiner_orderable))
             if verdict.steiner_cycle:
-                print("  constraint cycle: %s" % _fmt_cycle(verdict.steiner_cycle))
-            print("strong Steiner: %s" % _yesno(verdict.strong_steiner))
+                _print("  constraint cycle: %s" % _fmt_cycle(verdict.steiner_cycle))
+            _print("strong Steiner: %s" % _yesno(verdict.strong_steiner))
         return 0 if verdict.strong_steiner else 4
 
     failures = unitality_failures(doc)
     report = loop_free_report(doc)
     ok = not failures and report.is_partial_order
     if args.json:
-        print(json.dumps({
+        _print(json.dumps({
             "unital": not failures,
             "nonunital_generators": sorted(name for name, _, _ in failures),
             "partial_order": report.is_partial_order,
@@ -201,14 +225,14 @@ def _cmd_check(args) -> int:
             "strong_steiner": ok,
         }, indent=2, sort_keys=True))
     else:
-        print("unital: %s" % _yesno(not failures))
+        _print("unital: %s" % _yesno(not failures))
         for name, en, ep in failures:
-            print("  atom of %s has augmentations (%d, %d)" % (name, en, ep))
-        print("generating relation is a partial order: %s"
-              % _yesno(report.is_partial_order))
+            _print("  atom of %s has augmentations (%d, %d)" % (name, en, ep))
+        _print("generating relation is a partial order: %s"
+               % _yesno(report.is_partial_order))
         if report.cycle:
-            print("  cycle: %s" % _fmt_cycle(report.cycle))
-        print("strong Steiner: %s" % _yesno(ok))
+            _print("  cycle: %s" % _fmt_cycle(report.cycle))
+        _print("strong Steiner: %s" % _yesno(ok))
     return 0 if ok else 4
 
 
@@ -221,16 +245,16 @@ def _cmd_enumerate(args) -> int:
         cells = enum.cells.get(q, ())
         counts[q] = {"cells": len(cells), "nontrivial": len(enum.nontrivial(q))}
     if args.json:
-        print(json.dumps({
+        _print(json.dumps({
             "max_dim": enum.max_dim,
             "counts": {str(q): c for q, c in counts.items()},
             "total": enum.total(),
         }, indent=2, sort_keys=True))
     else:
         for q, c in counts.items():
-            print("dim %d: %d cells, %d nontrivial"
-                  % (q, c["cells"], c["nontrivial"]))
-        print("total: %d" % enum.total())
+            _print("dim %d: %d cells, %d nontrivial"
+                   % (q, c["cells"], c["nontrivial"]))
+        _print("total: %d" % enum.total())
     return 0
 
 
@@ -254,17 +278,17 @@ def _cmd_preorder(args) -> int:
     if args.dot is not None and _write_out(to_dot(graph, dims), args.dot):
         return 1
     if args.json:
-        print(json.dumps({
+        _print(json.dumps({
             "nodes": list(graph.nodes),
             "edges": sorted([u, v] for u, v in graph.edges),
             "antisymmetric": anti,
             "cycle": None if cycle is None else list(cycle),
         }, indent=2, sort_keys=True))
     else:
-        print("nodes: %d, edges: %d" % (len(graph.nodes), len(graph.edges)))
-        print("antisymmetric: %s" % _yesno(anti))
+        _print("nodes: %d, edges: %d" % (len(graph.nodes), len(graph.edges)))
+        _print("antisymmetric: %s" % _yesno(anti))
         if cycle:
-            print("  cycle: %s" % _fmt_cycle(cycle))
+            _print("  cycle: %s" % _fmt_cycle(cycle))
     return 0
 
 
@@ -273,7 +297,7 @@ def _cmd_roundtrip(args) -> int:
     report = roundtrip.verify_equivalence(complex_, max_cells=args.max_cells,
                                           max_coeff=args.max_coeff)
     if args.json:
-        print(json.dumps({
+        _print(json.dumps({
             "ok": report.ok,
             "reason": report.reason,
             "cell_counts": {str(q): n for q, n in report.cell_counts.items()},
@@ -281,12 +305,12 @@ def _cmd_roundtrip(args) -> int:
         }, indent=2, sort_keys=True))
     else:
         for q in sorted(report.cell_counts):
-            print("dim %d: %d cells, rank %d"
-                  % (q, report.cell_counts[q], report.ranks.get(q, 0)))
+            _print("dim %d: %d cells, rank %d"
+                   % (q, report.cell_counts[q], report.ranks.get(q, 0)))
         if report.ok:
-            print("roundtrip: ok (atoms form a basis and recover the complex)")
+            _print("roundtrip: ok (atoms form a basis and recover the complex)")
         else:
-            print("roundtrip: failed (%s)" % report.reason)
+            _print("roundtrip: failed (%s)" % report.reason)
     return 0 if report.ok else 4
 
 
@@ -309,15 +333,15 @@ def _cmd_oracle(args) -> int:
     tables = nu.brute_force_nu(complex_, args.dim, args.cap)
     nontrivial = [t for t in tables if not t.is_trivial()]
     if args.json:
-        print(json.dumps({
+        _print(json.dumps({
             "dim": args.dim,
             "cap": args.cap,
             "cells": len(tables),
             "nontrivial": len(nontrivial),
         }, indent=2, sort_keys=True))
     else:
-        print("dim %d with coefficients up to %d: %d cells, %d nontrivial"
-              % (args.dim, args.cap, len(tables), len(nontrivial)))
+        _print("dim %d with coefficients up to %d: %d cells, %d nontrivial"
+               % (args.dim, args.cap, len(tables), len(nontrivial)))
     return 0
 
 

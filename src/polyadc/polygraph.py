@@ -12,7 +12,11 @@ construction (see :meth:`PolyPresentation._check_boundaries`).
 :func:`classify` gives every verdict on a presentation, with its witness:
 atomicity, the two support preorders, algebraic loop-freeness and
 orderability.  :func:`preorder_report` gives the two preorders' graphs.
-Both read one walk of the filed tables (:func:`_walk`).
+Both read one analysis of the presentation (:func:`_analysis`): one walk of
+the filed tables (:func:`_walk`) and the condensations of its full and
+codim-1 graphs, taken on the first call of either and kept on the
+presentation, so a later call, in either order, walks and condenses
+nothing again.
 """
 
 from __future__ import annotations
@@ -75,6 +79,10 @@ class PolyPresentation:
     ``generators[q]`` lists the dimension-q generator names in declaration
     order; ``boundary`` maps each generator of dimension >= 1 to its
     (source, target) pair of expressions of the dimension below.
+
+    A presentation is immutable: nothing changes it after construction, so
+    what is derived from it (the filed tables, the linearization, and the
+    preorder analysis of :func:`_analysis`, on first use) is kept on it.
     """
 
     def __init__(self, generators: Sequence[Sequence[str]],
@@ -114,6 +122,7 @@ class PolyPresentation:
                         )
 
         self._tables = {}  # generator -> its NuTable, filed at construction
+        self._analysis = None  # the preorder analysis, on first use
         self._check_boundaries()
 
     # -- accessors ------------------------------------------------------
@@ -345,6 +354,28 @@ def _walk(pres: PolyPresentation) -> tuple:
 # ---------------------------------------------------------------------------
 # the two categorical preorders
 
+def _analysis(pres: PolyPresentation) -> tuple:
+    """``(nodes, codim1, full, witness, succ, (okf, cycf), (ok1, cyc1))``:
+    the generators in order, the walk (:func:`_walk`), and the full and
+    codim-1 graphs' ``antisymmetry_of``.  The codim-1 graph lies inside the
+    full one, so it is condensed only when the full one has a cycle.
+
+    Taken on first use and kept on the presentation, which is immutable;
+    :func:`classify` and :func:`preorder_report` both read it.  The lists
+    Tarjan sorts in place are the ones both read, so their results do not
+    depend on which is called first.
+    """
+    kept = pres._analysis
+    if kept is None:
+        codim1, full, witness, succ = _walk(pres)
+        nodes = tuple(pres.all_generators())
+        full_result = antisymmetry_of(nodes, full)
+        codim1_result = (True, None) if full_result[0] else antisymmetry_of(nodes, codim1)
+        kept = pres._analysis = (nodes, codim1, full, witness, succ, full_result,
+                                 codim1_result)
+    return kept
+
+
 class PreorderReport(Record):
     __slots__ = _fields = ("codim1", "full", "codim1_antisymmetric", "codim1_cycle",
                            "full_antisymmetric", "full_cycle")
@@ -361,14 +392,12 @@ def preorder_report(pres: PolyPresentation) -> PreorderReport:
 
     The codimension-1 graph relates a generator to the supports of its
     immediate source and target; the full graph does the same for faces of
-    every lower dimension.  Both are decided on the successor lists of the
-    one walk :func:`classify` takes, and their edge sets read off those
-    lists; the walk's atomicity witness and order constraints go unused.
+    every lower dimension.  Both are decided, and their edge sets read, off
+    the one analysis :func:`classify` reads too (:func:`_analysis`), taken
+    once and kept on the presentation; its atomicity witness and order
+    constraints go unused here.
     """
-    codim1, full, _, _ = _walk(pres)
-    nodes = tuple(pres.all_generators())
-    okf, cycf = antisymmetry_of(nodes, full)
-    ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
+    nodes, codim1, full, _, _, (okf, cycf), (ok1, cyc1) = _analysis(pres)
     return PreorderReport(RelationGraph.from_successors(nodes, codim1),
                           RelationGraph.from_successors(nodes, full), ok1, cyc1, okf, cycf)
 
@@ -488,8 +517,11 @@ def classify(pres: PolyPresentation) -> Verdict:
     so the full graph is condensed first (``antisymmetry_of``: one Tarjan
     over the lists, stopping at the first component of two or more), the
     codim-1 one only when the full one has a cycle, and the algebraic one
-    only when the codim-1 one has.  Ordering takes O(E + n log n)
-    comparisons for E constraints on n generators.
+    only when the codim-1 one has.  The walk and the first two
+    condensations are the presentation's analysis (:func:`_analysis`),
+    taken once and kept, which :func:`preorder_report` reads as well.
+    Ordering takes O(E + n log n) comparisons for E constraints on n
+    generators.
 
     The implications (categorical loop-freeness forces atomicity and
     algebraic loop-freeness; atomic plus algebraic forces categorical) are
@@ -497,16 +529,13 @@ def classify(pres: PolyPresentation) -> Verdict:
     :class:`InconsistentClassification`.  The second is checked as the
     nesting that the skips rely on.
     """
-    codim1, full, witness, succ = _walk(pres)
-    nodes = tuple(pres.all_generators())
+    nodes, codim1, _, witness, succ, (okf, cycf), (ok1, cyc1) = _analysis(pres)
     algebraic = _generating_successors(lambda_presentation(pres))
     if not all(set(codim1.get(u, ())).issuperset(vs) for u, vs in algebraic.items()):
         raise InconsistentClassification(
             "generating relation outside the codim-1 graph: %r"
             % sorted({(u, v) for u, vs in algebraic.items() for v in vs
                       if v not in codim1.get(u, ())}))
-    okf, cycf = antisymmetry_of(nodes, full)
-    ok1, cyc1 = (True, None) if okf else antisymmetry_of(nodes, codim1)
     alg_ok, alg_cycle = (True, None) if ok1 else antisymmetry_of(nodes, algebraic)
     order, order_cycle = _order(nodes, succ)
     if okf and witness is not None:

@@ -769,6 +769,38 @@ def test_a_closed_stdout_is_an_output_that_cannot_be_written(tmp_path, argv, unb
     assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
+PIPE_BUFFER = 64 * 1024
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["catalog", "oriental", "9"], ["preorder", "--json", "DOC"]],
+                         ids=" ".join)
+def test_a_reader_that_closes_after_one_byte_cuts_no_write_short(tmp_path, capsys, argv,
+                                                                  unbuffered):
+    # catalog writes through _write_out, preorder through _print; each output is
+    # one write larger than the pipe, so the reader closes in its middle and
+    # an unbuffered stdout's raw write comes back short
+    doc = str(export(tmp_path, "ordinal", 1000, form="polygraph"))
+    argv = [doc if arg == "DOC" else arg for arg in argv]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and len(out) > PIPE_BUFFER
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", "polyadc.cli"] + argv,
+                                    stdout=write, stderr=err, env=env)
+        finally:
+            os.close(write)
+        try:
+            assert len(os.read(read, 1)) == 1
+        finally:
+            os.close(read)
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == "error: cannot write stdout: Broken pipe\n"
+
+
 # ---------------------------------------------------------------------------
 # the names the package served when it imported every submodule up front
 

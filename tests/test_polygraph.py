@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import reachable_pairs
+from conftest import catalog_presentations, random_presentation, reachable_pairs
 from polyadc import (
     CoefficientOverflow,
     Comp,
@@ -21,11 +21,12 @@ from polyadc import (
     lambda_presentation,
     linearize,
     loop_free_report,
+    parse_document,
     preorder_report,
     serialize_document,
     support_expr,
 )
-from polyadc import cli
+from polyadc import cli, polygraph
 
 
 def o2():
@@ -233,6 +234,72 @@ def test_classify_triangle_is_clean():
     assert v.atomic and v.full_antisymmetric and v.steiner_orderable
     assert v.atomic_witness is None and v.full_cycle is None
     assert v.as_dict()["strong_steiner"] is True
+
+
+# ---------------------------------------------------------------------------
+# the analysis classify and preorder_report share, taken once and kept on
+# the presentation
+
+def presentations():
+    return catalog_presentations() + [random_presentation(seed, acyclic=acyclic)
+                                      for acyclic in (False, True) for seed in range(300)]
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return [serialize_document(pres) for pres in presentations()]
+
+
+def count_walks(monkeypatch) -> list:
+    """The presentations :func:`polygraph._walk` walks from now on, in order."""
+    walked, walk = [], polygraph._walk
+
+    def counting(pres):
+        walked.append(pres)
+        return walk(pres)
+
+    monkeypatch.setattr(polygraph, "_walk", counting)
+    return walked
+
+
+CALL_ORDERS = {
+    "classify first": (classify, preorder_report, classify, preorder_report),
+    "preorder_report first": (preorder_report, classify, preorder_report, classify),
+}
+
+
+@pytest.mark.parametrize("calls", CALL_ORDERS.values(), ids=CALL_ORDERS)
+def test_the_kept_analysis_gives_what_a_fresh_presentation_gives(documents, calls):
+    for text in documents:
+        fresh = {fn: fn(parse_document(text)) for fn in (classify, preorder_report)}
+        pres = parse_document(text)
+        for fn in calls:
+            got = fn(pres)
+            assert got == fresh[fn], text
+            assert repr(got) == repr(fresh[fn]), text
+
+
+@pytest.mark.parametrize("calls", CALL_ORDERS.values(), ids=CALL_ORDERS)
+def test_a_presentation_is_walked_once_whatever_is_asked_of_it(documents, monkeypatch,
+                                                               calls):
+    walked = count_walks(monkeypatch)
+    for text in documents:
+        pres = parse_document(text)
+        for fn in calls:
+            fn(pres)
+            assert walked == [pres], text
+        walked.clear()
+
+
+def test_construction_linearizing_and_writing_take_no_walk(documents, monkeypatch):
+    walked = count_walks(monkeypatch)
+    built = presentations()
+    for text in documents:
+        pres = parse_document(text)
+        lambda_presentation(pres)
+        assert serialize_document(pres) == text
+    assert [serialize_document(pres) for pres in built] == documents
+    assert walked == []
 
 
 # ---------------------------------------------------------------------------
