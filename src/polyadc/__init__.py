@@ -37,9 +37,8 @@ _EXPORTS = {
              "TorsionError"),
     "smith": ("SmithDecomposition", "determinant", "mat_mul", "monoid_coordinates",
               "quotient_free_basis", "smith_normal_form", "unimodular_inverse"),
-    "adc": ("Adc", "Chain", "RelationGraph", "atom_table",
-            "is_strong_steiner_complex", "loop_free_report", "unitality_failures",
-            "validate_adc"),
+    "adc": ("Adc", "RelationGraph", "is_strong_steiner_complex", "loop_free_report",
+            "unitality_failures", "validate_adc"),
     "nu": ("EnumeratedOmegaCat", "EnumerationCapExceeded", "NotComposable",
            "NuTable", "atom_to_table", "brute_force_nu", "compose", "composable",
            "enumerate_nu", "face", "identity", "is_valid_table"),

@@ -18,23 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
-from .zlin import IntVector, Record, _ck, _setattr
-
-
-class Chain(Record):
-    """A degree together with a vector over that degree's generators."""
-
-    __slots__ = _fields = ("degree", "vector")
-
-    def __init__(self, degree: int, vector: IntVector):
-        _setattr(self, "degree", degree)
-        _setattr(self, "vector", vector)
-
-    def support(self) -> frozenset:
-        return self.vector.support()
-
-    def is_zero(self) -> bool:
-        return self.vector.is_zero()
+from .zlin import IntVector, Record, _ck
 
 
 def _name_levels(levels: tuple) -> dict:
@@ -156,9 +140,6 @@ class Adc:
             raise ValueError("augmentation is only defined in degree 0")
         return self._aug[name]
 
-    def boundary(self, chain: Chain) -> Chain:
-        return Chain(chain.degree - 1, self.boundary_vec(chain.degree, chain.vector))
-
     def boundary_vec(self, q: int, vector: IntVector) -> IntVector:
         """The boundary of a degree-q vector: the one boundary kernel.
 
@@ -195,13 +176,15 @@ class Adc:
             total = _ck(total + _ck(aug[name] * coeff))
         return total
 
-    def chain(self, q: int, vector) -> Chain:
+    def chain(self, q: int, vector) -> IntVector:
+        """The vector over the degree-q generators, checked to mention no
+        other name."""
         vec = IntVector(vector)
         extra = [g for g in vec._entries if self._degree.get(g) != q]
         if extra:
             raise ValueError("chain mentions non-generators %s in degree %d"
                              % (sorted(extra), q))
-        return Chain(q, vec)
+        return vec
 
     def __eq__(self, other):
         if not isinstance(other, Adc):
@@ -258,16 +241,6 @@ def _require_chain_complex(complex_: Adc) -> None:
 
 # ---------------------------------------------------------------------------
 # atoms
-
-def atom_table(complex_: Adc, name: str) -> tuple:
-    """The rows of the source/target table spanned by a single generator.
-
-    ``rows[p]`` holds the pair (negative row, positive row) in degree p,
-    for p from 0 up to the generator's dimension.  The complex does not
-    change, so each generator's rows are built once and kept on it.
-    """
-    return _atom(complex_, name)[0]
-
 
 def _atom(complex_: Adc, name: str) -> tuple:
     """(rows, fault, (eps of neg_0, eps of pos_0)) of a generator's atom

@@ -5,10 +5,11 @@ every subcommand reads one document (or builds one from the catalog), runs
 the requested analysis and prints a report.
 
 Exit codes: 0 success, 1 usage error, or an output file or stdout that
-cannot be written, 2 unreadable, malformed or too deeply nested document, 3
-validation failure, 4 negative verdict (check/roundtrip), 5 resource cap
-(enumeration, brute-force or catalog size cap, ADC degree cap, torsion,
-overflow).
+cannot be written (a name the output encoding cannot hold included), 2
+unreadable, malformed or too deeply nested document (one that is not
+UTF-8, or has a number too long to read, included), 3 validation failure,
+4 negative verdict (check/roundtrip), 5 resource cap (enumeration,
+brute-force or catalog size cap, ADC degree cap, torsion, overflow).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
 
 
@@ -155,15 +156,18 @@ def _print(line: str) -> None:
 def _write_out(text: str, path) -> int:
     """Write to the file at ``path``, or to stdout when it is None; the
     exit code: 0, or 1 with an error on stderr when the file cannot be
-    written."""
+    written.  The text is encoded before the file is opened, so a name
+    UTF-8 cannot hold (a lone surrogate) leaves no file behind."""
     if path is None:
         _stdout(text)
         return 0
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print("error: cannot write %s: %s" % (path, exc.strerror), file=sys.stderr)
+        data = text.encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except (OSError, UnicodeEncodeError) as exc:
+        print("error: cannot write %s: %s" % (path, getattr(exc, "strerror", exc)),
+              file=sys.stderr)
         return 1
     return 0
 
@@ -365,6 +369,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: cannot write stdout: %s" % exc.strerror, file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:
+        # a name stdout's encoding cannot hold; the lines before it are written
+        print("error: cannot write stdout: %s" % exc, file=sys.stderr)
         return 1
     except DocumentError as exc:
         print("document error: %s" % exc, file=sys.stderr)

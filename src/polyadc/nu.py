@@ -37,9 +37,9 @@ class CompositionIndex:
     code to its position.  ``provenance[dim][pos]`` says how a cell first
     entered the index: None for a cell added as it stands (a seed),
     ``(pos t,)`` for the identity of the cell at ``pos t`` one dimension
-    down, and ``(p, pos x, pos y)`` for ``compose(x, y, p)``.
-    ``cells[dim]`` maps each cell's table to its position; the tables are
-    decoded on first read.
+    down, and ``(p, pos x, pos y)`` for ``compose(x, y, p)``.  A table is
+    in the index when its code, read off ``rows`` without interning, is
+    filed.
 
     The pair record is read off the filed codes on first read:
     ``products[dim][(p, pos x, pos y)]`` is the position of ``compose(x, y,
@@ -53,21 +53,6 @@ class CompositionIndex:
         self.codes = {}  # dim -> per position, the cell's code
         self.located = {}  # dim -> {code: position}
         self.provenance = {}  # dim -> per position, None, (pos t,) or (p, pos x, pos y)
-        self._tables = {}  # dim -> the decoded tables, once read
-
-    def tables(self, q: int) -> tuple:
-        """The tables of the q-cells, in position order, decoded on first
-        read."""
-        tables = self._tables.get(q)
-        if tables is None:
-            tables = tuple(map(self.rows.decode, self.codes.get(q, ())))
-            self._tables[q] = tables
-        return tables
-
-    @cached_property
-    def cells(self) -> dict:  # dim -> {table: insertion position}
-        return {q: {t: j for j, t in enumerate(self.tables(q))}
-                for q, codes in self.codes.items() if codes}
 
     @cached_property
     def products(self) -> dict:  # dim -> {(p, pos x, pos y): pos of composite or None}
@@ -94,7 +79,9 @@ class CompositionIndex:
         return products
 
     def __contains__(self, table: NuTable) -> bool:
-        return table in self.cells.get(table.dim, ())
+        # a row never interned is in no filed code
+        code = tuple(map(self.rows._ids.get, (vec for row in table.rows for vec in row)))
+        return None not in code and code in self.located.get(table.dim, ())
 
 
 class RowCodes:
@@ -330,7 +317,8 @@ class EnumeratedOmegaCat(Record):
     @cached_property
     def cells(self) -> dict:
         # reached only when enumerate_nu left the cells to its index
-        return {q: self.index.tables(q) for q in range(self.max_dim + 1)}
+        codes, decode = self.index.codes, self.index.rows.decode
+        return {q: tuple(map(decode, codes.get(q, ()))) for q in range(self.max_dim + 1)}
 
     def __contains__(self, table: NuTable) -> bool:
         return table in self.index

@@ -26,7 +26,7 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from . import table
-from .adc import (Adc, Chain, RelationGraph, _generating_successors, _name_levels,
+from .adc import (Adc, RelationGraph, _generating_successors, _name_levels,
                   antisymmetry_of)
 from .zlin import IntVector, Record, _setattr
 
@@ -152,12 +152,6 @@ class PolyPresentation:
             raise ValueError("dimension-0 generator %r has no boundary" % name)
         return self._boundary[name]
 
-    def src(self, name: str) -> CellExpr:
-        return self.boundary_of(name)[0]
-
-    def tgt(self, name: str) -> CellExpr:
-        return self.boundary_of(name)[1]
-
     # -- construction-time checking --------------------------------------
 
     def _check_boundaries(self):
@@ -249,7 +243,7 @@ def face_expr(pres: PolyPresentation, expr: CellExpr, p: int, sign: int) -> Cell
     if not 0 <= p < q:
         raise ValueError("DIM: face level %d out of range for a %d-cell" % (p, q))
     if isinstance(expr, Gen):
-        side = pres.src(expr.name) if sign < 0 else pres.tgt(expr.name)
+        side = pres.boundary_of(expr.name)[0 if sign < 0 else 1]
         if p == q - 1:
             return side
         return face_expr(pres, side, p, sign)
@@ -266,13 +260,13 @@ def face_expr(pres: PolyPresentation, expr: CellExpr, p: int, sign: int) -> Cell
                 face_expr(pres, expr.right, p, sign))
 
 
-def linearize(pres: PolyPresentation, expr: CellExpr) -> Chain:
+def linearize(pres: PolyPresentation, expr: CellExpr) -> IntVector:
     """The class of an expression in the linearized complex.
 
     Generators map to basis vectors, identities to zero, compositions to
-    sums.
+    sums.  The expression is checked by :func:`expr_dim` first.
     """
-    q = expr_dim(pres, expr)
+    expr_dim(pres, expr)
 
     def lin(e):
         if isinstance(e, Gen):
@@ -281,7 +275,7 @@ def linearize(pres: PolyPresentation, expr: CellExpr) -> Chain:
             return IntVector()
         return lin(e.left) + lin(e.right)
 
-    return Chain(q, lin(expr))
+    return lin(expr)
 
 
 def support_expr(pres: PolyPresentation, expr: CellExpr) -> frozenset:
@@ -478,29 +472,15 @@ class Verdict(Record):
         return self.full_antisymmetric
 
     def as_dict(self) -> dict:
-        return {
-            "atomic": self.atomic,
-            "atomic_witness": (
-                None if self.atomic_witness is None else
-                [self.atomic_witness[0], self.atomic_witness[1],
-                 sorted(self.atomic_witness[2])]
-            ),
-            "codim1_antisymmetric": self.codim1_antisymmetric,
-            "codim1_cycle": _maybe_list(self.codim1_cycle),
-            "full_antisymmetric": self.full_antisymmetric,
-            "full_cycle": _maybe_list(self.full_cycle),
-            "strongly_loop_free_categorical": self.strongly_loop_free_categorical,
-            "strongly_loop_free_algebraic": self.strongly_loop_free_algebraic,
-            "algebraic_cycle": _maybe_list(self.algebraic_cycle),
-            "steiner_orderable": self.steiner_orderable,
-            "steiner_order": _maybe_list(self.steiner_order),
-            "steiner_cycle": _maybe_list(self.steiner_cycle),
-            "strong_steiner": self.strong_steiner,
-        }
-
-
-def _maybe_list(value):
-    return None if value is None else list(value)
+        """The fields and the two aliases, as ``check --json`` writes them:
+        a tuple as a list, and the atomicity witness's support sorted."""
+        out = {}
+        for field in self._fields + ("strongly_loop_free_categorical", "strong_steiner"):
+            value = getattr(self, field)
+            if isinstance(value, tuple):
+                value = [sorted(v) if isinstance(v, frozenset) else v for v in value]
+            out[field] = value
+        return out
 
 
 def classify(pres: PolyPresentation) -> Verdict:

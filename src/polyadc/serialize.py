@@ -89,8 +89,9 @@ def _name_dim(record, position):
 def parse_document(text: str):
     """Parse a JSON document into an Adc or a PolyPresentation.
 
-    Schema problems and nesting too deep to walk raise
-    :class:`DocumentError`; semantically invalid data (bad names,
+    Text that is not JSON (a number with more digits than the interpreter
+    converts to an int included), schema problems and nesting too deep to
+    walk raise :class:`DocumentError`; semantically invalid data (bad names,
     ill-typed boundaries) surfaces as the ValueError of the corresponding
     constructor; so does an augmentation outside the checked 64-bit range,
     as CoefficientOverflow.  An ADC document must be a chain complex: the
@@ -104,7 +105,7 @@ def parse_document(text: str):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to convert
         raise DocumentError("invalid JSON: %s" % exc) from exc
     except RecursionError:
         raise DocumentError("JSON nested too deeply") from None

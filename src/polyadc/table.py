@@ -14,7 +14,7 @@ module.
 
 from __future__ import annotations
 
-from .adc import Adc, atom_table
+from .adc import Adc, _atom
 from .zlin import IntVector, Record, _setattr
 
 
@@ -68,7 +68,11 @@ class NuTable(Record):
 
 
 def atom_to_table(complex_: Adc, name: str) -> NuTable:
-    return NuTable(rows=atom_table(complex_, name))
+    """The table spanned by a single generator: ``rows[p]`` holds the pair
+    (negative row, positive row) in degree p, for p from 0 up to the
+    generator's dimension.  The rows are built once per complex and kept
+    on it."""
+    return NuTable(rows=_atom(complex_, name)[0])
 
 
 def is_valid_table(complex_: Adc, table: NuTable):

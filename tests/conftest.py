@@ -278,7 +278,7 @@ def reference_linearization(pres) -> Adc:
     for q in range(1, len(pres.generators)):
         for name in pres.generators[q]:
             src, tgt = pres.boundary_of(name)
-            diff[name] = linearize(pres, tgt).vector - linearize(pres, src).vector
+            diff[name] = linearize(pres, tgt) - linearize(pres, src)
     return Adc(pres.generators, diff, {name: 1 for name in pres.dims(0)})
 
 
@@ -414,6 +414,16 @@ def reference_antisymmetry(graph) -> tuple:
 
 # ---------------------------------------------------------------------------
 # the reference closure
+
+def decoded_positions(index) -> dict:
+    """dim -> {table: position} of the cells an index filed.  Each index
+    interns rows in its own order, so two indices that file the same
+    tables may give them different codes; they are compared through
+    this."""
+    decode = index.rows.decode
+    return {q: {decode(code): j for j, code in enumerate(codes)}
+            for q, codes in index.codes.items() if codes}
+
 
 def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
     """The closure loop as it was before unit pairs were skipped: every

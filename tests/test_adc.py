@@ -5,10 +5,9 @@ import pytest
 from conftest import successors
 from polyadc import (
     Adc,
-    Chain,
     CoefficientOverflow,
     IntVector,
-    atom_table,
+    atom_to_table,
     build,
     enumerate_nu,
     is_strong_steiner_complex,
@@ -83,13 +82,22 @@ def test_accessors_on_the_triangle():
         k.chain(1, IntVector({"012": 1}))
 
 
+def test_a_chain_is_its_vector_checked_against_its_degree():
+    k = simplex2()
+    assert k.chain(1, {"01": 2, "12": -1}) == IntVector({"01": 2, "12": -1})
+    assert k.chain(0, IntVector()) == IntVector()
+    for q, vector in ((1, {"01": 1, "0": 1}), (2, {"01": 1}), (0, {"x": 1}), (3, {"012": 1})):
+        with pytest.raises(ValueError, match="chain mentions non-generators"):
+            k.chain(q, vector)
+
+
 def test_boundary_is_linear():
     k = simplex2()
     c = k.chain(2, IntVector({"012": 3}))
-    assert k.boundary(c).vector == IntVector({"01": 3, "12": 3, "02": -3})
+    assert k.boundary_vec(2, c) == IntVector({"01": 3, "12": 3, "02": -3})
     assert k.boundary_vec(1, k.diff("012")).is_zero()
     with pytest.raises(ValueError):
-        k.boundary(Chain(0, IntVector({"0": 1})))
+        k.boundary_vec(0, IntVector({"0": 1}))
 
 
 def test_validate_accepts_the_triangle():
@@ -178,7 +186,7 @@ def test_a_complex_that_breaks_dd_is_not_strong_steiner():
 
 
 def test_atom_table_of_the_triangle():
-    rows = atom_table(simplex2(), "012")
+    rows = atom_to_table(simplex2(), "012").rows
     assert len(rows) - 1 == 2
     assert rows == (
         (IntVector({"0": 1}), IntVector({"2": 1})),
@@ -189,15 +197,15 @@ def test_atom_table_of_the_triangle():
 
 def test_atom_tables_are_built_once_per_complex():
     k = build("oriental", (3,)).as_adc()
-    first = {name: atom_table(k, name) for name in k.all_generators()}
+    first = {name: atom_to_table(k, name).rows for name in k.all_generators()}
     assert is_strong_steiner_complex(k)
     enum = enumerate_nu(k)
-    assert all(atom_table(k, name) is rows for name, rows in first.items())
+    assert all(atom_to_table(k, name).rows is rows for name, rows in first.items())
     assert all(table.rows is first[name] for table, name in enum.atom_names.items())
     # an equal complex built anew builds its own
     again = build("oriental", (3,)).as_adc()
-    assert again == k and atom_table(again, "0123") is not first["0123"]
-    assert atom_table(again, "0123") == first["0123"]
+    assert again == k and atom_to_table(again, "0123").rows is not first["0123"]
+    assert atom_to_table(again, "0123").rows == first["0123"]
 
 
 def test_unitality():
@@ -285,11 +293,9 @@ def test_a_partial_sum_out_of_range_overflows_in_every_path():
     message = "coefficient %d exceeds the checked 64-bit range" % -2**63
     with pytest.raises(CoefficientOverflow, match=message):
         k.boundary_vec(1, ones)
-    with pytest.raises(CoefficientOverflow, match=message):
-        k.boundary(Chain(1, ones))
     for _ in range(2):  # nothing half-built is kept
         with pytest.raises(CoefficientOverflow, match=message):
-            atom_table(k, "f")
+            atom_to_table(k, "f")
     assert k.boundary_vec(1, IntVector({"e1": 1, "e3": 1})) == IntVector()
 
 
@@ -300,16 +306,12 @@ def test_the_term_whose_name_sorts_first_overflows_first():
     with pytest.raises(CoefficientOverflow, match=on_y):
         k.boundary_vec(1, IntVector({"x": 2**30}))
     with pytest.raises(CoefficientOverflow, match=on_y):
-        k.boundary(Chain(1, IntVector({"x": 2**30})))
-    with pytest.raises(CoefficientOverflow, match=on_y):
-        atom_table(k, "a")  # row 1 is 2**30 x
+        atom_to_table(k, "a")  # row 1 is 2**30 x
     with pytest.raises(CoefficientOverflow, match="coefficient %d exceeds" % 2**72):
-        atom_table(k, "b")  # row 1 is 2**31 x
+        atom_to_table(k, "b")  # row 1 is 2**31 x
     # the chain lists b first; a sorts first: 2**35 * 2**30, not 2**33 * 2**31
     chain = IntVector({"b": 2**33, "a": 2**35})
     on_a = "coefficient %d exceeds" % 2**65
     with pytest.raises(CoefficientOverflow, match=on_a):
         k.boundary_vec(2, chain)
-    with pytest.raises(CoefficientOverflow, match=on_a):
-        k.boundary(Chain(2, chain))
-    assert atom_table(k, "x")[0] == (IntVector(), IntVector({"y": 2**41, "z": 2**40}))
+    assert atom_to_table(k, "x").rows[0] == (IntVector(), IntVector({"y": 2**41, "z": 2**40}))

@@ -210,8 +210,8 @@ def test_forest_interchange_expressions():
     h1, h2 = entry.expressions["H1"], entry.expressions["H2"]
     assert eval_table(pres, h1) == eval_table(pres, h2)
     want = IntVector({"A": 1, "B": 1})
-    assert linearize(pres, h1).vector == want
-    assert linearize(pres, h2).vector == want
+    assert linearize(pres, h1) == want
+    assert linearize(pres, h2) == want
 
 
 SIZED = [("disk", (3,)), ("sphere", (2,)), ("ordinal", (4,)),

@@ -12,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from conftest import random_presentation, reference_close
+from conftest import decoded_positions, random_presentation, reference_close
 from polyadc import (
     Adc,
     EnumerationCapExceeded,
@@ -198,7 +198,7 @@ def test_a_missing_face_is_caught():
     index = nu.close_under_composition(atoms, 2, lambda table: table != target)
     enum = EnumeratedOmegaCat(
         complex=complex_, max_dim=2,
-        cells={q: tuple(index.cells.get(q, ())) for q in range(3)},
+        cells={q: tuple(decoded_positions(index).get(q, ())) for q in range(3)},
         atom_names={t: n for t, n in zip(atoms, complex_.all_generators())},
     )
     enum.index = index
@@ -287,7 +287,7 @@ def test_the_record_built_on_demand_is_the_eager_one(complex_, monkeypatch):
     assert enum.index.provenance == eager.index.provenance
     assert enum.index.products == eager.index.products
     assert enum.cells == eager.cells
-    assert enum.index.cells == eager.index.cells
+    assert decoded_positions(enum.index) == decoded_positions(eager.index)
     # the scan touches neither the codes nor the provenance
     assert enum.index.codes == eager.index.codes
     assert enum.index.provenance == eager.index.provenance
@@ -305,7 +305,7 @@ def test_a_confined_index_records_none_for_a_missing_composite():
     key = (0, position[a01], position[a12])
     assert holed.index.products[1][key] is None
     assert composite not in holed
-    assert holed.index.cells[1] == position
+    assert decoded_positions(holed.index)[1] == position
 
 
 def test_a_repeated_top_row_over_faces_it_does_not_join_is_caught():

@@ -19,8 +19,8 @@ from functools import partial
 
 import pytest
 
-from conftest import (catalog_presentations, largest_coeff, random_presentation,
-                      reference_close)
+from conftest import (catalog_presentations, decoded_positions, largest_coeff,
+                      random_presentation, reference_close)
 from polyadc import (
     EnumerationCapExceeded,
     IntVector,
@@ -395,11 +395,34 @@ def test_oriental_4_matches_the_all_pairs_closure():
         first_admitted(reference_closure, complex_, limit=300)
 
 
+@pytest.mark.parametrize("pres", [pytest.param(pres, id="catalog%d" % k)
+                                  for k, pres in enumerate(catalog_presentations())])
+def test_membership_reads_codes_without_interning(pres):
+    """``table in index`` agrees with membership in the decoded cells, for
+    each cell, for its mirror (the table with every row pair swapped, whose
+    rows are all interned) and for a table with a row never interned."""
+    try:
+        enum = enumerate_nu(lambda_presentation(pres), max_cells=2000)
+        index = enum.index
+    except (EnumerationCapExceeded, ValueError):
+        return
+    interned = len(index.rows.vectors)
+    far = IntVector({"far": 10**6})
+    for q in range(enum.max_dim + 2):
+        cells = set(enum.cells.get(q, ()))
+        for table in cells:
+            mirror = nu.NuTable(tuple((pos, neg) for neg, pos in table.rows))
+            assert table in index and table in enum
+            assert (mirror in index) == (mirror in cells)
+            assert nu.NuTable(table.rows[:-1] + ((far, far),)) not in index
+    assert len(index.rows.vectors) == interned
+
+
 def test_hand_built_category_gets_an_index():
     k = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(k, max_coeff=2)
     rebuilt = nu.EnumeratedOmegaCat(complex=k, max_dim=enum.max_dim, cells=enum.cells)
-    assert rebuilt.index.cells == enum.index.cells
+    assert decoded_positions(rebuilt.index) == decoded_positions(enum.index)
     for q in range(1, enum.max_dim + 1):
         tables = enum.cells[q]
         filed = sorted(rebuilt.index.products[q])
@@ -544,7 +567,7 @@ def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
         assert not any(p == x.dim - 1 and (is_unit(x) or is_unit(y))
                        for x, y, p in formed)
         return 0
-    rows, position = enum.index.rows, enum.index.cells
+    rows, position = enum.index.rows, decoded_positions(enum.index)
     pairs = unit_pairs(enum)
     for x, y, p in pairs:
         partner = y if is_unit(x) else x
@@ -593,7 +616,7 @@ def test_a_zero_top_row_over_unequal_faces_is_composed():
     assert made not in (flat, a12) and made in index
     want = reference_closure(seeds, 1, lambda table: True)
     assert {q: set(tables) for q, tables in want.items()} == \
-        {q: set(index.tables(q)) for q in index.codes}
+        {q: set(tables) for q, tables in decoded_positions(index).items()}
 
 
 # ---------------------------------------------------------------------------

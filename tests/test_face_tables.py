@@ -23,7 +23,7 @@ from polyadc import (
     InconsistentClassification,
     IntVector,
     NuTable,
-    atom_table,
+    atom_to_table,
     build,
     classify,
     eval_table,
@@ -127,8 +127,8 @@ def reference_is_steiner_orderable(pres):
 
 def reference_generator_table(pres, name):
     rows = tuple(
-        (linearize(pres, face_expr(pres, Gen(name), p, -1)).vector,
-         linearize(pres, face_expr(pres, Gen(name), p, +1)).vector)
+        (linearize(pres, face_expr(pres, Gen(name), p, -1)),
+         linearize(pres, face_expr(pres, Gen(name), p, +1)))
         for p in range(pres.dim_of(name)))
     top = IntVector.unit(name)
     return NuTable(rows=rows + ((top, top),))
@@ -247,7 +247,7 @@ def test_atom_tables_match_the_vector_by_vector_boundary():
     complexes += [lambda_presentation(pres) for _, pres in PRESENTATIONS]
     for complex_ in complexes:
         for name in complex_.all_generators():
-            assert atom_table(complex_, name) == reference_atom_rows(complex_, name)
+            assert atom_to_table(complex_, name).rows == reference_atom_rows(complex_, name)
         failures = tuple(
             (name, complex_.eps(rows[0][0]), complex_.eps(rows[0][1]))
             for name in complex_.all_generators()

@@ -1,5 +1,8 @@
 """Presentations and their classifiers."""
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import catalog_presentations, random_presentation, reachable_pairs
@@ -10,6 +13,7 @@ from polyadc import (
     Id,
     IntVector,
     PolyPresentation,
+    Verdict,
     atom_to_table,
     build,
     classify,
@@ -135,10 +139,10 @@ def test_faces_of_expressions():
 
 def test_linearize_kills_identities():
     pres = o2()
-    assert linearize(pres, Id(Gen("01"))).vector.is_zero()
-    both = linearize(pres, Comp(0, Gen("01"), Gen("12")))
-    assert both.degree == 1
-    assert both.vector == IntVector({"01": 1, "12": 1})
+    assert linearize(pres, Id(Gen("01"))).is_zero()
+    both = Comp(0, Gen("01"), Gen("12"))
+    assert expr_dim(pres, both) == 1
+    assert linearize(pres, both) == IntVector({"01": 1, "12": 1})
     assert support_expr(pres, Comp(1, Gen("012"), Id(Comp(0, Gen("01"), Gen("12"))))) == {"012"}
 
 
@@ -234,6 +238,30 @@ def test_classify_triangle_is_clean():
     assert v.atomic and v.full_antisymmetric and v.steiner_orderable
     assert v.atomic_witness is None and v.full_cycle is None
     assert v.as_dict()["strong_steiner"] is True
+
+
+def test_a_verdict_lists_its_fields_and_the_two_aliases():
+    for pres in (o2(), build("square").as_presentation(), build("loop").as_presentation()):
+        d = classify(pres).as_dict()
+        assert set(d) == set(Verdict._fields) | {"strongly_loop_free_categorical",
+                                                 "strong_steiner"}
+        assert len(d) == len(Verdict._fields) + 2
+
+
+# sha256 of each verdict's ``json.dumps(as_dict(), sort_keys=True)`` plus a
+# newline, over the catalog presentations and then random presentations
+# 0..299, in the plain mode and then in the acyclic one
+VERDICTS_DIGEST = "e51d2ad9d5e5a7d847deac8ea82140ac1bb6c9fca15211c19c9615bce8f709b6"
+
+
+def test_the_verdicts_as_dicts_are_pinned():
+    digest = hashlib.sha256()
+    presentations = catalog_presentations() + [
+        random_presentation(seed, acyclic) for acyclic in (False, True)
+        for seed in range(300)]
+    for pres in presentations:
+        digest.update(json.dumps(classify(pres).as_dict(), sort_keys=True).encode() + b"\n")
+    assert (len(presentations), digest.hexdigest()) == (622, VERDICTS_DIGEST)
 
 
 # ---------------------------------------------------------------------------

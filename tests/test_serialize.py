@@ -29,11 +29,11 @@ from polyadc.serialize import MAX_DEGREE, DegreeCapExceeded
 def test_expression_round_trip():
     expr = Comp(1, Gen("023"), Comp(0, Gen("012"), Id(Gen("23"))))
     pres = build("oriental", (3,)).as_presentation()
-    assert pres.src("0123") == expr
+    assert pres.boundary_of("0123")[0] == expr
     doc = json.loads(serialize_document(pres))
     record = next(r for r in doc["generators"] if r["name"] == "0123")
     assert record["src"] == expr_obj(expr)
-    assert parse_document(json.dumps(doc)).src("0123") == expr
+    assert parse_document(json.dumps(doc)).boundary_of("0123")[0] == expr
 
 
 def test_expression_schema_errors():
