@@ -239,6 +239,13 @@ def _require_chain_complex(complex_: Adc) -> None:
                          % (law, name, value))
 
 
+def _require_adc(complex_) -> None:
+    """Refuse anything but an :class:`Adc` with TypeError."""
+    if not isinstance(complex_, Adc):
+        raise TypeError("expected an Adc, got %s; linearize a presentation with "
+                        "lambda_presentation first" % type(complex_).__name__)
+
+
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -426,8 +433,10 @@ def is_strong_steiner_complex(complex_: Adc) -> bool:
     fault-free atom has augmentations 1, so the complex is unital, and a
     complex whose atoms are all fault-free is a chain complex (a dd
     failure gives some atom two rows with different boundaries, and an
-    eps-d failure an edge with unequal augmentations).
+    eps-d failure an edge with unequal augmentations).  Anything but an
+    :class:`Adc` raises TypeError.
     """
+    _require_adc(complex_)
     return (all(_atom(complex_, name)[1] is None for name in complex_.all_generators())
             and antisymmetry_of(tuple(complex_.all_generators()),
                                 _generating_successors(complex_))[0])

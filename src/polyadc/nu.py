@@ -2,8 +2,9 @@
 
 The cells are the tables of :mod:`polyadc.table`, whose names this module
 serves as well.  :func:`enumerate_nu` closes the atoms under composition
-through one :class:`CompositionIndex`, and :func:`brute_force_nu` lists the
-cells of one dimension from the cell conditions alone.
+through one :class:`CompositionIndex` of packed rows, and
+:func:`brute_force_nu` lists the cells of one dimension from the cell
+conditions alone.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from collections import deque
 from functools import cached_property
 from itertools import product
 
-from .adc import Adc, _atom, _require_chain_complex
+from .adc import Adc, _atom, _require_adc, _require_chain_complex
 # the table algebra is served here too: callers, tests and the benchmark's
 # tracer read these names on this module
 from .table import (NotComposable, NuTable, atom_to_table, composable,  # noqa: F401
                     compose, face, identity, is_valid_table)
-from .zlin import IntVector, Record
+from .zlin import INT64_MAX, IntVector, Record
 
 
 class EnumerationCapExceeded(Exception):
@@ -32,23 +33,20 @@ class EnumerationCapExceeded(Exception):
 class CompositionIndex:
     """The cells a closure filed, by code, and the pair record read off them.
 
-    ``rows`` is the closure's :class:`RowCodes`.  ``codes[dim]`` lists the
-    code of each cell in insertion order and ``located[dim]`` maps each
-    code to its position.  ``provenance[dim][pos]`` says how a cell first
-    entered the index: None for a cell added as it stands (a seed),
-    ``(pos t,)`` for the identity of the cell at ``pos t`` one dimension
-    down, and ``(p, pos x, pos y)`` for ``compose(x, y, p)``.  A table is
-    in the index when its code, read off ``rows`` without interning, is
-    filed.
+    ``rows`` is the closure's :class:`PackedRows`.  ``codes[dim]`` lists
+    each cell's code in insertion order, ``located[dim]`` maps it to its
+    position, and ``provenance[dim][pos]`` says how the cell first entered:
+    None for a seed, ``(pos t,)`` for the identity of the cell at ``pos t``
+    one dimension down, ``(p, pos x, pos y)`` for ``compose(x, y, p)``.  A
+    table is in the index when it packs to a filed code.
 
-    The pair record is read off the filed codes on first read:
-    ``products[dim][(p, pos x, pos y)]`` is the position of ``compose(x, y,
-    p)``, or None when the composite is not indexed, for every composable
-    pair of filed cells.  A dimension with no cells has no ``products``
-    entry.
+    The pair record is read off the codes on first read: ``products[dim][(p,
+    pos x, pos y)]`` is the position of ``compose(x, y, p)``, or None when
+    that is not indexed, for every composable pair of filed cells, in each
+    dimension that has cells.
     """
 
-    def __init__(self, rows: "RowCodes"):
+    def __init__(self, rows: PackedRows):
         self.rows = rows
         self.codes = {}  # dim -> per position, the cell's code
         self.located = {}  # dim -> {code: position}
@@ -57,7 +55,7 @@ class CompositionIndex:
     @cached_property
     def products(self) -> dict:  # dim -> {(p, pos x, pos y): pos of composite or None}
         # x composes with y at level p when x's p-target key is y's p-source
-        # key; along the top face a unit gives its partner back (see _close)
+        # key; along the top face a unit gives its partner back
         rows, products = self.rows, {}
         for q, coded in self.codes.items():
             if not coded:
@@ -79,77 +77,75 @@ class CompositionIndex:
         return products
 
     def __contains__(self, table: NuTable) -> bool:
-        # a row never interned is in no filed code
-        code = tuple(map(self.rows._ids.get, (vec for row in table.rows for vec in row)))
-        return None not in code and code in self.located.get(table.dim, ())
+        # a table that does not pack is in no filed code
+        return self.rows.encode(table) in self.located.get(table.dim, ())
 
 
-class RowCodes:
-    """The row vectors of one closure, each interned once to a small int.
+class PackedRows:
+    """The rows of one closure, each packed into one int.
 
-    A q-cell is coded by the flat tuple ``(neg_0, pos_0, ..., neg_q,
-    pos_q)`` of its rows' ids, so that cells and their faces hash and
-    compare as tuples of ints, and two codes are equal exactly when their
-    tables are.  ``peaks[id]`` is the largest absolute coefficient of the
-    vector, recorded when it is interned, and ``zero`` is the id of the
-    zero vector.  :meth:`compose` and :meth:`identity` are :func:`compose`
-    and :func:`identity` on codes.  Row sums are memoized by the ids of
-    their terms (:meth:`add`); each new sum goes through
-    :meth:`IntVector.__add__` and its 64-bit check.
+    ``slots[p]`` maps each generator of degree p, in order, to the offset
+    of its ``width``-bit slot.  Filed rows hold entries from 0 to
+    ``limit``, and 3 * limit fits in a slot, so a sum of up to three filed
+    rows carries into no slot, and a row has an entry above ``limit``
+    exactly when adding ``bias`` sets a bit of ``guard``.  A q-cell's code
+    is the tuple ``(neg_0, pos_0, ..., neg_q, pos_q)`` of its packed rows,
+    equal to another exactly when their tables are; a zero row is 0.
+    :meth:`compose` and :meth:`identity` are :func:`compose` and
+    :func:`identity` on codes.
     """
 
-    __slots__ = ("vectors", "peaks", "zero", "_ids", "_sums")
+    __slots__ = ("slots", "limit", "width", "bias", "guard", "unpacked")
 
-    def __init__(self):
-        self.vectors = []  # id -> IntVector
-        self.peaks = []  # id -> largest |coefficient|
-        self._ids = {}  # IntVector -> id
-        self._sums = []  # id a -> {id b: id of a + b}
-        self.zero = self.intern(IntVector())
+    def __init__(self, levels: list, limit: int):
+        self.limit, self.unpacked = limit, {}
+        width = self.width = (3 * limit | 1).bit_length()
+        self.slots = [dict(zip(level, range(0, len(level) * width, width))) for level in levels]
+        ones = ((1 << max(map(len, levels), default=0) * width) - 1) // ((1 << width) - 1)
+        self.guard, self.bias = ones << width - 1, ones * ((1 << width - 1) - 1 - limit)
 
-    def intern(self, vec: IntVector) -> int:
-        i = self._ids.get(vec)
-        if i is None:
-            i = self._ids[vec] = len(self.vectors)
-            self.vectors.append(vec)
-            self.peaks.append(max(map(abs, vec._entries.values()), default=0))
-            self._sums.append({})
-        return i
+    def encode(self, table: NuTable):
+        """The code of a table, or None when a row holds an entry off
+        the slots or outside 1 to ``limit``."""
+        code, limit = [], self.limit
+        for slot, pair in zip(self.slots, table.rows):
+            for vec in pair:
+                row = 0
+                for name, c in vec._entries.items():
+                    if name not in slot or not 0 < c <= limit:
+                        return None
+                    row += c << slot[name]
+                code.append(row)
+        return tuple(code) if len(code) == 2 * len(table.rows) else None
 
-    def encode(self, table: NuTable) -> tuple:
-        return tuple(self.intern(vec) for row in table.rows for vec in row)
+    def unpack(self, p: int, row: int) -> IntVector:
+        """The degree-p vector of a row, built once and kept in
+        ``unpacked``; CoefficientOverflow past 64 bits."""
+        vec = self.unpacked.get((p, row))
+        if vec is None:
+            mask = (1 << self.width) - 1
+            vec = self.unpacked[p, row] = IntVector._of(
+                {g: row >> at & mask for g, at in self.slots[p].items()})
+        return vec
 
     def decode(self, code: tuple) -> NuTable:
-        vectors = self.vectors
-        pairs = iter(code)
-        return NuTable(rows=tuple((vectors[a], vectors[b]) for a, b in zip(pairs, pairs)))
+        pairs = iter([self.unpack(k >> 1, row) for k, row in enumerate(code)])
+        return NuTable(rows=tuple(zip(pairs, pairs)))
 
     def identity(self, code: tuple) -> tuple:
-        return code + (self.zero, self.zero)
+        return code + (0, 0)
 
     def is_unit(self, code: tuple) -> bool:
-        """Whether the code of a cell of positive dimension is that of a
-        unit, the identity of a cell one dimension down: its top row is
-        zero and the row below it an equal pair."""
-        return code[-1] == code[-2] == self.zero and code[-3] == code[-4]
+        """Whether a code of positive dimension is a unit's (the identity
+        of a cell): a zero top row over an equal pair."""
+        return code[-1] == code[-2] == 0 and code[-3] == code[-4]
 
     def compose(self, x: tuple, y: tuple, p: int) -> tuple:
-        """The code of ``compose(x, y, p)`` for codes x and y that the
-        caller has matched along their p-face: x's rows below p, x's
-        negative and y's positive row p, and the sums of the rows above."""
+        """The code of ``compose(x, y, p)`` for codes matched along their
+        p-face: x's rows below p, x's negative and y's positive row p, and
+        the sums of the rows above."""
         k = 2 * p + 1
-        above = tuple(map(dict.get, map(self._sums.__getitem__, x[k + 1:]), y[k + 1:]))
-        if None in above:
-            above = tuple(map(self.add, x[k + 1:], y[k + 1:]))
-        return x[:k] + (y[k],) + above
-
-    def add(self, a: int, b: int) -> int:
-        """The id of the sum of the vectors with ids a and b."""
-        with_a = self._sums[a]
-        c = with_a.get(b)
-        if c is None:
-            c = with_a[b] = self.intern(self.vectors[a] + self.vectors[b])
-        return c
+        return (*x[:k], y[k], *map(int.__add__, x[k + 1:], y[k + 1:]))
 
 
 def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
@@ -158,65 +154,63 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
 
     ``admit(table)`` is asked about each new table; False leaves it out and
     an exception stops the closure.  This is the table-level face of the
-    one closure loop, which runs on codes (see :func:`_close`); each
-    candidate is decoded to ask ``admit``.
+    one closure loop (:func:`_close`), on rows packed with a slot for each
+    generator in the seeds and the 64-bit limit; each candidate is decoded
+    for ``admit``; past that limit decoding raises CoefficientOverflow.
+    A seed with a negative entry (no cell has one) raises ValueError.
     """
-    rows = RowCodes()
-    return _close(rows, map(rows.encode, seeds), max_dim,
-                  lambda q, code: admit(rows.decode(code)))
+    seeds = list(seeds)
+    names = [{} for _ in range(max([max_dim] + [t.dim for t in seeds]) + 1)]
+    for table in seeds:
+        for level, (neg, pos) in zip(names, table.rows):
+            level.update(dict.fromkeys([*neg._entries, *pos._entries]))
+    rows = PackedRows(names, INT64_MAX)
+    codes = list(map(rows.encode, seeds))
+    if None in codes:
+        raise ValueError("a seed table has a negative entry, and no cell has one")
+    return _close(rows, codes, max_dim, lambda q, code: admit(rows.decode(code)))
 
 
-def _close(rows: RowCodes, seeds, max_dim: int, admit) -> CompositionIndex:
+def _close(rows: PackedRows, seeds, max_dim: int, admit) -> CompositionIndex:
     """The closure loop: close the seed codes under identities up to
-    ``max_dim`` and composition, on the integer codes of ``rows``.
+    ``max_dim`` and composition, on the packed codes of ``rows``.
 
     ``admit(q, code)`` is asked about each new code of a q-cell; False
     leaves it out and an exception stops the closure.  The seeds are
-    consumed one at a time, in order.  The composites of a dequeued ``t``
-    are formed by the partner's insertion position, then p, then ``t`` on
-    the left before ``t`` on the right, so the order depends on the seeds
-    alone.
+    consumed in order.  The composites of a dequeued ``t`` are formed by
+    the partner's position, then p, then ``t`` on the left before ``t`` on
+    the right, so the order depends on the seeds alone.
 
     Each composable pair, but the unit pairs below, is composed once, when
-    the first of its two cells is dequeued if the other is indexed by then,
-    else when the second is.  Each admitted cell's ``provenance`` is the
-    seed, the identity or the pair that produced it first, so it names
-    cells indexed before it and traces back to the seeds without a cycle.
-    The index reads the pair record off the codes when it is asked for.
+    the first of its cells is dequeued if the other is indexed by then,
+    else when the second is.  Each cell's ``provenance`` is the seed, the
+    identity or the pair that produced it first, so it names cells indexed
+    before it and traces back to the seeds without a cycle.
 
     Each cell is filed under its p-source ``code[:2p + 1]`` and its
     p-target ``code[:2p] + (code[2p + 1],)`` for every p below its
-    dimension, so the partners of a cell are one lookup each and match by
-    that very key.  A *unit* q-cell, whose code ends in the zero row over
-    an equal pair in row q - 1 (the identity of a (q - 1)-cell), is the
-    exception: it is neither filed under its level-(q - 1) keys nor looked
-    up by them.  Composing any code x with it at level q - 1, on either
-    side, gives x back: the rows below q - 1 are x's, row q - 1 is x's
-    because the unit's two entries there are equal, and the zero top row
-    adds nothing.  So the pair would only find x, which is indexed, and
-    skipping it changes no code, position, provenance, interned row or
+    dimension, so its partners are one lookup each.  A *unit* q-cell, the
+    identity of a (q - 1)-cell (a zero top row over an equal pair), is
+    neither filed under its level-(q - 1) keys nor looked up by them:
+    composing any x with it there, on either side, gives x back (x's rows
+    below, the unit's equal pair, a zero top row added), which is indexed,
+    so skipping the pair changes no code, position, provenance or
     ``admit`` call; ``products`` still lists it.  A zero top row over
-    unequal entries (possible only in a hand-built cell set) is no unit
-    and is composed.  The face maps are dropped on return; the index keeps
-    the codes, their positions and ``rows``.
+    unequal entries (only in a hand-built cell set) is no unit.
     """
     index = CompositionIndex(rows)
-    compose_codes, identity_code = rows.compose, rows.identity
+    compose_codes, identity_code, is_unit = rows.compose, rows.identity, rows.is_unit
     queue = deque()  # (dim, pos) of the cells to compose, in admission order
     codes, located, provenance = index.codes, index.located, index.provenance
-    sources = {}  # dim -> {p-source key: positions}
-    targets = {}  # dim -> {p-target key: positions}
-    # dim -> per position, how many cells of that dim were indexed when the
-    # cell was dequeued; those are the partners it has been composed with
+    sources, targets = {}, {}  # dim -> {p-source, p-target key: positions}
+    # dim -> per position, how many cells of the dim were indexed when the
+    # cell was dequeued: the partners it was composed with
     reached = {}
-    is_unit = rows.is_unit
 
     def levels(q: int, code: tuple) -> range:
-        # the offsets 2p + 1 of the levels p a cell is filed and looked up
-        # under; a unit leaves out its top level
-        if q and is_unit(code):
-            return range(1, 2 * q - 1, 2)
-        return range(1, 2 * q, 2)
+        # the offsets 2p + 1 of the levels p a cell is filed under; a unit
+        # leaves out its top level
+        return range(1, 2 * q - 1 if q and is_unit(code) else 2 * q, 2)
 
     def add(q: int, code: tuple, origin):
         position = located.get(q)
@@ -257,12 +251,8 @@ def _close(rows: RowCodes, seeds, max_dim: int, admit) -> CompositionIndex:
         pairs.sort()
         position = located[q]
         for j, p, t_is_right in pairs:
-            if t_is_right:
-                key = (p, j, i)
-                code = compose_codes(coded[j], t, p)
-            else:
-                key = (p, i, j)
-                code = compose_codes(t, coded[j], p)
+            key = (p, j, i) if t_is_right else (p, i, j)
+            code = compose_codes(coded[key[1]], coded[key[2]], p)
             if code not in position:
                 add(q, code, key)
     return index
@@ -272,15 +262,14 @@ class EnumeratedOmegaCat(Record):
     """The compositional closure of the atom tables, one layer per dimension.
 
     ``index`` is the :class:`CompositionIndex` that :func:`enumerate_nu`
-    built: the cells' codes and provenance, with the pair record read off
-    the codes on first read.  ``cells[dim]`` is then the tuple of their
-    tables, decoded on first read.  For cells given by hand the index is
-    built on first use by the same closure, seeded with ``cells`` and
-    confined to them, so the record files a composite outside the cells
-    as None.  Positions in the index are positions in ``cells[dim]``, so a
-    table listed twice in one ``cells[dim]``, or listed under a key other
-    than its dimension, is refused with ValueError, and so is a key above
-    ``max_dim``.  ``atom_names`` maps each atom table to its generator's
+    built, and ``cells[dim]`` the tuple of the tables of its codes, decoded
+    on first read.  For cells given by hand the index is built on first use
+    by :func:`close_under_composition`, seeded with ``cells`` and confined
+    to them, so the record files a composite outside them as None, and a
+    negative entry raises ValueError.  Index positions are positions in
+    ``cells[dim]``, so a table listed twice in one ``cells[dim]``, or under
+    a key other than its dimension, or a key above ``max_dim``, raises
+    ValueError.  ``atom_names`` maps each atom table to its generator's
     name, an empty dict when not given.
     """
 
@@ -295,9 +284,7 @@ class EnumeratedOmegaCat(Record):
     def __init__(self, complex: Adc, max_dim: int,
                  cells: dict,  # dim -> tuple of NuTable, in discovery order
                  atom_names: dict | None = None):
-        self.complex = complex
-        self.max_dim = max_dim
-        self.cells = cells
+        self.complex, self.max_dim, self.cells = complex, max_dim, cells
         self.atom_names = {} if atom_names is None else atom_names
         for q, tables in cells.items():
             if q > max_dim:
@@ -309,10 +296,8 @@ class EnumeratedOmegaCat(Record):
 
     @cached_property
     def index(self) -> CompositionIndex:
-        rows = RowCodes()
-        given = [rows.encode(t) for q in sorted(self.cells) for t in self.cells[q]]
-        allowed = set(given)
-        return _close(rows, given, self.max_dim, lambda q, code: code in allowed)
+        given = [t for q in sorted(self.cells) for t in self.cells[q]]
+        return close_under_composition(given, self.max_dim, set(given).__contains__)
 
     @cached_property
     def cells(self) -> dict:
@@ -335,31 +320,38 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """Close the atom tables of dimension <= max_dim under identities and
     binary composition.
 
-    The atoms seed the closure in degree order, and its index, with the
-    codes and the provenance of every cell, stays on the result for the
-    roundtrip's certificate; the tables and the pair record (for the
-    relation list) are read off its codes on first read.  ``admit`` reads a
-    code's dimension and the largest coefficient of its rows off
-    :class:`RowCodes`, without a table.
+    The atoms seed the closure in degree order, and its index, with each
+    cell's code and provenance, stays on the result for the certificate;
+    tables and the pair record are read off the codes on first read.
+    Rows are packed with ``max_coeff`` (at most the 64-bit limit) as the
+    limit, so ``admit`` finds a coefficient above it with one added bias
+    and one AND per row, and unpacks only then, for the message.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
-    count reached and the flag to raise in its message, and ValueError
-    when an atom table is not actually a cell: with the parser's message
-    when the complex breaks a chain complex law (the first failure of
-    :func:`polyadc.adc.validate_adc`, looked up only once an atom has a
-    fault), and otherwise naming the atom and the condition, since the
-    complex is not unital.  The atoms are not run through
-    :func:`is_valid_table`: one lookup of each generator's kept atom
-    (``polyadc.adc._atom``) gives its rows and the violated condition,
-    read off the boundaries that building the rows computed.
+    count reached and the flag to raise in its message,
+    CoefficientOverflow past 64 bits, TypeError on anything but an
+    :class:`Adc`, and ValueError when an atom table is not actually a
+    cell: with the parser's message when the complex breaks a chain
+    complex law (the first failure of :func:`polyadc.adc.validate_adc`,
+    looked up only once an atom has a fault), and otherwise naming the
+    atom and the condition, since the complex is not unital.
     """
+    _require_adc(complex_)
     if max_dim is None:
         max_dim = complex_.max_degree
-    rows = RowCodes()
-    peak = rows.peaks.__getitem__
+    rows = PackedRows(list(map(complex_.generators, range(max_dim + 1))),
+                      min(max_coeff, INT64_MAX))
+    bias, guard = rows.bias, rows.guard
     atom_names = {}
     counts = {}  # dim -> codes admitted so far
+    admitted = 0
+
+    def refuse(pairs: tuple, q: int):
+        top = max(max(vec._entries.values(), default=0) for pair in pairs for vec in pair)
+        raise EnumerationCapExceeded(
+            "coefficient %d above %d in a %d-cell (after %d cells); "
+            "raise --max-coeff" % (top, max_coeff, q, admitted))
 
     def atoms():
         for q in range(min(max_dim, complex_.max_degree) + 1):
@@ -372,23 +364,24 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
                         "the complex is not unital enough to enumerate" % (name, cond)
                     )
                 table = NuTable(atom_rows)
+                code = rows.encode(table)
+                if code is None:  # an entry above the limit
+                    refuse(atom_rows, q)
                 atom_names[table] = name
-                yield rows.encode(table)
+                yield code
 
     def admit(q: int, code: tuple) -> bool:
-        top = max(map(peak, code))
-        admitted = sum(counts.values())
-        if top > max_coeff:
-            raise EnumerationCapExceeded(
-                "coefficient %d above %d in a %d-cell (after %d cells); "
-                "raise --max-coeff" % (top, max_coeff, q, admitted)
-            )
+        nonlocal admitted
+        for row in code:
+            if (row + bias) & guard:  # decode raises past 64 bits
+                refuse(rows.decode(code).rows, q)
         if admitted == max_cells:
             raise EnumerationCapExceeded(
                 "more than %d cells (degree %d had reached %d); raise --max-cells"
                 % (max_cells, q, counts.get(q, 0))
             )
         counts[q] = counts.get(q, 0) + 1
+        admitted += 1
         return True
 
     enum = object.__new__(EnumeratedOmegaCat)
@@ -407,16 +400,15 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
     """All q-cells whose coefficients are bounded by ``coeff_cap``.
 
     Generates every candidate table degree by degree straight from the cell
-    conditions, with no reference to atoms or composition.  Exponential in
-    the basis sizes; useful only as ground truth on small complexes.
-    Raises :class:`EnumerationCapExceeded`, before building anything, when
-    the candidate vectors would outnumber ``MAX_BRUTE_FORCE_VECTORS``.
+    conditions, with no reference to atoms or composition: exponential in
+    the basis sizes, ground truth on small complexes only.  Raises
+    :class:`EnumerationCapExceeded`, before building anything, when the
+    candidate vectors would outnumber ``MAX_BRUTE_FORCE_VECTORS``.
 
-    There are no generators above the top degree n, so above n the cell
-    conditions force every row: row n is an equal pair and every higher row
-    is zero.  A q-cell for q > n is therefore an n-cell padded with q - n
-    zero rows; more than ``MAX_BRUTE_FORCE_VECTORS`` padded rows in all
-    are refused before any is built.
+    Above the top degree n the cell conditions force every row (row n an
+    equal pair, every higher row zero), so a q-cell for q > n is an n-cell
+    padded with q - n zero rows; more than ``MAX_BRUTE_FORCE_VECTORS``
+    padded rows in all are refused before any is built.
     """
     top = min(q, complex_.max_degree)
     if top < 0:
@@ -434,21 +426,17 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
         # in the order of their items, so that the search below meets the
         # cells in NuTable.key order
         gens = complex_.generators(p)
-        out = []
-        for combo in product(range(coeff_cap + 1), repeat=len(gens)):
-            out.append(IntVector(zip(gens, combo)))
-        return sorted(out, key=IntVector.items)
+        return sorted((IntVector(zip(gens, combo)) for combo in
+                       product(range(coeff_cap + 1), repeat=len(gens))), key=IntVector.items)
 
     level0 = [v for v in vectors(0) if complex_.eps(v) == 1]
     if top == 0:
         cells = [NuTable(rows=((v, v),)) for v in level0]
     else:
-        by_boundary = {}
-        for p in range(1, top + 1):
-            bucket = {}
+        by_boundary = {p: {} for p in range(1, top + 1)}
+        for p, bucket in by_boundary.items():
             for v in vectors(p):
                 bucket.setdefault(complex_.boundary_vec(p, v), []).append(v)
-            by_boundary[p] = bucket
         # depth first, on an explicit stack: ``rows`` holds the rows chosen
         # so far, shared by all their extensions, and ``pending`` the pairs
         # left to try in each degree from 0 up to ``len(rows)``, in order

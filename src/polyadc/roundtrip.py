@@ -167,8 +167,8 @@ def check_omega_basis(enum: nu.EnumeratedOmegaCat, candidate,
     (:func:`nu.close_under_composition`): the candidates are closed under
     identities and composition, admitting only enumerated cells, so a cell
     is generated when it is a candidate, the identity of a generated cell,
-    or the composite of two generated cells.  The closure interns its own
-    rows, so ``enum.index`` is left as it was.  The Smith form decides
+    or the composite of two generated cells.  The closure packs rows of its
+    own, so ``enum.index`` is left as it was.  The Smith form decides
     unimodularity and gives the inverse that the N-basis step reads.
     """
     if quotient is None:
@@ -265,23 +265,20 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
       and the boundary of its top row is the difference of their top rows,
       which carries the differential across; each 0-cell has augmentation 1.
 
-    It reads the cells' codes in ``enum.index``, not their tables: a cell's
-    two top ids must equal the id that its provenance gives (for an atom,
-    the id of a vector whose only entry is 1 on the atom's generator; the
-    zero id for an identity; the interned sum of the factors' top ids for
-    a composite), and its faces are looked up as code keys.  Nothing is
-    interned for an atom.  The boundary and the augmentation are computed
-    once per distinct top id.
+    It reads the packed codes in ``enum.index`` and unpacks no row.  The
+    top rows must be what the provenance gives: ``1 << slot`` of an atom's
+    generator, 0 for an identity, the sum of a composite's factors' top
+    rows.  The boundary is linear in the top row: the atom's signed packed
+    differential, 0, the sum of the (checked) factors' face differences.
+    Packing is one to one on entries up to 3 * ``limit`` in size, so each
+    check is one comparison.
 
     Provenance names only earlier cells or cells one degree down, so every
     cell traces back to the atoms.  The cells must come from
     :func:`nu.enumerate_nu`; in a hand-built cell set every cell counts as
     a seed, and only atoms may be seeds.
     """
-    complex_ = enum.complex
-    index = enum.index
-    rows = index.rows
-    vectors = rows.vectors
+    complex_, index, rows = enum.complex, enum.index, enum.index.rows
     atoms = {}  # dim -> generator names of the atoms
     for table, name in enum.atom_names.items():
         atoms.setdefault(table.dim, []).append(name)
@@ -293,46 +290,48 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
         provenance = index.provenance.get(q, ())
         lower = index.codes.get(q - 1, ())
         faces = index.located.get(q - 1, {})
-        images = {}  # top id -> its boundary, or its augmentation in degree 0
-        checked = set()  # (top, neg, pos) ids whose boundary condition holds
+        slot = rows.slots[q]
         for k, x in enumerate(codes):
             origin = provenance[k]
             if origin is None:
                 name = atom_of.get(x)
                 if name is None:
                     return "%d-cell %d has no provenance" % (q, k)
-                want = x[-1] if vectors[x[-1]]._entries == {name: 1} else None
+                want = 1 << slot[name] if name in slot else None
+                change = q and _signed(rows, q - 1, complex_.diff(name))
             elif len(origin) == 1:
                 if x[:-2] != lower[origin[0]]:
                     return ("%d-cell %d differs below its top row from the cell "
                             "it is the identity of" % (q, k))
-                want = rows.zero
+                want = change = 0
             else:
                 _, i, j = origin
                 if not (i < k and j < k):
                     return "%d-cell %d is composed of cells not filed before it" % (q, k)
-                want = rows.add(codes[i][-1], codes[j][-1])
+                xi, xj = codes[i], codes[j]
+                want, change = xi[-1] + xj[-1], q and xi[-3] - xi[-4] + xj[-3] - xj[-4]
             if x[-2] != want or x[-1] != want:
                 return "the top row of %d-cell %d disagrees with its provenance" % (q, k)
-            if q == 0:
-                augmentation = images.get(want)
-                if augmentation is None:
-                    augmentation = images[want] = complex_.eps(vectors[want])
+            if q == 0:  # an atom, or broken provenance
+                augmentation = complex_.eps_gen(name) if origin is None else None
                 if augmentation != 1:
-                    return "0-cell %d has augmentation %d" % (k, augmentation)
+                    return "0-cell %d has augmentation %s" % (k, augmentation)
                 continue
             stem, neg, pos = x[:-4], x[-4], x[-3]
             if stem + (neg, neg) not in faces or stem + (pos, pos) not in faces:
                 return "a %d-face of %d-cell %d was not enumerated" % (q - 1, q, k)
-            if (want, neg, pos) not in checked:
-                boundary = images.get(want)
-                if boundary is None:
-                    boundary = images[want] = complex_.boundary_vec(q, vectors[want])
-                if boundary != vectors[pos] - vectors[neg]:
-                    return ("the boundary of the top row of %d-cell %d is not the "
-                            "difference of its faces" % (q, k))
-                checked.add((want, neg, pos))
+            if change != pos - neg:
+                return ("the boundary of the top row of %d-cell %d is not the "
+                        "difference of its faces" % (q, k))
     return None
+
+
+def _signed(rows: nu.PackedRows, p: int, vec: IntVector):
+    """A degree-p vector packed with signed entries, or None when it is
+    the difference of no two packed rows."""
+    slot, entries = rows.slots[p], vec._entries.items()
+    if all(name in slot and abs(c) <= rows.limit for name, c in entries):
+        return sum(c << slot[name] for name, c in entries)
 
 
 # ---------------------------------------------------------------------------

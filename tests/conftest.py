@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from copy import copy
 from itertools import combinations
 from math import gcd
 
@@ -19,9 +20,11 @@ from polyadc import (
     IntVector,
     PolyPresentation,
     build,
+    compose,
     determinant,
     enumerate_nu,
     eval_table,
+    identity,
     is_valid_table,
     lambda_presentation,
     linearize,
@@ -415,9 +418,15 @@ def reference_antisymmetry(graph) -> tuple:
 # ---------------------------------------------------------------------------
 # the reference closure
 
+def coder_state(rows) -> tuple:
+    """A copy of every field of a :class:`polyadc.nu.PackedRows`, to
+    compare two coders, or one coder before and after a call."""
+    return tuple(copy(getattr(rows, name)) for name in type(rows).__slots__)
+
+
 def decoded_positions(index) -> dict:
     """dim -> {table: position} of the cells an index filed.  Each index
-    interns rows in its own order, so two indices that file the same
+    packs rows with slots of its own, so two indices that file the same
     tables may give them different codes; they are compared through
     this."""
     decode = index.rows.decode
@@ -430,7 +439,7 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
     composable pair is composed, the unit pairs along the top face too.
     Monkeypatched over ``nu._close``, it gives the index that the
     skipping one must reproduce: the same codes, positions, provenance,
-    interned rows and pair record.  With ``record`` on, the pair record
+    coder and pair record.  With ``record`` on, the pair record
     is filed as each pair is composed and handed to the index in place of
     the one it reads off its codes."""
     index = nu.CompositionIndex(rows)
@@ -504,3 +513,61 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
             if record:
                 filed[key] = found
     return index
+
+
+def table_close(seeds, max_dim: int, admit) -> tuple:
+    """The closure loop of ``nu._close`` run on tables, the oracle for its
+    packed rows: (cells, provenance), each dim -> a list by position.
+
+    It keeps ``_close``'s order of work (the composites of a dequeued t by
+    the partner's position, then p, then t on the left first, each pair
+    once, unit pairs along their top face skipped) but files each table
+    under its p-source ``(rows[:p], rows[p][0])`` and p-target ``(rows[:p],
+    rows[p][1])`` and composes with ``table.compose``; ``admit(table)`` is
+    asked about each new table.  So decoding what the packed closure filed
+    must give the same cells, positions and provenance.
+    """
+    cells, located, provenance = {}, {}, {}
+    sources, targets, reached = {}, {}, {}
+    queue = deque()
+
+    def levels(t):
+        unit = t.is_trivial() and t.rows[-2][0] == t.rows[-2][1]
+        return range(t.dim - 1 if unit else t.dim)
+
+    def add(table, origin):
+        q = table.dim
+        if q not in located:
+            located[q], cells[q], sources[q], targets[q], reached[q] = {}, [], {}, {}, []
+        if table in located[q] or not admit(table):
+            return
+        j = located[q][table] = len(cells[q])
+        cells[q].append(table)
+        provenance.setdefault(q, []).append(origin)
+        for p in levels(table):
+            sources[q].setdefault((table.rows[:p], table.rows[p][0]), []).append(j)
+            targets[q].setdefault((table.rows[:p], table.rows[p][1]), []).append(j)
+        queue.append((q, j))
+
+    for table in seeds:
+        add(table, None)
+    while queue:
+        q, i = queue.popleft()
+        t = cells[q][i]
+        if q < max_dim:
+            add(identity(t), (i,))
+        seen = reached[q]
+        seen.append(len(cells[q]))
+        pairs = []
+        for p in levels(t):
+            pairs += [(j, p, 0) for j in sources[q].get((t.rows[:p], t.rows[p][1]), ())
+                      if not j < i < seen[j]]
+            pairs += [(j, p, 1) for j in targets[q].get((t.rows[:p], t.rows[p][0]), ())
+                      if j != i and not j < i < seen[j]]
+        for j, p, t_is_right in sorted(pairs):
+            key = (p, j, i) if t_is_right else (p, i, j)
+            made = compose(cells[q][key[1]], cells[q][key[2]], p)
+            if made not in located[q]:
+                add(made, key)
+    return ({q: tables for q, tables in cells.items() if tables},
+            {q: origins for q, origins in provenance.items() if origins})

@@ -315,3 +315,11 @@ def test_the_term_whose_name_sorts_first_overflows_first():
     with pytest.raises(CoefficientOverflow, match=on_a):
         k.boundary_vec(2, chain)
     assert atom_to_table(k, "x").rows[0] == (IntVector(), IntVector({"y": 2**41, "z": 2**40}))
+
+
+def test_classifying_a_presentation_as_a_complex_is_a_type_error():
+    pres = build("oriental", (2,)).presentation
+    with pytest.raises(TypeError, match="expected an Adc, got PolyPresentation; "
+                                        "linearize a presentation with lambda_presentation"):
+        is_strong_steiner_complex(pres)
+    assert is_strong_steiner_complex(lambda_presentation(pres))

@@ -137,14 +137,14 @@ FIRST_FACTOR_CAUGHT = {("oriental", (2,)): "1-cell 6", ("oriental", (3,)): "1-ce
 def test_a_composition_that_does_not_add_top_rows_is_caught(name, params,
                                                             monkeypatch):
     complex_ = build(name, params).as_adc()
-    real = nu.RowCodes.compose
+    real = nu.PackedRows.compose
 
     def first_factor_on_top(self, x, y, p):
         code = real(self, x, y, p)
         top = x[-1]
         return code[:-2] + (top, top)
 
-    monkeypatch.setattr(nu.RowCodes, "compose", first_factor_on_top)
+    monkeypatch.setattr(nu.PackedRows, "compose", first_factor_on_top)
     report = verify_equivalence(complex_)
     assert not report.ok
     assert report.reason == ("atoms are not a basis (certificate: the top row of %s "
@@ -177,12 +177,12 @@ def test_an_atom_named_after_the_wrong_generator_is_caught():
 def test_an_identity_over_the_wrong_cell_is_caught(monkeypatch):
     complex_ = build("oriental", (2,)).as_adc()
     a01, a02 = atom_to_table(complex_, "01"), atom_to_table(complex_, "02")
-    real = nu.RowCodes.identity
+    real = nu.PackedRows.identity
 
     def misdirected(self, code):
         return real(self, self.encode(a02) if self.decode(code) == a01 else code)
 
-    monkeypatch.setattr(nu.RowCodes, "identity", misdirected)
+    monkeypatch.setattr(nu.PackedRows, "identity", misdirected)
     report = verify_equivalence(complex_)
     assert not report.ok
     assert report.reason.startswith("atoms are not a basis (certificate: 2-cell ")
@@ -315,7 +315,7 @@ def test_a_repeated_top_row_over_faces_it_does_not_join_is_caught():
     complex_ = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(complex_)
     index, rows = enum.index, enum.index.rows
-    flat = [k for k, code in enumerate(index.codes[2]) if code[-1] == rows.zero]
+    flat = [k for k, code in enumerate(index.codes[2]) if code[-1] == 0]
     first, k = flat[0], flat[-1]
     a02 = atom_to_table(complex_, "02")
     path = compose(atom_to_table(complex_, "01"), atom_to_table(complex_, "12"), 0)

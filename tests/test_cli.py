@@ -703,6 +703,20 @@ def test_an_error_exit_runs_no_catalog_module(tmp_path):
         "polyadc.catalog", "polyadc.nu", "polyadc.polygraph"}
 
 
+def test_refusing_what_is_not_a_complex_runs_no_polygraph_module():
+    # the enumeration, the Steiner test and the roundtrip refuse anything
+    # but an Adc by its class, without loading the presentation module
+    code = ("import polyadc.roundtrip as r\n"
+            "for check in (r.nu.enumerate_nu, r.verify_equivalence):\n"
+            "    try:\n"
+            "        check(object())\n"
+            "    except TypeError as exc:\n"
+            "        assert 'lambda_presentation' in str(exc)\n"
+            "    else:\n"
+            "        raise AssertionError")
+    assert "polyadc.polygraph" not in loaded_after(code)
+
+
 def test_the_resource_codes_are_the_cap_exceptions_codes():
     from polyadc import catalog, nu, serialize, zlin
     assert cli.RESOURCE_CODES == {

@@ -19,8 +19,8 @@ from functools import partial
 
 import pytest
 
-from conftest import (catalog_presentations, decoded_positions, largest_coeff,
-                      random_presentation, reference_close)
+from conftest import (catalog_presentations, coder_state, decoded_positions,
+                      largest_coeff, random_presentation, reference_close)
 from polyadc import (
     EnumerationCapExceeded,
     IntVector,
@@ -343,7 +343,7 @@ def test_basis_verdicts_are_unchanged(name, params):
     ("oriental", (2,)), ("oriental", (3,)), ("disk", (3,)), ("theta2", (3, 2, 0, 1)),
 ])
 def test_the_basis_check_leaves_the_index_alone(name, params):
-    # generation closes the candidates on rows of its own, not on the index's
+    # generation closes the candidates on a coder of its own, not on the index's
     complex_ = build(name, params).as_adc()
     enum = enumerate_nu(complex_)
     quotient = lambda_of_enumerated(enum)  # reads the products, which are kept
@@ -353,7 +353,7 @@ def test_the_basis_check_leaves_the_index_alone(name, params):
     def state():
         return ({q: list(codes) for q, codes in index.codes.items()},
                 {q: list(origins) for q, origins in index.provenance.items()},
-                list(index.rows.vectors),
+                index.rows, coder_state(index.rows),
                 {q: dict(filed) for q, filed in products.items()})
 
     before = state()
@@ -400,22 +400,24 @@ def test_oriental_4_matches_the_all_pairs_closure():
 def test_membership_reads_codes_without_interning(pres):
     """``table in index`` agrees with membership in the decoded cells, for
     each cell, for its mirror (the table with every row pair swapped, whose
-    rows are all interned) and for a table with a row never interned."""
+    rows all pack) and for a table with a row that does not pack; asking
+    changes neither the coder nor the filed codes."""
     try:
         enum = enumerate_nu(lambda_presentation(pres), max_cells=2000)
         index = enum.index
     except (EnumerationCapExceeded, ValueError):
         return
-    interned = len(index.rows.vectors)
+    decoded = enum.cells  # decoding keeps the vectors it builds; membership does not
+    before = coder_state(index.rows), {q: dict(located) for q, located in index.located.items()}
     far = IntVector({"far": 10**6})
     for q in range(enum.max_dim + 2):
-        cells = set(enum.cells.get(q, ()))
+        cells = set(decoded.get(q, ()))
         for table in cells:
             mirror = nu.NuTable(tuple((pos, neg) for neg, pos in table.rows))
             assert table in index and table in enum
             assert (mirror in index) == (mirror in cells)
             assert nu.NuTable(table.rows[:-1] + ((far, far),)) not in index
-    assert len(index.rows.vectors) == interned
+    assert (coder_state(index.rows), index.located) == before
 
 
 def test_hand_built_category_gets_an_index():
@@ -465,13 +467,13 @@ def test_verify_equivalence_composes_each_pair_once(name, params, monkeypatch):
     and no unit pair is composed."""
     complex_ = build(name, params).as_adc()
     calls = []
-    real = nu.RowCodes.compose
+    real = nu.PackedRows.compose
 
     def counting(self, x, y, p):
         calls.append((self.decode(x), self.decode(y), p))
         return real(self, x, y, p)
 
-    monkeypatch.setattr(nu.RowCodes, "compose", counting)
+    monkeypatch.setattr(nu.PackedRows, "compose", counting)
     assert verify_equivalence(complex_).ok
     monkeypatch.undo()
     enum = enumerate_nu(complex_)
@@ -550,13 +552,13 @@ def assert_unit_pairs_give_the_partner(complex_, monkeypatch):
     factor; neither the closure nor the pair record composes any of them,
     and the record files the other factor's position."""
     composed = []
-    real = nu.RowCodes.compose
+    real = nu.PackedRows.compose
 
     def watching(self, x, y, p):
         composed.append((self, x, y, p))
         return real(self, x, y, p)
 
-    monkeypatch.setattr(nu.RowCodes, "compose", watching)
+    monkeypatch.setattr(nu.PackedRows, "compose", watching)
     enum = outcome(enumerate_nu, complex_, max_cells=3000)
     if not isinstance(enum, tuple):
         products = enum.index.products
@@ -624,13 +626,13 @@ def test_a_zero_top_row_over_unequal_faces_is_composed():
 
 def index_fields(enum):
     """What a closure leaves on the index, the pair record last, and the
-    interned rows once the record has been filed."""
+    coder once the record has been filed."""
     if isinstance(enum, tuple):
         return enum
     index = enum.index
-    fields = (index.codes, index.provenance, index.located, list(index.rows.vectors),
+    fields = (index.codes, index.provenance, index.located, coder_state(index.rows),
               index.products)
-    return fields + (list(index.rows.vectors),)
+    return fields + (coder_state(index.rows),)
 
 
 def sweep_complexes():

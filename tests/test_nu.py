@@ -295,3 +295,11 @@ def test_a_cell_set_keyed_above_max_dim_is_refused():
         EnumeratedOmegaCat(complex=k, max_dim=0, cells=low)
     with pytest.raises(ValueError, match=r"cells\[3\] lies above max_dim 2"):
         EnumeratedOmegaCat(complex=k, max_dim=2, cells={**enum.cells, 3: ()})
+
+
+def test_enumerating_a_presentation_is_a_type_error():
+    pres = build("oriental", (2,)).presentation
+    with pytest.raises(TypeError, match="expected an Adc, got PolyPresentation; "
+                                        "linearize a presentation with lambda_presentation"):
+        enumerate_nu(pres)
+    assert enumerate_nu(lambda_presentation(pres)).total() == 18

@@ -210,3 +210,11 @@ def test_equivalence_on_theta2_3_2_2_2():
     assert rep.ok
     assert rep.cell_counts == theta2_counts(3, 2, 2, 2) == {0: 4, 1: 58, 2: 310}
     assert rep.ranks == {0: 4, 1: 9, 2: 6}
+
+
+def test_certifying_a_presentation_is_a_type_error():
+    pres = build("oriental", (2,)).presentation
+    with pytest.raises(TypeError, match="expected an Adc, got PolyPresentation; "
+                                        "linearize a presentation with lambda_presentation"):
+        verify_equivalence(pres)
+    assert verify_equivalence(lambda_presentation(pres)).ok
