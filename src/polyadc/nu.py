@@ -9,7 +9,6 @@ conditions alone.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import product
 
@@ -33,8 +32,9 @@ class EnumerationCapExceeded(Exception):
 class CompositionIndex:
     """The cells a closure filed, by code, and the pair record read off them.
 
-    ``rows`` is the closure's :class:`PackedRows`.  ``codes[dim]`` lists
-    each cell's code in insertion order, ``located[dim]`` maps it to its
+    ``rows`` is the closure's :class:`PackedRows`.  ``codes[dim]`` lists,
+    for each degree the coder has, each cell's code in insertion order
+    (seeds, identities, then composites), ``located[dim]`` maps it to its
     position, and ``provenance[dim][pos]`` says how the cell first entered:
     None for a seed, ``(pos t,)`` for the identity of the cell at ``pos t``
     one dimension down, ``(p, pos x, pos y)`` for ``compose(x, y, p)``.  A
@@ -78,7 +78,7 @@ class CompositionIndex:
 
     def __contains__(self, table: NuTable) -> bool:
         # a table that does not pack is in no filed code
-        return self.rows.encode(table) in self.located.get(table.dim, ())
+        return self.rows.encode(table.rows) in self.located.get(table.dim, ())
 
 
 class PackedRows:
@@ -104,11 +104,12 @@ class PackedRows:
         ones = ((1 << max(map(len, levels), default=0) * width) - 1) // ((1 << width) - 1)
         self.guard, self.bias = ones << width - 1, ones * ((1 << width - 1) - 1 - limit)
 
-    def encode(self, table: NuTable):
-        """The code of a table, or None when a row holds an entry off
-        the slots or outside 1 to ``limit``."""
+    def encode(self, rows: tuple):
+        """The code of a table's rows, a tuple of (negative, positive)
+        pairs, or None when a row holds an entry off the slots or outside
+        1 to ``limit``."""
         code, limit = [], self.limit
-        for slot, pair in zip(self.slots, table.rows):
+        for slot, pair in zip(self.slots, rows):
             for vec in pair:
                 row = 0
                 for name, c in vec._entries.items():
@@ -116,7 +117,7 @@ class PackedRows:
                         return None
                     row += c << slot[name]
                 code.append(row)
-        return tuple(code) if len(code) == 2 * len(table.rows) else None
+        return tuple(code) if len(code) == 2 * len(rows) else None
 
     def unpack(self, p: int, row: int) -> IntVector:
         """The degree-p vector of a row, built once and kept in
@@ -158,11 +159,16 @@ def close_under_composition(seeds, max_dim: int, admit) -> CompositionIndex:
     generator in the seeds and the 64-bit limit; each candidate is decoded
     for ``admit``; past that limit decoding raises CoefficientOverflow.
     A seed with a negative entry (no cell has one) raises ValueError.
+
+    A unit that is no seed is reached only through the cell it is the
+    identity of, since two units are not composed: on a hand-built set
+    with holes, the identity of a composite that the set leaves out is not
+    reached, though the composite of two units in the set is that identity.
     """
-    seeds = list(seeds)
-    names = [{} for _ in range(max([max_dim] + [t.dim for t in seeds]) + 1)]
-    for table in seeds:
-        for level, (neg, pos) in zip(names, table.rows):
+    seeds = [table.rows for table in seeds]
+    names = [{} for _ in range(max([max_dim + 1, *map(len, seeds)]))]
+    for pairs in seeds:
+        for level, (neg, pos) in zip(names, pairs):
             level.update(dict.fromkeys([*neg._entries, *pos._entries]))
     rows = PackedRows(names, INT64_MAX)
     codes = list(map(rows.encode, seeds))
@@ -176,85 +182,81 @@ def _close(rows: PackedRows, seeds, max_dim: int, admit) -> CompositionIndex:
     ``max_dim`` and composition, on the packed codes of ``rows``.
 
     ``admit(q, code)`` is asked about each new code of a q-cell; False
-    leaves it out and an exception stops the closure.  The seeds are
-    consumed in order.  The composites of a dequeued ``t`` are formed by
-    the partner's position, then p, then ``t`` on the left before ``t`` on
-    the right, so the order depends on the seeds alone.
+    leaves it out and an exception stops the closure.  The seeds come
+    first, in order.  Then degree by degree, from 0 up, the identities of
+    the cells one degree down (closed by then) come in position order,
+    and the non-units of the degree are dequeued in position order, each
+    composed with its partners by the partner's position, then p, then on
+    the left first.  So the order depends on the seeds alone.
 
-    Each composable pair, but the unit pairs below, is composed once, when
-    the first of its cells is dequeued if the other is indexed by then,
-    else when the second is.  Each cell's ``provenance`` is the seed, the
-    identity or the pair that produced it first, so it names cells indexed
-    before it and traces back to the seeds without a cycle.
+    A *unit* (a zero top row over an equal pair) is the identity of a
+    cell.  Units are never dequeued, so no two units are composed: below
+    their top face their composite is the identity of their cells'
+    composite, which the degree below holds, with its identity, unless
+    ``admit`` left one out.  Nor is a unit filed under its top-face keys:
+    composed there with a cell, it gives the cell.  Every other pair is
+    composed once, when the first of its non-units is dequeued if the
+    other cell is indexed by then, else when the second is; ``products``
+    lists every pair.  Each cell's ``provenance`` is the seed, identity or
+    pair that made it first, so it names cells indexed before it.
 
     Each cell is filed under its p-source ``code[:2p + 1]`` and its
     p-target ``code[:2p] + (code[2p + 1],)`` for every p below its
-    dimension, so its partners are one lookup each.  A *unit* q-cell, the
-    identity of a (q - 1)-cell (a zero top row over an equal pair), is
-    neither filed under its level-(q - 1) keys nor looked up by them:
-    composing any x with it there, on either side, gives x back (x's rows
-    below, the unit's equal pair, a zero top row added), which is indexed,
-    so skipping the pair changes no code, position, provenance or
-    ``admit`` call; ``products`` still lists it.  A zero top row over
-    unequal entries (only in a hand-built cell set) is no unit.
+    dimension, so its partners are one lookup each.
     """
     index = CompositionIndex(rows)
     compose_codes, identity_code, is_unit = rows.compose, rows.identity, rows.is_unit
-    queue = deque()  # (dim, pos) of the cells to compose, in admission order
     codes, located, provenance = index.codes, index.located, index.provenance
-    sources, targets = {}, {}  # dim -> {p-source, p-target key: positions}
-    # dim -> per position, how many cells of the dim were indexed when the
-    # cell was dequeued: the partners it was composed with
-    reached = {}
-
-    def levels(q: int, code: tuple) -> range:
-        # the offsets 2p + 1 of the levels p a cell is filed under; a unit
-        # leaves out its top level
-        return range(1, 2 * q - 1 if q and is_unit(code) else 2 * q, 2)
+    # per dim: p-source and p-target keys to positions; per position, how
+    # many cells were indexed when it was dequeued (0 if not yet); and the
+    # positions to dequeue, the non-units
+    state = []
+    for q in range(len(rows.slots)):  # every degree a seed or max_dim reaches
+        codes[q], located[q] = [], {}
+        state.append(({}, {}, [], []))
 
     def add(q: int, code: tuple, origin):
-        position = located.get(q)
-        if position is None:
-            position = located[q] = {}
-            codes[q], sources[q], targets[q], reached[q] = [], {}, {}, []
+        position, coded = located[q], codes[q]
         if code in position or not admit(q, code):
             return
-        j = position[code] = len(codes[q])
-        codes[q].append(code)
+        j = position[code] = len(coded)
+        coded.append(code)
         provenance.setdefault(q, []).append(origin)
-        source, target = sources[q], targets[q]
-        for k in levels(q, code):
+        source, target, seen, work = state[q]
+        seen.append(0)
+        unit = not q or is_unit(code)  # 0-cells, like units, are never dequeued
+        for k in range(1, 2 * q - 1 if unit else 2 * q, 2):
             source.setdefault(code[:k], []).append(j)
             target.setdefault(code[:k - 1] + (code[k],), []).append(j)
-        queue.append((q, j))
+        if not unit:
+            work.append(j)
 
     for code in seeds:
         add(len(code) // 2 - 1, code, None)
-    while queue:
-        q, i = queue.popleft()
-        coded = codes[q]
-        t = coded[i]
-        if q < max_dim:
-            add(q + 1, identity_code(t), (i,))
-        seen = reached[q]
-        seen.append(len(coded))  # cells of a dim are dequeued in position order
-        source, target = sources[q], targets[q]
-        # the partner at j is skipped when it was dequeued with t indexed:
-        # the pair was composed then
-        pairs = []
-        for k in levels(q, t):
-            p = k // 2
-            pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
-                      if not j < i < seen[j]]
-            pairs += [(j, p, 1) for j in target.get(t[:k], ())
-                      if j != i and not j < i < seen[j]]
-        pairs.sort()
-        position = located[q]
-        for j, p, t_is_right in pairs:
-            key = (p, j, i) if t_is_right else (p, i, j)
-            code = compose_codes(coded[key[1]], coded[key[2]], p)
-            if code not in position:
-                add(q, code, key)
+    for q, (source, target, seen, work) in enumerate(state):
+        if 0 < q <= max_dim:
+            for i, t in enumerate(codes[q - 1]):
+                add(q, identity_code(t), (i,))
+        coded, position = codes[q], located[q]
+        for i in work:  # grows as composites are admitted
+            t = coded[i]
+            seen[i] = len(coded)
+            # the partner at j is skipped when it was dequeued with t
+            # indexed: the pair was composed then
+            pairs = []
+            for k in range(1, 2 * q, 2):
+                p = k // 2
+                pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
+                          if not j < i < seen[j]]
+                pairs += [(j, p, 1) for j in target.get(t[:k], ())
+                          if j != i and not j < i < seen[j]]
+            pairs.sort()
+            for j, p, t_is_right in pairs:
+                key = (p, j, i) if t_is_right else (p, i, j)
+                code = compose_codes(coded[key[1]], coded[key[2]], p)
+                if code not in position:
+                    add(q, code, key)
+        state[q] = None  # degree q is closed, and nothing is filed in it again
     return index
 
 
@@ -270,7 +272,8 @@ class EnumeratedOmegaCat(Record):
     ``cells[dim]``, so a table listed twice in one ``cells[dim]``, or under
     a key other than its dimension, or a key above ``max_dim``, raises
     ValueError.  ``atom_names`` maps each atom table to its generator's
-    name, an empty dict when not given.
+    name: as given (an empty dict when not), or for :func:`enumerate_nu`'s
+    result its seeds, built on first read.
     """
 
     # no __slots__: the cached index and cells live in the instance __dict__
@@ -305,6 +308,14 @@ class EnumeratedOmegaCat(Record):
         codes, decode = self.index.codes, self.index.rows.decode
         return {q: tuple(map(decode, codes.get(q, ()))) for q in range(self.max_dim + 1)}
 
+    @cached_property
+    def atom_names(self) -> dict:
+        # reached only for enumerate_nu's result, whose seeds are the atoms
+        # of the generators its coder has slots for
+        complex_ = self.complex
+        return {atom_to_table(complex_, name): name
+                for slot in self.index.rows.slots for name in slot}
+
     def __contains__(self, table: NuTable) -> bool:
         return table in self.index
 
@@ -320,12 +331,13 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     """Close the atom tables of dimension <= max_dim under identities and
     binary composition.
 
-    The atoms seed the closure in degree order, and its index, with each
-    cell's code and provenance, stays on the result for the certificate;
-    tables and the pair record are read off the codes on first read.
-    Rows are packed with ``max_coeff`` (at most the 64-bit limit) as the
-    limit, so ``admit`` finds a coefficient above it with one added bias
-    and one AND per row, and unpacks only then, for the message.
+    The atoms seed the closure (:func:`_close`) in degree order, each
+    packed from the rows that :func:`polyadc.adc._atom` keeps.  Its index,
+    with each cell's code and provenance, stays on the result for the
+    certificate; tables, ``atom_names`` and the pair record are built on
+    first read.  Rows are packed with ``max_coeff`` (at most the 64-bit
+    limit) as the limit, so ``admit`` finds a coefficient above it with one
+    added bias and one AND per row, and unpacks only then, for the message.
 
     Raises :class:`EnumerationCapExceeded` when more than ``max_cells``
     tables appear or some coefficient exceeds ``max_coeff``, with the
@@ -343,7 +355,6 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
     rows = PackedRows(list(map(complex_.generators, range(max_dim + 1))),
                       min(max_coeff, INT64_MAX))
     bias, guard = rows.bias, rows.guard
-    atom_names = {}
     counts = {}  # dim -> codes admitted so far
     admitted = 0
 
@@ -354,8 +365,8 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
             "raise --max-coeff" % (top, max_coeff, q, admitted))
 
     def atoms():
-        for q in range(min(max_dim, complex_.max_degree) + 1):
-            for name in complex_.generators(q):
+        for q, slot in enumerate(rows.slots):
+            for name in slot:
                 atom_rows, cond, _ = _atom(complex_, name)
                 if cond is not None:
                     _require_chain_complex(complex_)
@@ -363,11 +374,9 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
                         "atom table of %r violates cell condition %d; "
                         "the complex is not unital enough to enumerate" % (name, cond)
                     )
-                table = NuTable(atom_rows)
-                code = rows.encode(table)
+                code = rows.encode(atom_rows)
                 if code is None:  # an entry above the limit
                     refuse(atom_rows, q)
-                atom_names[table] = name
                 yield code
 
     def admit(q: int, code: tuple) -> bool:
@@ -385,7 +394,7 @@ def enumerate_nu(complex_: Adc, max_dim=None, max_cells: int = 10000,
         return True
 
     enum = object.__new__(EnumeratedOmegaCat)
-    enum.complex, enum.max_dim, enum.atom_names = complex_, max_dim, atom_names
+    enum.complex, enum.max_dim = complex_, max_dim
     enum.index = _close(rows, atoms(), max_dim, admit)
     return enum
 

@@ -255,64 +255,63 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
     span the linearization and their images are the generators.  Degree by
     degree this checks that
 
-    * the atoms name the generators one each, and each atom's top row is
-      the unit vector on its generator;
+    * each seed (provenance None) has the top row ``1 << slot`` of a
+      generator of its degree that no earlier seed has, which names it,
+      and the seeds name every generator;
     * every cell's top row agrees with its provenance in ``enum.index``:
-      an atom, the identity of a cell one degree down (top row 0, the rows
-      below equal to that cell's), or the composite of two cells filed
-      before it (the sum of their top rows);
+      a seed, the identity of a filed cell one degree down (top row 0, the
+      rows below equal to that cell's), or the composite of two cells
+      filed before it (the sum of their top rows);
     * each cell of degree q >= 1 has its two (q-1)-faces among the cells,
       and the boundary of its top row is the difference of their top rows,
       which carries the differential across; each 0-cell has augmentation 1.
 
-    It reads the packed codes in ``enum.index`` and unpacks no row.  The
-    top rows must be what the provenance gives: ``1 << slot`` of an atom's
-    generator, 0 for an identity, the sum of a composite's factors' top
-    rows.  The boundary is linear in the top row: the atom's signed packed
-    differential, 0, the sum of the (checked) factors' face differences.
-    Packing is one to one on entries up to 3 * ``limit`` in size, so each
-    check is one comparison.
+    It reads the packed codes in ``enum.index``; it packs no table, unpacks
+    no row and reads no ``atom_names``.  The boundary is linear in the top
+    row: the seed's generator's signed packed differential, 0 for an
+    identity, the sum of a composite's (checked) factors' face
+    differences.  Packing is one to one on entries up to 3 * ``limit`` in
+    size, so each check is one comparison.
 
-    Provenance names only earlier cells or cells one degree down, so every
-    cell traces back to the atoms.  The cells must come from
-    :func:`nu.enumerate_nu`; in a hand-built cell set every cell counts as
-    a seed, and only atoms may be seeds.
+    Provenance must name cells by positions in range, earlier ones in the
+    same degree, so every cell traces back to the seeds.  The cells must
+    come from :func:`nu.enumerate_nu`, whose seeds are the atoms; in a
+    hand-built cell set every cell counts as a seed.
     """
     complex_, index, rows = enum.complex, enum.index, enum.index.rows
-    atoms = {}  # dim -> generator names of the atoms
-    for table, name in enum.atom_names.items():
-        atoms.setdefault(table.dim, []).append(name)
-    atom_of = {rows.encode(table): name for table, name in enum.atom_names.items()}
     for q in range(enum.max_dim + 1):
-        if sorted(atoms.get(q, ())) != sorted(complex_.generators(q)):
-            return "the %d-atoms are not the %d-generators one each" % (q, q)
         codes = index.codes.get(q, ())
         provenance = index.provenance.get(q, ())
         lower = index.codes.get(q - 1, ())
         faces = index.located.get(q - 1, {})
-        slot = rows.slots[q]
+        slot, generators, named = rows.slots[q], complex_.generators(q), 0
+        # the generators no seed has named yet, by the top row that names them
+        unnamed = {1 << slot[name]: name for name in generators if name in slot}
         for k, x in enumerate(codes):
             origin = provenance[k]
             if origin is None:
-                name = atom_of.get(x)
+                name = unnamed.pop(x[-1], None)
                 if name is None:
                     return "%d-cell %d has no provenance" % (q, k)
-                want = 1 << slot[name] if name in slot else None
+                named += 1
+                want = x[-1]
                 change = q and _signed(rows, q - 1, complex_.diff(name))
             elif len(origin) == 1:
+                if not 0 <= origin[0] < len(lower):
+                    return "%d-cell %d is the identity of no filed cell" % (q, k)
                 if x[:-2] != lower[origin[0]]:
                     return ("%d-cell %d differs below its top row from the cell "
                             "it is the identity of" % (q, k))
                 want = change = 0
             else:
                 _, i, j = origin
-                if not (i < k and j < k):
+                if not (0 <= i < k and 0 <= j < k):
                     return "%d-cell %d is composed of cells not filed before it" % (q, k)
                 xi, xj = codes[i], codes[j]
                 want, change = xi[-1] + xj[-1], q and xi[-3] - xi[-4] + xj[-3] - xj[-4]
             if x[-2] != want or x[-1] != want:
                 return "the top row of %d-cell %d disagrees with its provenance" % (q, k)
-            if q == 0:  # an atom, or broken provenance
+            if q == 0:  # a seed, or broken provenance
                 augmentation = complex_.eps_gen(name) if origin is None else None
                 if augmentation != 1:
                     return "0-cell %d has augmentation %s" % (k, augmentation)
@@ -323,6 +322,8 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
             if change != pos - neg:
                 return ("the boundary of the top row of %d-cell %d is not the "
                         "difference of its faces" % (q, k))
+        if named != len(generators):
+            return "the %d-atoms are not the %d-generators one each" % (q, q)
     return None
 
 

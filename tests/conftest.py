@@ -6,7 +6,6 @@ reference closure loop, and the small readers the tests share."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from copy import copy
 from itertools import combinations
 from math import gcd
@@ -18,6 +17,7 @@ from polyadc import (
     Gen,
     Id,
     IntVector,
+    NuTable,
     PolyPresentation,
     build,
     compose,
@@ -183,8 +183,10 @@ def attached_complex(seed, top_dim, per_level=4, acyclic=True) -> Adc:
     It starts from 2-4 vertices and 2-5 edges between distinct vertices,
     each from the lower to the higher vertex with ``acyclic``, else in a
     random direction.  Then, for n from 2 to ``top_dim``, it enumerates the
-    cells up to degree n - 1 and groups the nontrivial (n - 1)-cells by
-    their rows below the top, so that the cells of a group are parallel.
+    cells up to degree n - 1, sorts the nontrivial (n - 1)-cells by
+    ``NuTable.key`` (so the output does not depend on the closure's order
+    of discovery) and groups them by their rows below the top, so that the
+    cells of a group are parallel.
     Up to ``per_level`` times it picks two cells x and y of one group whose
     top rows have disjoint supports and attaches an n-generator with
     boundary top(y) - top(x).  The parallelism gives dd = 0, so every
@@ -207,7 +209,8 @@ def attached_complex(seed, top_dim, per_level=4, acyclic=True) -> Adc:
     for n in range(2, top_dim + 1):
         complex_ = Adc(levels, diff, dict.fromkeys(vertices, 1))
         try:
-            cells = enumerate_nu(complex_, max_dim=n - 1, max_cells=3000).nontrivial(n - 1)
+            cells = sorted(enumerate_nu(complex_, max_dim=n - 1, max_cells=3000)
+                           .nontrivial(n - 1), key=NuTable.key)
         except (EnumerationCapExceeded, ValueError):
             break
         groups = {}
@@ -435,31 +438,29 @@ def decoded_positions(index) -> dict:
 
 
 def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
-    """The closure loop as it was before unit pairs were skipped: every
-    composable pair is composed, the unit pairs along the top face too.
-    Monkeypatched over ``nu._close``, it gives the index that the
-    skipping one must reproduce: the same codes, positions, provenance,
-    coder and pair record.  With ``record`` on, the pair record
-    is filed as each pair is composed and handed to the index in place of
-    the one it reads off its codes."""
+    """The closure loop with every composable pair composed: ``nu._close``'s
+    order of work, but each non-unit is also composed with its unit
+    partners along their top face, and the units of a degree with each
+    other, once its identities are admitted.  Monkeypatched over
+    ``nu._close``, it gives the index that the one leaving those pairs out
+    must reproduce: the same codes, positions, provenance, coder and pair
+    record.  Each pair is composed once, by a set of the pairs done rather
+    than ``_close``'s counts.  With ``record`` on, the pair record is filed
+    as each pair is composed and handed to the index in place of the one
+    it reads off its codes."""
     index = nu.CompositionIndex(rows)
-    compose_codes, identity_code = rows.compose, rows.identity
-    queue = deque()  # (dim, pos) of the cells to compose, in admission order
+    compose_codes, identity_code, is_unit = rows.compose, rows.identity, rows.is_unit
     codes, located, provenance = index.codes, index.located, index.provenance
-    sources = {}  # dim -> {p-source key: positions}
-    targets = {}  # dim -> {p-target key: positions}
-    # dim -> per position, how many cells of that dim were indexed when the
-    # cell was dequeued; those are the partners it has been composed with
-    reached = {}
-    products, identities = {}, {}
+    sources, targets = {}, {}  # dim -> {p-source or p-target key: positions}
+    products = {}
     if record:
-        index.products, index.identities = products, identities
+        index.products = products
+
+    for q in range(len(rows.slots)):
+        codes[q], located[q], sources[q], targets[q] = [], {}, {}, {}
 
     def add(q: int, code: tuple, origin):
-        position = located.get(q)
-        if position is None:
-            position = located[q] = {}
-            codes[q], sources[q], targets[q], reached[q] = [], {}, {}, []
+        position = located[q]
         j = position.get(code)
         if j is not None:
             return j
@@ -468,50 +469,48 @@ def reference_close(rows, seeds, max_dim: int, admit, record: bool = False):
         j = position[code] = len(codes[q])
         codes[q].append(code)
         provenance.setdefault(q, []).append(origin)
-        source, target = sources[q], targets[q]
         for k in range(1, 2 * q, 2):
-            source.setdefault(code[:k], []).append(j)
-            target.setdefault(code[:k - 1] + (code[k],), []).append(j)
-        queue.append((q, j))
+            sources[q].setdefault(code[:k], []).append(j)
+            targets[q].setdefault(code[:k - 1] + (code[k],), []).append(j)
         return j
+
+    def partners(q: int, i: int) -> list:
+        # (p, left, right) of every pair of cell i with a filed cell
+        t = codes[q][i]
+        keys = []
+        for k in range(1, 2 * q, 2):
+            keys += [(k // 2, i, j) for j in sources[q].get(t[:k - 1] + (t[k],), ())]
+            keys += [(k // 2, j, i) for j in targets[q].get(t[:k], ())]
+        return keys
 
     for code in seeds:
         add(len(code) // 2 - 1, code, None)
-    while queue:
-        q, i = queue.popleft()
-        coded = codes[q]
-        t = coded[i]
-        if q < max_dim:
-            j = add(q + 1, identity_code(t), (i,))
-            if record and j is not None:
-                identities.setdefault(q, {})[i] = j
-        seen = reached[q]
-        seen.append(len(coded))  # cells of a dim are dequeued in position order
-        filed = products.setdefault(q, {}) if record else None
-        source, target = sources[q], targets[q]
-        # the partner at j is skipped when it was dequeued with t indexed:
-        # the pair was composed then
-        pairs = []
-        for k in range(1, 2 * q, 2):
-            p = k // 2
-            pairs += [(j, p, 0) for j in source.get(t[:k - 1] + (t[k],), ())
-                      if not j < i < seen[j]]
-            pairs += [(j, p, 1) for j in target.get(t[:k], ())
-                      if j != i and not j < i < seen[j]]
-        pairs.sort()
-        position = located[q]
-        for j, p, t_is_right in pairs:
-            if t_is_right:
-                key = (p, j, i)
-                code = compose_codes(coded[j], t, p)
-            else:
-                key = (p, i, j)
-                code = compose_codes(t, coded[j], p)
-            found = position.get(code)
-            if found is None:
-                found = add(q, code, key)
-            if record:
-                filed[key] = found
+    for q in range(len(rows.slots)):
+        if 0 < q <= max_dim:
+            for i, t in enumerate(codes[q - 1]):
+                add(q, identity_code(t), (i,))
+        if not codes[q]:
+            continue
+        coded, filed, done = codes[q], products.setdefault(q, {}), set()
+
+        def compose_all(i, keys):
+            # by the partner's position, then p, then cell i on the left first
+            for key in sorted(set(keys) - done, key=lambda key: (
+                    key[2] if key[1] == i else key[1], key[0], key[1] != i)):
+                done.add(key)
+                p, x, y = key
+                j = add(q, compose_codes(coded[x], coded[y], p), key)
+                if record:
+                    filed[key] = j
+
+        units = {i for i, code in enumerate(coded) if q and is_unit(code)}
+        for i in sorted(units):
+            compose_all(i, [key for key in partners(q, i) if {key[1], key[2]} <= units])
+        i = 0
+        while i < len(coded):  # grows as composites are admitted
+            if q and not is_unit(coded[i]):
+                compose_all(i, partners(q, i))
+            i += 1
     return index
 
 
@@ -519,55 +518,61 @@ def table_close(seeds, max_dim: int, admit) -> tuple:
     """The closure loop of ``nu._close`` run on tables, the oracle for its
     packed rows: (cells, provenance), each dim -> a list by position.
 
-    It keeps ``_close``'s order of work (the composites of a dequeued t by
-    the partner's position, then p, then t on the left first, each pair
-    once, unit pairs along their top face skipped) but files each table
-    under its p-source ``(rows[:p], rows[p][0])`` and p-target ``(rows[:p],
+    It keeps ``_close``'s order of work (the seeds first; then, degree by
+    degree, the identities of the cells one degree down in position
+    order, and the composites of each non-unit t, scanned in position
+    order, by the partner's position, then p, then t on the left first,
+    each pair once, unit pairs along their top face skipped and units
+    never composed with each other) but files each table under its
+    p-source ``(rows[:p], rows[p][0])`` and p-target ``(rows[:p],
     rows[p][1])`` and composes with ``table.compose``; ``admit(table)`` is
     asked about each new table.  So decoding what the packed closure filed
     must give the same cells, positions and provenance.
     """
     cells, located, provenance = {}, {}, {}
-    sources, targets, reached = {}, {}, {}
-    queue = deque()
+    sources, targets = {}, {}
 
-    def levels(t):
-        unit = t.is_trivial() and t.rows[-2][0] == t.rows[-2][1]
-        return range(t.dim - 1 if unit else t.dim)
+    def is_unit(t):
+        return t.is_trivial() and t.rows[-2][0] == t.rows[-2][1]
 
     def add(table, origin):
         q = table.dim
         if q not in located:
-            located[q], cells[q], sources[q], targets[q], reached[q] = {}, [], {}, {}, []
+            located[q], cells[q], sources[q], targets[q] = {}, [], {}, {}
         if table in located[q] or not admit(table):
             return
         j = located[q][table] = len(cells[q])
         cells[q].append(table)
         provenance.setdefault(q, []).append(origin)
-        for p in levels(table):
+        for p in range(q - 1 if is_unit(table) else q):
             sources[q].setdefault((table.rows[:p], table.rows[p][0]), []).append(j)
             targets[q].setdefault((table.rows[:p], table.rows[p][1]), []).append(j)
-        queue.append((q, j))
 
     for table in seeds:
         add(table, None)
-    while queue:
-        q, i = queue.popleft()
-        t = cells[q][i]
-        if q < max_dim:
-            add(identity(t), (i,))
-        seen = reached[q]
-        seen.append(len(cells[q]))
-        pairs = []
-        for p in levels(t):
-            pairs += [(j, p, 0) for j in sources[q].get((t.rows[:p], t.rows[p][1]), ())
-                      if not j < i < seen[j]]
-            pairs += [(j, p, 1) for j in targets[q].get((t.rows[:p], t.rows[p][0]), ())
-                      if j != i and not j < i < seen[j]]
-        for j, p, t_is_right in sorted(pairs):
-            key = (p, j, i) if t_is_right else (p, i, j)
-            made = compose(cells[q][key[1]], cells[q][key[2]], p)
-            if made not in located[q]:
-                add(made, key)
+    for q in range(max([max_dim, *located]) + 1):
+        if 0 < q <= max_dim:
+            for t in list(cells.get(q - 1, ())):
+                add(identity(t), (located[q - 1][t],))
+        reached = {}  # position of a scanned non-unit -> cells of dim q then
+        i = 0
+        while i < len(cells.get(q, ())):
+            t = cells[q][i]
+            i += 1
+            if is_unit(t):
+                continue
+            k = i - 1
+            reached[k] = len(cells[q])
+            pairs = []
+            for p in range(q):
+                pairs += [(j, p, 0) for j in sources[q].get((t.rows[:p], t.rows[p][1]), ())
+                          if not j < k < reached.get(j, 0)]
+                pairs += [(j, p, 1) for j in targets[q].get((t.rows[:p], t.rows[p][0]), ())
+                          if j != k and not j < k < reached.get(j, 0)]
+            for j, p, t_is_right in sorted(pairs):
+                key = (p, j, k) if t_is_right else (p, k, j)
+                made = compose(cells[q][key[1]], cells[q][key[2]], p)
+                if made not in located[q]:
+                    add(made, key)
     return ({q: tables for q, tables in cells.items() if tables},
             {q: origins for q, origins in provenance.items() if origins})

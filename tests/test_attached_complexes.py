@@ -47,9 +47,9 @@ def test_the_outputs_are_chain_complexes_of_every_dimension():
     either = Counter(complex_.max_degree for complex_ in outputs()[300:])
     assert sum(n for dim, n in forward.items() if dim >= 4) >= 50
     # pinned, so that a run under another hash seed must build the same ones
-    assert forward == {1: 46, 2: 10, 3: 4, 4: 9, 5: 231}
-    assert either == {1: 111, 2: 35, 3: 2, 4: 2}
-    assert len(steiner_outputs()) == 274
+    assert forward == {1: 46, 2: 11, 3: 4, 4: 2, 5: 237}
+    assert either == {1: 111, 2: 34, 3: 2, 4: 3}
+    assert len(steiner_outputs()) == 275
     assert max(sum(map(len, complex_.basis)) for complex_ in outputs()) == 25
 
 

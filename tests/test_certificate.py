@@ -4,8 +4,8 @@ the roundtrip path.
 On every enumeration the tests can reach, the certificate passes exactly
 where the quotient has the generator counts as ranks and the atoms pass the
 basis check.  Broken cell sets (a composition that does not add top rows,
-an atom left unnamed, an identity over the wrong cell, a missing face) must
-be caught by the certificate itself.
+a generator that no seed names, an identity over the wrong cell, a missing
+face, provenance out of range) must be caught by the certificate itself.
 """
 
 from functools import partial
@@ -118,6 +118,17 @@ def test_a_hand_built_index_has_only_seeds():
     assert top_row_certificate(rebuilt) == "1-cell 3 has no provenance"
 
 
+def test_a_generator_no_cell_mentions_is_unnamed():
+    # the coder of a hand-built set has slots only for the generators its
+    # cells mention; the seeds must still name every generator of the complex
+    k = build("oriental", (2,)).as_adc()
+    cells = {0: tuple(atom_to_table(k, n) for n in "012"),
+             1: (atom_to_table(k, "01"), atom_to_table(k, "02"))}
+    built = EnumeratedOmegaCat(complex=k, max_dim=1, cells=cells)
+    assert sorted(built.index.rows.slots[1]) == ["01", "02"]
+    assert top_row_certificate(built) == "the 1-atoms are not the 1-generators one each"
+
+
 # ---------------------------------------------------------------------------
 # broken cell sets
 
@@ -153,25 +164,43 @@ def test_a_composition_that_does_not_add_top_rows_is_caught(name, params,
 
 
 @pytest.mark.parametrize("name, params", MUTANT_INPUTS)
-def test_an_unnamed_atom_is_caught(name, params):
+def test_an_unnamed_atom_is_caught(name, params, monkeypatch):
+    # the closure is seeded with every atom but the last top one, so no
+    # seed names its generator
     complex_ = build(name, params).as_adc()
-    enum = enumerate_nu(complex_)
     q = complex_.max_degree
     dropped = atom_to_table(complex_, complex_.generators(q)[-1])
-    del enum.atom_names[dropped]
+    real = nu._close
+
+    def without(rows, seeds, max_dim, admit):
+        left_out = rows.encode(dropped.rows)
+        return real(rows, [code for code in seeds if code != left_out], max_dim, admit)
+
+    monkeypatch.setattr(nu, "_close", without)
+    enum = enumerate_nu(complex_)
+    monkeypatch.undo()
+    assert dropped not in enum
     assert top_row_certificate(enum) == \
         "the %d-atoms are not the %d-generators one each" % (q, q)
     # the oracle agrees
-    assert check_omega_basis(enum, list(enum.atom_names)).failed == "generation"
+    assert not smith_form_verdict(enum)
 
 
 def test_an_atom_named_after_the_wrong_generator_is_caught():
+    # the seeds 01 and 12 swap top rows: each names the other's generator,
+    # whose boundary is not the difference of its faces
     complex_ = build("oriental", (2,)).as_adc()
     enum = enumerate_nu(complex_)
-    enum.atom_names[atom_to_table(complex_, "01")] = "12"
-    enum.atom_names[atom_to_table(complex_, "12")] = "01"
+    codes = enum.index.codes[1]
+    k01, k12 = (enum.cells[1].index(atom_to_table(complex_, n)) for n in ("01", "12"))
+    x01, x12 = codes[k01], codes[k12]
+    codes[k01], codes[k12] = x01[:-2] + x12[-2:], x12[:-2] + x01[-2:]
     assert top_row_certificate(enum) == \
-        "the top row of 1-cell 0 disagrees with its provenance"
+        "the boundary of the top row of 1-cell %d is not the difference of its faces" % k01
+    # a seed with the top row of an earlier one names no generator left
+    codes[k01] = x01
+    assert k01 < k12
+    assert top_row_certificate(enum) == "1-cell %d has no provenance" % k12
 
 
 def test_an_identity_over_the_wrong_cell_is_caught(monkeypatch):
@@ -180,7 +209,7 @@ def test_an_identity_over_the_wrong_cell_is_caught(monkeypatch):
     real = nu.PackedRows.identity
 
     def misdirected(self, code):
-        return real(self, self.encode(a02) if self.decode(code) == a01 else code)
+        return real(self, self.encode(a02.rows) if self.decode(code) == a01 else code)
 
     monkeypatch.setattr(nu.PackedRows, "identity", misdirected)
     report = verify_equivalence(complex_)
@@ -219,7 +248,7 @@ def with_atom_replaced(enum, atom, table):
     broken = EnumeratedOmegaCat(complex=enum.complex, max_dim=enum.max_dim,
                                 cells=cells, atom_names=names)
     broken.index = enum.index
-    broken.index.codes[atom.dim][k] = enum.index.rows.encode(table)
+    broken.index.codes[atom.dim][k] = enum.index.rows.encode(table.rows)
     return broken, k
 
 
@@ -253,6 +282,36 @@ def test_a_provenance_that_is_not_earlier_is_caught():
              if origin is not None and len(origin) == 3)
     provenance[k] = (0, k, k)
     assert top_row_certificate(enum) == "1-cell %d is composed of cells not filed before it" % k
+
+
+def interval_index():
+    """The index of the interval 0 -> 1, whose 1-cells are the atom 01 at 0
+    and the identities of the vertices 0 and 1 at 1 and 2, to edit by hand."""
+    enum = enumerate_nu(build("oriental", (1,)).as_adc())
+    assert enum.index.provenance == {0: [None, None], 1: [None, (0,), (1,)]}
+    return enum
+
+
+def test_an_identity_in_degree_0_is_caught():
+    enum = interval_index()
+    enum.index.provenance[0][0] = (0,)
+    assert top_row_certificate(enum) == "0-cell 0 is the identity of no filed cell"
+
+
+@pytest.mark.parametrize("t", [2, 5, -1])
+def test_an_identity_of_a_position_out_of_range_is_caught(t):
+    enum = interval_index()
+    enum.index.provenance[1][2] = (t,)
+    assert top_row_certificate(enum) == "1-cell 2 is the identity of no filed cell"
+
+
+@pytest.mark.parametrize("origin", [(0, -1, -1), (0, 1, -1), (0, -2, 1)])
+def test_a_negative_composite_position_is_caught(origin):
+    # -1 and -2 would wrap to the identities at 2 and 1: a sum of zero top
+    # rows and face differences, which the identity at 2 agrees with
+    enum = interval_index()
+    enum.index.provenance[1][2] = origin
+    assert top_row_certificate(enum) == "1-cell 2 is composed of cells not filed before it"
 
 
 def test_a_vertex_of_augmentation_other_than_one_is_caught():
@@ -320,7 +379,7 @@ def test_a_repeated_top_row_over_faces_it_does_not_join_is_caught():
     a02 = atom_to_table(complex_, "02")
     path = compose(atom_to_table(complex_, "01"), atom_to_table(complex_, "12"), 0)
     index.codes[2][k] = rows.encode(
-        nu.NuTable(rows=(a02.rows[0], (a02.rows[1][0], path.rows[1][0]), (ZERO, ZERO))))
+        (a02.rows[0], (a02.rows[1][0], path.rows[1][0]), (ZERO, ZERO)))
     index.provenance[2][k] = (0, first, first)
     assert first < k
     assert top_row_certificate(enum) == \

@@ -327,7 +327,7 @@ def test_cap_errors_say_how_far_the_run_got(capsys, tmp_path):
     code, out, err = run(["roundtrip", str(doc), "--max-cells", "50"], capsys)
     assert (code, out) == (5, "")
     assert err == ("resource error [ENUM_CAP]: more than 50 cells "
-                   "(degree 1 had reached 23); raise --max-cells\n")
+                   "(degree 1 had reached 29); raise --max-cells\n")
 
     doc = export(tmp_path, "loop", form="polygraph")
     code, out, err = run(["enumerate", str(doc), "--max-coeff", "1"], capsys)

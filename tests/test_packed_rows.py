@@ -33,7 +33,7 @@ from polyadc.zlin import INT64_MAX, CoefficientOverflow
 def packed(rows, p, vec):
     """The packed degree-p row of ``vec``, or None when it does not pack."""
     zero = IntVector()
-    code = rows.encode(NuTable(rows=((zero, zero),) * p + ((vec, vec),)))
+    code = rows.encode(((zero, zero),) * p + ((vec, vec),))
     return None if code is None else code[-1]
 
 
@@ -73,7 +73,7 @@ def test_a_row_off_the_slots_does_not_pack():
     assert packed(rows, 0, IntVector({"a": -1})) is None  # outside the cone
     assert packed(rows, 0, IntVector({"e": 1})) is None  # a generator of degree 1
     assert packed(rows, 0, IntVector({"far": 1})) is None
-    assert rows.encode(NuTable(rows=((IntVector(),) * 2,) * 3)) is None  # no degree 2
+    assert rows.encode(((IntVector(),) * 2,) * 3) is None  # no degree 2
     assert rows.decode((1, 2, 0, 0)) == NuTable(rows=(
         (IntVector({"a": 1}), IntVector({"a": 2})), (IntVector(), IntVector())))
 
@@ -157,7 +157,7 @@ def test_the_packed_closure_is_the_table_closure_on_the_catalog(name, params):
     assert_packed_is_the_table_closure(complex_, max_coeff=1)
 
 
-@pytest.mark.parametrize("acyclic, top_dim, finished", [(True, 5, 98), (False, 4, 10)],
+@pytest.mark.parametrize("acyclic, top_dim, finished", [(True, 5, 100), (False, 4, 10)],
                          ids=["acyclic", "either-way"])
 def test_the_packed_closure_is_the_table_closure_on_attached_complexes(acyclic, top_dim,
                                                                         finished):
@@ -217,10 +217,11 @@ def test_an_atom_above_the_coefficient_cap_exits_5(capsys, tmp_path):
     assert run(["enumerate", doc, "--max-coeff", "2"], capsys) == (
         5, "", "resource error [ENUM_CAP]: coefficient 3 above 2 in a 2-cell "
                "(after 6 cells); raise --max-coeff\n")
-    # at 3 the atom passes, and a composite of s with the loop e g is refused
+    # at 3 the atom passes, and the loop e g, composed in degree 1 before
+    # any 2-cell is, reaches 4 first
     assert run(["enumerate", doc, "--max-coeff", "3"], capsys) == (
-        5, "", "resource error [ENUM_CAP]: coefficient 4 above 3 in a 2-cell "
-               "(after 32 cells); raise --max-coeff\n")
+        5, "", "resource error [ENUM_CAP]: coefficient 4 above 3 in a 1-cell "
+               "(after 45 cells); raise --max-coeff\n")
 
 
 def test_a_composite_above_the_coefficient_cap_exits_5(capsys, tmp_path):
@@ -231,16 +232,35 @@ def test_a_composite_above_the_coefficient_cap_exits_5(capsys, tmp_path):
                "(after 15 cells); raise --max-coeff\n")
 
 
-def test_a_row_sum_past_64_bits_overflows_at_any_coefficient_cap(capsys, tmp_path):
-    # the atom s has 2**62 twice in row 1; composed with the loop e g and
+def test_a_row_sum_past_64_bits_overflows_at_any_coefficient_cap(capsys, tmp_path,
+                                                                 monkeypatch):
+    # the atom s has 2**62 twice in row 1; composed with the edge g and
     # with itself, a row sum reaches 2**63, past the checked range, at any
     # cap from 2**63 - 1 up; the cap stops the closure below that
     doc = adc_document(tmp_path, {"s": {"e": 2**62, "g": 2**62, "f": 1, "f2": -1}})
+    # the loop e g makes degree 1 infinite, and degree 1 is closed before any
+    # 2-cell is composed, so the closure stops at the cell cap there, however
+    # high --max-cells goes; the atom itself is refused below 2**62
+    for cap in (2**63 - 1, 2**63, 2**70, 2**62):
+        assert run(["enumerate", doc, "--max-coeff", str(cap)], capsys) == (
+            5, "", "resource error [ENUM_CAP]: more than 10000 cells (degree 1 had "
+                   "reached 9997); raise --max-cells\n")
+    assert run(["enumerate", doc, "--max-coeff", str(2**62 - 1)], capsys) == (
+        5, "", "resource error [ENUM_CAP]: coefficient %d above %d in a 2-cell "
+               "(after 6 cells); raise --max-coeff\n" % (2**62, 2**62 - 1))
+    # with degree 1 confined to its atoms and identities, degree 2 is reached
+    real = nu._close
+
+    def confined(rows, seeds, max_dim, admit):
+        seeds = list(seeds)
+        return real(rows, seeds, max_dim, lambda q, code: (
+            q != 1 or code in seeds or rows.is_unit(code)) and admit(q, code))
+
+    monkeypatch.setattr(nu, "_close", confined)
     for cap in (2**63 - 1, 2**63, 2**70):
         assert run(["enumerate", doc, "--max-coeff", str(cap)], capsys) == (
             5, "", "resource error [OVERFLOW]: coefficient %d exceeds the checked "
                    "64-bit range\n" % 2**63)
-    for cap, top, after in ((2**62, 2**62 + 1, 32), (2**62 - 1, 2**62, 6)):
-        assert run(["enumerate", doc, "--max-coeff", str(cap)], capsys) == (
-            5, "", "resource error [ENUM_CAP]: coefficient %d above %d in a 2-cell "
-                   "(after %d cells); raise --max-coeff\n" % (top, cap, after))
+    assert run(["enumerate", doc, "--max-coeff", str(2**62)], capsys) == (
+        5, "", "resource error [ENUM_CAP]: coefficient %d above %d in a 2-cell "
+               "(after 15 cells); raise --max-coeff\n" % (2**62 + 1, 2**62))
