@@ -22,8 +22,8 @@ linearizations of the loop-free polygraphs, is one call on each side:
 ``loop_free_report`` on a complex.  The other names are the ones the
 subcommands and the benchmark harness run, the oracles the tests compare
 against (``brute_force_nu``, ``is_valid_table``, ``validate_adc``,
-``atom_to_table``) and the expression walks (``face_expr``,
-``support_expr``, ``linearize``, ``expr_dim``).
+``atom_to_table``) and the expression walks (``face_expr``, ``linearize``,
+``expr_dim``).
 """
 
 import sys
@@ -45,7 +45,7 @@ _EXPORTS = {
     "polygraph": ("CellExpr", "Comp", "Gen", "Id", "InconsistentClassification",
                   "PolyPresentation", "Verdict", "classify", "eval_table",
                   "expr_dim", "face_expr", "lambda_presentation", "linearize",
-                  "preorder_report", "support_expr"),
+                  "preorder_report"),
     "serialize": ("DegreeCapExceeded", "DocumentError", "parse_document",
                   "serialize_document", "to_dot"),
     "roundtrip": ("QuotientLambda", "check_omega_basis", "lambda_of_enumerated",

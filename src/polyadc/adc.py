@@ -21,9 +21,14 @@ from collections.abc import Mapping, Sequence
 from .zlin import IntVector, Record, _ck
 
 
-def _name_levels(levels: tuple) -> dict:
-    """Each name of ``levels`` mapped to the index of its level; the names
-    are checked in order, and the first bad or repeated one raises."""
+def _name_levels(basis) -> tuple:
+    """``(levels, degree)``: the levels of ``basis`` as name tuples, the
+    empty ones at the top dropped, and each name mapped to the index of its
+    level; the names are checked in level order, and the first bad or
+    repeated one raises ValueError."""
+    levels = [tuple(level) for level in basis]
+    while levels and not levels[-1]:
+        levels.pop()
     degree = {}
     for q, level in enumerate(levels):
         for name in level:
@@ -32,7 +37,24 @@ def _name_levels(levels: tuple) -> dict:
             if name in degree:
                 raise ValueError("duplicate generator name %r" % name)
             degree[name] = q
-    return degree
+    return tuple(levels), degree
+
+
+def _check_fields(degree: dict, diff: dict, aug: dict) -> None:
+    """The semantic checks of a complex's fields, whose names, levels and
+    types are known good: each differential, in ``diff``'s order, names only
+    generators of the degree below its own (ValueError otherwise), and then
+    each augmentation, in ``aug``'s order, lies in the checked 64-bit range
+    (CoefficientOverflow otherwise).  Both :class:`Adc` and the parser run
+    them."""
+    for name, vec in diff.items():
+        below = degree[name] - 1
+        for g in vec._entries:
+            if degree.get(g) != below:
+                raise ValueError("differential of %r mentions non-generators %s" % (
+                    name, sorted(h for h in vec._entries if degree.get(h) != below)))
+    for val in aug.values():
+        _ck(val)
 
 
 class Adc:
@@ -42,35 +64,26 @@ class Adc:
     ``differential`` maps every generator of degree >= 1 to a vector over
     the degree below; ``augmentation`` maps every degree-0 generator to an
     integer inside the checked 64-bit range (one outside it raises
-    CoefficientOverflow).  Structural validity (name hygiene) is enforced
-    here; the chain complex laws are checked separately by
-    :func:`validate_adc` so a broken complex can still be constructed and
-    reported on.
+    CoefficientOverflow).  Construction checks the names and types of the
+    fields it is given, then the semantic checks of :func:`_check_fields`;
+    the chain complex laws are checked separately by :func:`validate_adc`
+    so a broken complex can still be constructed and reported on.  The
+    parser reads a document into these fields and checks it itself, in
+    one pass, before it builds the complex through :meth:`_of`.
     """
 
     def __init__(self, basis: Sequence[Sequence[str]],
                  differential: Mapping[str, IntVector],
                  augmentation: Mapping[str, int]):
-        levels = [tuple(level) for level in basis]
-        while levels and not levels[-1]:
-            levels.pop()
-        levels = tuple(levels)
-        degree = _name_levels(levels)
+        levels, degree = _name_levels(basis)
 
         diff = {}
         for name, vec in differential.items():
             if name not in degree:
                 raise ValueError("differential given for unknown generator %r" % name)
-            q = degree[name]
-            if q == 0:
+            if degree[name] == 0:
                 raise ValueError("degree-0 generator %r cannot have a differential" % name)
-            vec = IntVector(vec)
-            extra = [g for g in vec._entries if degree.get(g) != q - 1]
-            if extra:
-                raise ValueError(
-                    "differential of %r mentions non-generators %s" % (name, sorted(extra))
-                )
-            diff[name] = vec
+            diff[name] = IntVector(vec)
         for q in range(1, len(levels)):
             for name in levels[q]:
                 if name not in diff:
@@ -82,18 +95,23 @@ class Adc:
                 raise ValueError("augmentation given for non-degree-0 name %r" % name)
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ValueError("augmentation of %r must be an int" % name)
-            aug[name] = _ck(val)
+            aug[name] = val
         if levels:
             for name in levels[0]:
                 if name not in aug:
                     raise ValueError("missing augmentation for generator %r" % name)
+        _check_fields(degree, diff, aug)
         self._fill(levels, degree, diff, aug)
 
     @classmethod
     def _of(cls, basis: tuple, degree: dict, diff: dict, aug: dict) -> "Adc":
         """The complex on fields already known valid, taken as they stand,
         as ``__init__`` would set them after its checks: ``basis`` a tuple of
-        name tuples, the last not empty, and ``degree`` each name's level."""
+        name tuples, the last not empty, ``degree`` each name's level, a
+        differential for each name above degree 0 and an augmentation for
+        each in degree 0.  The parser builds these fields while it reads a
+        document and runs :func:`_check_fields` on them itself; a
+        presentation's linearization is valid by construction."""
         complex_ = object.__new__(cls)
         complex_._fill(basis, degree, diff, aug)
         return complex_
@@ -175,16 +193,6 @@ class Adc:
         for name, coeff in sorted(entries) if len(entries) > 1 else entries:
             total = _ck(total + _ck(aug[name] * coeff))
         return total
-
-    def chain(self, q: int, vector) -> IntVector:
-        """The vector over the degree-q generators, checked to mention no
-        other name."""
-        vec = IntVector(vector)
-        extra = [g for g in vec._entries if self._degree.get(g) != q]
-        if extra:
-            raise ValueError("chain mentions non-generators %s in degree %d"
-                             % (sorted(extra), q))
-        return vec
 
     def __eq__(self, other):
         if not isinstance(other, Adc):

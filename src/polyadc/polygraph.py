@@ -79,6 +79,11 @@ class PolyPresentation:
     ``generators[q]`` lists the dimension-q generator names in declaration
     order; ``boundary`` maps each generator of dimension >= 1 to its
     (source, target) pair of expressions of the dimension below.
+    Construction checks the names and the shape of ``boundary``, then the
+    dimension of each expression and the boundaries' evaluation
+    (:meth:`_check_boundaries`).  The parser checks names and shape while
+    it reads a document, and builds through :meth:`_of`, which makes only
+    the last two checks.
 
     A presentation is immutable: nothing changes it after construction, so
     what is derived from it (the filed tables, the linearization, and the
@@ -87,11 +92,7 @@ class PolyPresentation:
 
     def __init__(self, generators: Sequence[Sequence[str]],
                  boundary: Mapping[str, tuple]):
-        levels = [tuple(level) for level in generators]
-        while levels and not levels[-1]:
-            levels.pop()
-        self.generators = tuple(levels)
-        self._dim = dim = _name_levels(self.generators)
+        levels, dim = _name_levels(generators)
 
         bnd = {}
         for name, pair in boundary.items():
@@ -104,26 +105,25 @@ class PolyPresentation:
             except (TypeError, ValueError):
                 raise ValueError("boundary of %r must be a (source, target) pair" % name)
             bnd[name] = (src, tgt)
-        for q in range(1, len(self.generators)):
-            for name in self.generators[q]:
+        for q in range(1, len(levels)):
+            for name in levels[q]:
                 if name not in bnd:
                     raise ValueError("missing boundary for generator %r" % name)
-        self._boundary = bnd
+        self._check_boundaries(levels, dim, bnd)
 
-        for q in range(1, len(self.generators)):
-            for name in self.generators[q]:
-                src, tgt = bnd[name]
-                for side, expr in (("source", src), ("target", tgt)):
-                    d = expr_dim(self, expr)
-                    if d != q - 1:
-                        raise ValueError(
-                            "%s of %r has dimension %d, expected %d"
-                            % (side, name, d, q - 1)
-                        )
-
-        self._tables = {}  # generator -> its NuTable, filed at construction
-        self._analysis = None  # the preorder analysis, on first use
-        self._check_boundaries()
+    @classmethod
+    def _of(cls, generators: tuple, dim: dict, boundary: dict) -> "PolyPresentation":
+        """The presentation on fields the parser has read and checked:
+        ``generators`` a tuple of name tuples, the last not empty, with no
+        name twice, ``dim`` each name's dimension, and ``boundary`` a
+        (source, target) pair for each generator above dimension 0 and for
+        no other name.  The checks that rest on more than these fields'
+        shape still run, as in ``__init__``: the dimension of each source
+        and target, then the boundaries' evaluation
+        (:meth:`_check_boundaries`)."""
+        pres = object.__new__(cls)
+        pres._check_boundaries(generators, dim, boundary)
+        return pres
 
     # -- accessors ------------------------------------------------------
 
@@ -154,16 +154,19 @@ class PolyPresentation:
 
     # -- construction-time checking --------------------------------------
 
-    def _check_boundaries(self):
-        """Evaluate every generator boundary to a table, file the generator's
-        table for :func:`eval_table` and build the linearization, in one
-        bottom-up pass, so a failure names the lowest generator responsible
-        (the dimension check in ``__init__`` runs first, and wins).
+    def _check_boundaries(self, generators: tuple, dim: dict, boundary: dict):
+        """Set the fields, check that each source and target lies one
+        dimension below its generator, in level order, and then evaluate
+        every generator boundary to a table, file the generator's table for
+        :func:`eval_table` and build the linearization, in one bottom-up
+        pass, so a failure names the lowest generator responsible; both
+        constructors end here.
 
-        Only composability and the parallelism of source and target are
-        checked.  A generator's table is the source's rows below its top, the
-        two top rows, and its unit row; its differential is target top minus
-        source top.  By induction on the dimension nothing else can fail:
+        Past the dimensions, only composability and the parallelism of
+        source and target are checked.  A generator's table is the source's
+        rows below its top, the two top rows, and its unit row; its
+        differential is target top minus source top.  By induction on the
+        dimension nothing else can fail:
 
         - a filed table is a cell: its lower rows are the source cell's, the
           top rows of parallel cells have equal boundaries, the unit row's
@@ -180,13 +183,27 @@ class PolyPresentation:
         read straight off its filed table, and ``Adc._of`` fills the
         linearization from these checked fields without validating them again.
         """
-        tables, diff = self._tables, {}
+        self.generators, self._dim, self._boundary = generators, dim, boundary
+        self._analysis = None  # the preorder analysis, on first use
+        for q in range(1, len(generators)):
+            for name in generators[q]:
+                src, tgt = boundary[name]
+                for side, expr in (("source", src), ("target", tgt)):
+                    d = expr_dim(self, expr)
+                    if d != q - 1:
+                        raise ValueError(
+                            "%s of %r has dimension %d, expected %d"
+                            % (side, name, d, q - 1)
+                        )
+
+        tables = self._tables = {}  # generator -> its NuTable
+        diff = {}
         for name in self.dims(0):
             unit = IntVector.unit(name)
             tables[name] = table.NuTable(rows=((unit, unit),))
-        for q in range(1, len(self.generators)):
-            for name in self.generators[q]:
-                src, tgt = self._boundary[name]
+        for q in range(1, len(generators)):
+            for name in generators[q]:
+                src, tgt = boundary[name]
                 try:
                     ts = tables[src.name] if src.__class__ is Gen else eval_table(self, src)
                     tt = tables[tgt.name] if tgt.__class__ is Gen else eval_table(self, tgt)
@@ -203,7 +220,7 @@ class PolyPresentation:
                 unit = IntVector.unit(name)
                 tables[name] = table.NuTable(
                     rows=ts.rows[:-1] + ((s_top, t_top), (unit, unit)))
-        self._lambda = Adc._of(self.generators, self._dim, diff,
+        self._lambda = Adc._of(generators, dim, diff,
                                dict.fromkeys(self.dims(0), 1))
 
     def __repr__(self):
@@ -276,10 +293,6 @@ def linearize(pres: PolyPresentation, expr: CellExpr) -> IntVector:
         return lin(e.left) + lin(e.right)
 
     return lin(expr)
-
-
-def support_expr(pres: PolyPresentation, expr: CellExpr) -> frozenset:
-    return linearize(pres, expr).support()
 
 
 def lambda_presentation(pres: PolyPresentation) -> Adc:

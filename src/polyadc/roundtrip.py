@@ -273,10 +273,11 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
     differences.  Packing is one to one on entries up to 3 * ``limit`` in
     size, so each check is one comparison.
 
-    Provenance must name cells by positions in range, earlier ones in the
-    same degree, so every cell traces back to the seeds.  The cells must
-    come from :func:`nu.enumerate_nu`, whose seeds are the atoms; in a
-    hand-built cell set every cell counts as a seed.
+    Provenance must be None, ``(t,)`` or ``(p, i, j)``, and name cells by
+    positions in range, earlier ones in the same degree, so every cell
+    traces back to the seeds.  The cells must come from
+    :func:`nu.enumerate_nu`, whose seeds are the atoms; in a hand-built
+    cell set every cell counts as a seed.
     """
     complex_, index, rows = enum.complex, enum.index, enum.index.rows
     for q in range(enum.max_dim + 1):
@@ -303,12 +304,15 @@ def top_row_certificate(enum: nu.EnumeratedOmegaCat) -> str | None:
                     return ("%d-cell %d differs below its top row from the cell "
                             "it is the identity of" % (q, k))
                 want = change = 0
-            else:
+            elif len(origin) == 3:
                 _, i, j = origin
                 if not (0 <= i < k and 0 <= j < k):
                     return "%d-cell %d is composed of cells not filed before it" % (q, k)
                 xi, xj = codes[i], codes[j]
                 want, change = xi[-1] + xj[-1], q and xi[-3] - xi[-4] + xj[-3] - xj[-4]
+            else:
+                return ("%d-cell %d has a provenance that is no seed, identity or "
+                        "composite" % (q, k))
             if x[-2] != want or x[-1] != want:
                 return "the top row of %d-cell %d disagrees with its provenance" % (q, k)
             if q == 0:  # a seed, or broken provenance

@@ -17,8 +17,9 @@ import json
 from json.encoder import encode_basestring_ascii as _str
 
 from . import polygraph
-from .adc import Adc, RelationGraph, _require_chain_complex
-from .zlin import IntVector
+from .adc import (Adc, RelationGraph, _check_fields, _name_levels,
+                  _require_chain_complex)
+from .zlin import INT64_MAX, CoefficientOverflow, IntVector
 
 
 class DocumentError(Exception):
@@ -61,47 +62,79 @@ def _to_expr(obj, ids: list) -> polygraph.CellExpr:
     raise DocumentError("unknown expression key in %r" % (obj,))
 
 
-def _check_keys(record, required, label):
-    missing = required - set(record)
-    extra = set(record) - required
-    if missing:
-        raise DocumentError("%s is missing keys %s" % (label, sorted(missing)))
-    if extra:
-        raise DocumentError("%s has unknown keys %s" % (label, sorted(extra)))
+# each kind's keys for a record of dim 0 and of any higher dim
+_ADC_KEYS = (frozenset({"name", "dim", "augmentation"}),
+             frozenset({"name", "dim", "boundary"}))
+_POLYGRAPH_KEYS = (frozenset({"name", "dim"}), frozenset({"name", "dim", "src", "tgt"}))
 
 
-def _name_dim(record, position):
-    """The name and dim of the generator record at ``position``; its label
-    is formatted only for an error."""
-    if not isinstance(record, dict):
+def _name_dim(record, position, keys):
+    """The name and dim of the generator record at ``position``, once its
+    keys are checked against ``keys`` (the dim-0 set, then the one above);
+    its label is formatted only for an error.  The record is decoded JSON,
+    whose strings, ints and objects are of those exact types (a bool is
+    not an int here)."""
+    if record.__class__ is not dict:
         raise DocumentError("generator record %d must be an object" % position)
     name = record.get("name")
     dim = record.get("dim")
-    if not isinstance(name, str) or not name:
+    if name.__class__ is not str or not name:
         raise DocumentError("generator record %d needs a non-empty string name"
                             % position)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+    if dim.__class__ is not int or dim < 0:
         raise DocumentError("generator record %d needs a non-negative integer dim"
                             % position)
+    required = keys[dim > 0]
+    if record.keys() != required:
+        label = "generator record %d (%r)" % (position, name)
+        missing = required - record.keys()
+        if missing:
+            raise DocumentError("%s is missing keys %s" % (label, sorted(missing)))
+        raise DocumentError("%s has unknown keys %s"
+                            % (label, sorted(record.keys() - required)))
     return name, dim
 
 
 def parse_document(text: str):
     """Parse a JSON document into an Adc or a PolyPresentation.
 
-    Text that is not JSON (a number with more digits than the interpreter
-    converts to an int included), schema problems and nesting too deep to
-    walk raise :class:`DocumentError`; semantically invalid data (bad names,
-    ill-typed boundaries) surfaces as the ValueError of the corresponding
-    constructor; so does an augmentation outside the checked 64-bit range,
-    as CoefficientOverflow.  An ADC document must be a chain complex: the
-    first failure of :func:`polyadc.adc.validate_adc` (dd = 0 on each
-    generator of degree >= 2, then eps-d = 0 on each edge) raises
-    ValueError naming the law and the generator, and a sum on the way that
-    leaves the checked range raises CoefficientOverflow.  A presentation
-    whose highest dimension no chain of its generators and identity
-    expressions can reach raises ValueError before its levels are laid out;
-    the identity nodes are counted while the expressions are built.
+    The parser is a document's one validator.  It reads the records in one
+    loop, building the object's fields as it goes, checks the fields, and
+    builds the object through the constructor that takes checked fields
+    (``Adc._of``, ``PolyPresentation._of``).  A document with several
+    faults is refused for the one at the earliest of these stages, and
+    within a stage for the first in the order given:
+
+    1. schema, in record order: text that is not JSON (a number with more
+       digits than the interpreter converts to an int included), a
+       document that is not an object of a kind and a list of generators,
+       or a record that is not an object, lacks a non-empty string name or
+       a non-negative integer dim, or lacks a key or has one too many,
+       raises :class:`DocumentError`;
+    2. a complex that names a degree above ``MAX_DEGREE`` raises
+       :class:`DegreeCapExceeded`;
+    3. values, in record order: in a complex, an augmentation or boundary
+       coefficient that is not an integer raises DocumentError, and a
+       coefficient outside the checked 64-bit range CoefficientOverflow; in
+       a presentation, a malformed expression, or one nested too deeply to
+       walk, raises DocumentError, and then a highest dimension that no
+       chain of the generators and identity expressions can reach raises
+       ValueError before the levels are laid out (the identity nodes are
+       counted as the expressions are built);
+    4. a duplicate name, the first in level order, raises ValueError;
+    5. names: a differential that names anything but generators of the
+       degree below, in record order, or a source or target of the wrong
+       dimension (an unknown name included), in level order, raises
+       ValueError;
+    6. an augmentation outside the checked range, in record order, raises
+       CoefficientOverflow;
+    7. laws: a complex must be a chain complex, and the first failure of
+       :func:`polyadc.adc.validate_adc` (dd = 0 on each generator of degree
+       >= 2, then eps-d = 0 on each edge) raises ValueError naming the law
+       and the generator, or CoefficientOverflow for a sum on the way that
+       leaves the checked range; a presentation's boundaries must be
+       composable, each source parallel to its target, checked bottom up,
+       or ValueError.
     """
     try:
         doc = json.loads(text)
@@ -118,73 +151,84 @@ def parse_document(text: str):
     if set(doc) != {"kind", "generators"} or not isinstance(gens, list):
         raise DocumentError("document needs exactly 'kind' and a 'generators' list")
 
-    levels = {}
-    records = []
-    for record in gens:
-        name, dim = _name_dim(record, len(records))
-        if kind == "adc":
-            required = {"name", "dim", "augmentation"} if dim == 0 else {"name", "dim", "boundary"}
-        else:
-            required = {"name", "dim"} if dim == 0 else {"name", "dim", "src", "tgt"}
-        if record.keys() != required:
-            _check_keys(record, required,
-                        "generator record %d (%r)" % (len(records), name))
+    adc = kind == "adc"
+    keys = _ADC_KEYS if adc else _POLYGRAPH_KEYS
+    levels, degree, above, aug = {}, {}, {}, {}  # above: differentials or boundaries
+    ids = [0]  # identity nodes in all the expressions, counted as they are built
+    late = None  # the first value at fault, raised once the schema and the cap pass
+    for position, record in enumerate(gens):
+        name, dim = _name_dim(record, position, keys)
         levels.setdefault(dim, []).append(name)
-        records.append(record)
-
-    max_dim = max(levels) if levels else -1
-
-    if kind == "adc":
-        if max_dim > MAX_DEGREE:
-            name = next(r["name"] for r in records if r["dim"] == max_dim)
-            raise DegreeCapExceeded("generator %r has degree %d; the limit is %d"
-                                    % (name, max_dim, MAX_DEGREE))
-        basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
-        diff = {}
-        aug = {}
-        for record in records:
-            name, dim = record["name"], record["dim"]
-            if dim == 0:
-                val = record["augmentation"]
-                if not isinstance(val, int) or isinstance(val, bool):
-                    raise DocumentError("augmentation of %r must be an integer" % name)
+        degree[name] = dim
+        if late is not None:
+            continue
+        if not adc:
+            if dim:
+                try:
+                    above[name] = (_to_expr(record["src"], ids),
+                                   _to_expr(record["tgt"], ids))
+                except DocumentError as exc:
+                    late = exc
+                except RecursionError:
+                    late = DocumentError("expressions nested too deeply")
+            continue
+        if dim == 0:
+            val = record["augmentation"]
+            if val.__class__ is int:  # JSON gives exact ints, bools and floats
                 aug[name] = val
             else:
-                bd = record["boundary"]
-                if not isinstance(bd, dict):
-                    raise DocumentError("boundary of %r must be an object" % name)
-                for k, v in bd.items():
-                    if not isinstance(k, str) or not isinstance(v, int) or isinstance(v, bool):
-                        raise DocumentError("boundary of %r must map names to integers" % name)
-                diff[name] = IntVector._of(bd)  # the entries are checked above
-        complex_ = Adc(basis, diff, aug)
-        _require_chain_complex(complex_)
-        return complex_
+                late = DocumentError("augmentation of %r must be an integer" % name)
+            continue
+        bd = record["boundary"]
+        if bd.__class__ is not dict:
+            late = DocumentError("boundary of %r must be an object" % name)
+            continue
+        plain = True  # every coefficient nonzero and inside the checked range
+        for v in bd.values():  # the keys of a JSON object are strings
+            if v.__class__ is not int:
+                late = DocumentError("boundary of %r must map names to integers" % name)
+                break
+            if not v or v > INT64_MAX or v < -INT64_MAX:
+                plain = False
+        else:
+            if plain:
+                above[name] = IntVector._trusted(bd)
+                continue
+            try:  # drops the zeros, or names the first coefficient out of range
+                above[name] = IntVector._of(bd)
+            except CoefficientOverflow as exc:
+                late = exc
 
-    boundary = {}
-    ids = [0]  # identity nodes in all the expressions, counted as they are built
-    try:
-        for record in records:
-            name, dim = record["name"], record["dim"]
-            if dim >= 1:
-                boundary[name] = (_to_expr(record["src"], ids),
-                                  _to_expr(record["tgt"], ids))
+    max_dim = max(levels) if levels else -1
+    if adc and max_dim > MAX_DEGREE:
+        raise DegreeCapExceeded("generator %r has degree %d; the limit is %d"
+                                % (levels[max_dim][0], max_dim, MAX_DEGREE))
+    if late is not None:
+        raise late
+    if not adc:
         # A generator's dimension is one more than its source's, which is a
         # lower generator's raised by the identities on any one path of the
         # source expression; so no generator of a valid presentation lies
         # above this bound, and checking it first keeps an absurd dimension
         # from sizing the list of levels.
-        reach = len(records) - 1 + ids[0]
+        reach = len(gens) - 1 + ids[0]
         if max_dim > reach:
-            name = next(r["name"] for r in records if r["dim"] == max_dim)
             raise ValueError(
                 "dimension %d of %r is out of reach: %d generators and their "
                 "identity expressions reach dimension %d at most"
-                % (max_dim, name, len(records), reach))
-        basis = [tuple(levels.get(q, ())) for q in range(max_dim + 1)]
-        return polygraph.PolyPresentation(basis, boundary)
-    except RecursionError:
-        raise DocumentError("expressions nested too deeply") from None
+                % (max_dim, levels[max_dim][0], len(gens), reach))
+    basis = tuple([tuple(levels.get(q, ())) for q in range(max_dim + 1)])
+    if len(degree) < len(gens):
+        _name_levels(basis)  # raises at the first duplicate, in level order
+    if not adc:
+        try:
+            return polygraph.PolyPresentation._of(basis, degree, above)
+        except RecursionError:
+            raise DocumentError("expressions nested too deeply") from None
+    _check_fields(degree, above, aug)
+    complex_ = Adc._of(basis, degree, above, aug)
+    _require_chain_complex(complex_)
+    return complex_
 
 
 def serialize_document(obj) -> str:

@@ -53,6 +53,29 @@ def test_the_first_bad_name_in_order_is_refused():
         Adc([["a"], ["a", 7]], {}, {"a": 1})
 
 
+@pytest.mark.parametrize("basis, differential, augmentation, error, message", [
+    # a differential's names are read once every field has its shape, as the
+    # parser reads them (stage 5 after stage 3)
+    ([["a"], ["f", "g"]], {"f": {"zz": 1}, "g": {"a": 1.5}}, {"a": 1},
+     TypeError, "coefficients must be ints, got 1.5"),
+    ([["a"], ["f", "g"]], {"f": {"zz": 1}}, {"a": 1},
+     ValueError, "missing differential for generator 'g'"),
+    ([["a", "b"], ["f"]], {"f": {"zz": 1}}, {"a": 1, "b": True},
+     ValueError, "augmentation of 'b' must be an int"),
+    # and an augmentation's range after them (stage 6)
+    ([["a", "b"], ["f"]], {"f": {"zz": 1}}, {"a": 2**63, "b": 1},
+     ValueError, "differential of 'f' mentions non-generators ['zz']"),
+    ([["a", "b"]], {}, {"a": 2**63, "b": None},
+     ValueError, "augmentation of 'b' must be an int"),
+])
+def test_names_and_ranges_are_checked_after_every_field_has_its_shape(
+        basis, differential, augmentation, error, message):
+    with pytest.raises(error) as raised:
+        Adc(basis, differential, augmentation)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("value", [2**63 - 1, -(2**63 - 1)])
 def test_augmentations_at_the_edge_of_the_window_are_kept(value):
     assert Adc([["a"]], {}, {"a": value}).eps_gen("a") == value
@@ -78,22 +101,11 @@ def test_accessors_on_the_triangle():
         k.diff("0")
     with pytest.raises(ValueError):
         k.eps_gen("01")
-    with pytest.raises(ValueError):
-        k.chain(1, IntVector({"012": 1}))
-
-
-def test_a_chain_is_its_vector_checked_against_its_degree():
-    k = simplex2()
-    assert k.chain(1, {"01": 2, "12": -1}) == IntVector({"01": 2, "12": -1})
-    assert k.chain(0, IntVector()) == IntVector()
-    for q, vector in ((1, {"01": 1, "0": 1}), (2, {"01": 1}), (0, {"x": 1}), (3, {"012": 1})):
-        with pytest.raises(ValueError, match="chain mentions non-generators"):
-            k.chain(q, vector)
 
 
 def test_boundary_is_linear():
     k = simplex2()
-    c = k.chain(2, IntVector({"012": 3}))
+    c = IntVector({"012": 3})
     assert k.boundary_vec(2, c) == IntVector({"01": 3, "12": 3, "02": -3})
     assert k.boundary_vec(1, k.diff("012")).is_zero()
     with pytest.raises(ValueError):

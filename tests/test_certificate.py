@@ -314,6 +314,14 @@ def test_a_negative_composite_position_is_caught(origin):
     assert top_row_certificate(enum) == "1-cell 2 is composed of cells not filed before it"
 
 
+@pytest.mark.parametrize("origin", [(0, 1), (0, 1, 2, 3), ()])
+def test_a_provenance_of_the_wrong_length_is_caught(origin):
+    enum = interval_index()
+    enum.index.provenance[1][2] = origin
+    assert top_row_certificate(enum) == \
+        "1-cell 2 has a provenance that is no seed, identity or composite"
+
+
 def test_a_vertex_of_augmentation_other_than_one_is_caught():
     interval = build("oriental", (1,)).as_adc()
     enum = enumerate_nu(interval)

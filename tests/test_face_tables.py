@@ -1,6 +1,6 @@
 """Generator tables filed at construction against the expression walks.
 
-The reference classifiers below are the ``face_expr``/``support_expr``
+The reference classifiers below are the ``face_expr``/``linearize``
 double loops that the filed tables replaced in the atomicity check,
 ``preorder_report`` and the orderability check, each graph condensed
 eagerly by the reference Tarjan in ``conftest``; the reference verdict
@@ -32,7 +32,6 @@ from polyadc import (
     linearize,
     loop_free_report,
     preorder_report,
-    support_expr,
     unitality_failures,
 )
 from polyadc import polygraph
@@ -42,8 +41,8 @@ from polyadc.adc import RelationGraph
 def faces(pres, name):
     """(p, source support, target support) for every level p below name."""
     for p in range(pres.dim_of(name)):
-        yield (p, support_expr(pres, face_expr(pres, Gen(name), p, -1)),
-               support_expr(pres, face_expr(pres, Gen(name), p, +1)))
+        yield (p, linearize(pres, face_expr(pres, Gen(name), p, -1)).support(),
+               linearize(pres, face_expr(pres, Gen(name), p, +1)).support())
 
 
 def reference_is_atomic(pres):

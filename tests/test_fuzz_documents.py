@@ -23,11 +23,13 @@ same checks on mutants whose every choice Hypothesis draws and on small
 documents it builds from scratch.  Run the file as a script for a larger
 one, for example ``PYTHONPATH=src python tests/test_fuzz_documents.py 3000``
 for 3,000 mutants and 600 number mutants per subcommand; it prints the exit
-codes it saw and exits non-zero on the first failure.
+codes it saw and exits non-zero on the first failure, or, given
+``--expect TALLY``, when the exit codes it saw are not ``TALLY`` as printed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import io
@@ -380,17 +382,29 @@ def test_hypothesis_documents_exit_with_a_documented_code(tmp_path):
 
 
 def main(argv):
-    count = int(argv[1]) if len(argv) > 1 else SLICE
+    parser = argparse.ArgumentParser(
+        prog="test_fuzz_documents.py",
+        description="Run the seeded mutants through every reading subcommand.")
+    parser.add_argument("count", type=int, nargs="?", default=SLICE,
+                        help="mutants per subcommand, and a fifth as many number "
+                             "mutants (default %d)" % SLICE)
+    parser.add_argument("--expect", metavar="TALLY",
+                        help="the exit codes to require, as printed, for example "
+                             "'0: 2035, 2: 8701, 3: 11881, 4: 1241, 5: 1342'")
+    args = parser.parse_args(argv[1:])
     codes = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutant.json")
-        for text, by_expression in mutants(count):
+        for text, by_expression in mutants(args.count):
             codes.update(check_mutant(text, path))
             if by_expression:
                 check_construction(text)
+    tally = ", ".join("%d: %d" % item for item in sorted(codes.items()))
     print("%d mutants and %d number mutants x %d subcommands; exit codes %s" % (
-        count, count // 5, len(SUBCOMMANDS),
-        ", ".join("%d: %d" % item for item in sorted(codes.items()))))
+        args.count, args.count // 5, len(SUBCOMMANDS), tally))
+    if args.expect is not None and tally != args.expect:
+        print("exit codes %s, expected %s" % (tally, args.expect), file=sys.stderr)
+        return 1
     return 0
 
 

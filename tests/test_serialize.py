@@ -435,3 +435,162 @@ def test_random_documents_with_any_names_have_the_encoder_bytes():
 
     adc_prop()
     presentation_prop()
+
+
+# ---------------------------------------------------------------------------
+# error precedence: a document with two faults is refused for the one at the
+# earlier stage (schema, degree cap, types and ranges of values, duplicate
+# names, the names a differential or an expression reads, augmentation range,
+# then the chain complex laws or the boundaries' composability), or for the
+# earlier record within one stage
+
+def _vertex(name, augmentation=1):
+    return {"name": name, "dim": 0, "augmentation": augmentation}
+
+
+def _cell(name, boundary, dim=1):
+    return {"name": name, "dim": dim, "boundary": boundary}
+
+
+def _gen(name, dim=0, src=None, tgt=None):
+    record = {"name": name, "dim": dim}
+    if dim:
+        record["src"], record["tgt"] = src, tgt
+    return record
+
+
+def _g(name):
+    return {"gen": name}
+
+
+def _twice(level, expr):
+    return {"comp": [level, expr, expr]}
+
+
+OVER = 2**63  # the first value past the checked window
+PRECEDENCE = [
+    ("adc", "a duplicate, then a record that is not an object",
+     [_vertex("a"), _vertex("b"), _cell("f", {"a": -1, "b": 1}), _vertex("a"), 7],
+     DocumentError, "generator record 4 must be an object"),
+    ("adc", "a duplicate, then an empty name",
+     [_vertex("a"), _vertex("a"), _vertex("")],
+     DocumentError, "generator record 2 needs a non-empty string name"),
+    ("adc", "a duplicate, then a boundary that is not an object",
+     [_vertex("a"), _vertex("a"), _cell("f", [])],
+     DocumentError, "boundary of 'f' must be an object"),
+    ("adc", "the degree cap, then a type error",
+     [_vertex("a"), _cell("x", {}, MAX_DEGREE + 1), _cell("f", {"a": 1.5})],
+     DegreeCapExceeded, "generator 'x' has degree 16385; the limit is 16384"),
+    ("adc", "a type error, then the degree cap",
+     [_vertex("a", "1"), _cell("x", {}, MAX_DEGREE + 1)],
+     DegreeCapExceeded, "generator 'x' has degree 16385; the limit is 16384"),
+    ("adc", "the degree cap, then a schema error",
+     [_cell("x", {}, MAX_DEGREE + 1), {"name": "f", "dim": 1}],
+     DocumentError, "generator record 1 ('f') is missing keys ['boundary']"),
+    ("adc", "a type error, then a schema error",
+     [_vertex("a", None), dict(_vertex("b"), extra=0)],
+     DocumentError, "generator record 1 ('b') has unknown keys ['extra']"),
+    ("adc", "an augmentation out of range, then a coefficient out of range",
+     [_vertex("a", 2**70), _vertex("b"), _cell("f", {"a": OVER, "b": 1})],
+     CoefficientOverflow, "coefficient %d exceeds the checked 64-bit range" % OVER),
+    ("adc", "a coefficient out of range, then a type error",
+     [_vertex("a"), _cell("f", {"a": -OVER}), _cell("g", {"a": True})],
+     CoefficientOverflow, "coefficient %d exceeds the checked 64-bit range" % -OVER),
+    ("adc", "a type error, then a coefficient out of range",
+     [_vertex("a"), _cell("g", {"a": True}), _cell("f", {"a": -OVER})],
+     DocumentError, "boundary of 'g' must map names to integers"),
+    ("adc", "an unknown name in a differential, then a duplicate",
+     [_vertex("a"), _cell("f", {"zz": 1}), _vertex("a")],
+     ValueError, "duplicate generator name 'a'"),
+    ("adc", "duplicates in two levels, the higher one first",
+     [_vertex("a"), _cell("f", {"a": 1}), _cell("f", {"a": 1}), _vertex("b"),
+      _vertex("b")],
+     ValueError, "duplicate generator name 'b'"),
+    ("adc", "an augmentation out of range, then an unknown name in a differential",
+     [_vertex("a", OVER), _cell("f", {"zz": 1})],
+     ValueError, "differential of 'f' mentions non-generators ['zz']"),
+    ("adc", "an augmentation out of range, then a name two degrees down",
+     [_vertex("a", -OVER), _vertex("b"), _cell("f", {"a": -1, "b": 1}),
+      _cell("t", {"a": 1}, 2)],
+     ValueError, "differential of 't' mentions non-generators ['a']"),
+    ("adc", "an augmentation out of range, then a chain complex law",
+     [_vertex("a", -OVER), _vertex("b"), _cell("f", {"b": 1}), _cell("t", {"f": 1}, 2)],
+     CoefficientOverflow, "coefficient %d exceeds the checked 64-bit range" % -OVER),
+    ("adc", "a duplicate, then a chain complex law",
+     [_vertex("a"), _vertex("a"), _cell("f", {"a": 2})],
+     ValueError, "duplicate generator name 'a'"),
+    ("adc", "dd = 0 fails, and so does eps-d = 0",
+     [_vertex("a"), _vertex("b", 2), _cell("f", {"b": 1}), _cell("t", {"f": 1}, 2)],
+     ValueError, "not a chain complex: dd = 0 fails at 't' (IntVector(+1*b))"),
+    ("polygraph", "an unknown name in an expression, then a record that is not an object",
+     [_gen("a"), _gen("f", 1, _g("zz"), _g("a")), 3],
+     DocumentError, "generator record 2 must be an object"),
+    ("polygraph", "an unknown name in an expression, then a missing key",
+     [_gen("a"), _gen("f", 1, _g("zz"), _g("a")), {"name": "g", "dim": 1, "src": _g("a")}],
+     DocumentError, "generator record 2 ('g') is missing keys ['tgt']"),
+    ("polygraph", "a malformed expression, then a missing key",
+     [_gen("a"), _gen("f", 1, {"gen": 3}, _g("a")), {"name": "g", "dim": 1, "src": _g("a")}],
+     DocumentError, "generator record 2 ('g') is missing keys ['tgt']"),
+    ("polygraph", "two malformed expressions",
+     [_gen("a"), _gen("f", 1, {"what": 1}, _g("a")), _gen("g", 1, [], _g("a"))],
+     DocumentError, "unknown expression key in {'what': 1}"),
+    ("polygraph", "a malformed expression, then a dimension out of reach",
+     [_gen("a"), _gen("f", 1, {"gen": 3}, _g("a")), _gen("x", 50, _g("a"), _g("a"))],
+     DocumentError, "gen expression needs a string name"),
+    ("polygraph", "a duplicate, then a dimension out of reach",
+     [_gen("a"), _gen("a"), _gen("x", 9, _g("a"), _g("a"))],
+     ValueError, "dimension 9 of 'x' is out of reach: 3 generators and their "
+                 "identity expressions reach dimension 2 at most"),
+    ("polygraph", "an unknown name in an expression, then a duplicate",
+     [_gen("a"), _gen("f", 1, _g("zz"), _g("a")), _gen("a")],
+     ValueError, "duplicate generator name 'a'"),
+    ("polygraph", "a duplicate, then a boundary that is not composable",
+     [_gen("a"), _gen("f", 1, _g("a"), _g("a")), _gen("t", 2, _twice(1, _g("f")), _g("f")),
+      _gen("a")],
+     ValueError, "duplicate generator name 'a'"),
+    ("polygraph", "a dimension fault above, declared before one below",
+     [_gen("a"), _gen("t", 2, _g("a"), _g("f")), _gen("f", 1, _g("zz"), _g("a"))],
+     ValueError, "unknown generator 'zz'"),
+    ("polygraph", "a boundary that is not composable, then a dimension fault above",
+     [_gen("a"), _gen("b"), _gen("f", 1, _g("a"), _g("b")),
+      _gen("t", 2, _twice(0, _g("f")), _g("f")), _gen("u", 3, _g("a"), _g("a"))],
+     ValueError, "source of 'u' has dimension 0, expected 2"),
+    ("polygraph", "a boundary that is not composable above, declared before a "
+                  "non-parallel one below",
+     [_gen("a"), _gen("b"), _gen("f", 1, _g("a"), _g("b")), _gen("h", 1, _g("b"), _g("a")),
+      _gen("u", 3, _twice(0, _g("t")), _g("t")), _gen("t", 2, _g("f"), _g("h"))],
+     ValueError, "source and target of 't' are not parallel"),
+]
+
+
+@pytest.mark.parametrize("kind, label, records, error, message", PRECEDENCE,
+                         ids=[label for _, label, *_ in PRECEDENCE])
+def test_the_fault_at_the_earlier_stage_wins(kind, label, records, error, message):
+    text = json.dumps({"kind": kind, "generators": records})
+    with pytest.raises(error) as raised:
+        parse_document(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_a_schema_error_wins_over_expressions_nested_too_deeply():
+    # the shallowest depth at which the expression walk, but not the JSON
+    # decoder, gives up; a later record that is not an object is named instead
+    def doc(depth, *more):
+        expr = '{"id": ' * depth + '{"gen": "0"}' + '}' * depth
+        return ('{"kind": "polygraph", "generators": [{"name": "0", "dim": 0}, '
+                '{"name": "x", "dim": %d, "src": %s, "tgt": %s}%s]}'
+                % (depth + 1, expr, expr, "".join(", " + m for m in more)))
+
+    for depth in range(1200, 0, -1):
+        try:
+            parse_document(doc(depth))
+        except DocumentError as exc:
+            if str(exc) == "expressions nested too deeply":
+                break
+        else:
+            pytest.fail("no depth is refused by the expression walk alone")
+    with pytest.raises(DocumentError, match="^generator record 2 must be an object$"):
+        parse_document(doc(depth, "[]"))
+    with pytest.raises(DocumentError, match="^expressions nested too deeply$"):
+        parse_document(doc(depth, '{"name": "y", "dim": 0}'))
