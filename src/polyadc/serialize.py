@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _str
 from . import polygraph
 from .adc import (Adc, RelationGraph, _check_fields, _name_levels,
                   _require_chain_complex)
-from .zlin import INT64_MAX, CoefficientOverflow, IntVector
+from .zlin import CoefficientOverflow, IntVector
 
 
 class DocumentError(Exception):
@@ -183,17 +183,11 @@ def parse_document(text: str):
         if bd.__class__ is not dict:
             late = DocumentError("boundary of %r must be an object" % name)
             continue
-        plain = True  # every coefficient nonzero and inside the checked range
         for v in bd.values():  # the keys of a JSON object are strings
             if v.__class__ is not int:
                 late = DocumentError("boundary of %r must map names to integers" % name)
                 break
-            if not v or v > INT64_MAX or v < -INT64_MAX:
-                plain = False
         else:
-            if plain:
-                above[name] = IntVector._trusted(bd)
-                continue
             try:  # drops the zeros, or names the first coefficient out of range
                 above[name] = IntVector._of(bd)
             except CoefficientOverflow as exc:
