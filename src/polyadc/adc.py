@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
-from .zlin import IntVector, Record, _ck
+from .zlin import INT64_MAX, IntVector, Record, _ck
 
 
 def _name_levels(basis) -> tuple:
@@ -65,11 +65,13 @@ class Adc:
     the degree below; ``augmentation`` maps every degree-0 generator to an
     integer inside the checked 64-bit range (one outside it raises
     CoefficientOverflow).  Construction checks the names and types of the
-    fields it is given, then the semantic checks of :func:`_check_fields`;
-    the chain complex laws are checked separately by :func:`validate_adc`
-    so a broken complex can still be constructed and reported on.  The
-    parser reads a document into these fields and checks it itself, in
-    one pass, before it builds the complex through :meth:`_of`.
+    fields it is given (a coefficient or augmentation that is not an int,
+    or is a bool, raises TypeError), then the semantic checks of
+    :func:`_check_fields`; the chain complex laws are checked separately
+    by :func:`validate_adc` so a broken complex can still be constructed
+    and reported on.  The parser reads a document into these fields and
+    checks it itself, in one pass, before it builds the complex through
+    :meth:`_of`.
     """
 
     def __init__(self, basis: Sequence[Sequence[str]],
@@ -94,7 +96,7 @@ class Adc:
             if name not in degree or degree[name] != 0:
                 raise ValueError("augmentation given for non-degree-0 name %r" % name)
             if not isinstance(val, int) or isinstance(val, bool):
-                raise ValueError("augmentation of %r must be an int" % name)
+                raise TypeError("augmentation of %r must be an int" % name)
             aug[name] = val
         if levels:
             for name in levels[0]:
@@ -124,6 +126,8 @@ class Adc:
         self._aug = aug
         self._atom_tables = {}  # name -> (rows, fault, row-0 augmentations)
         self._terms = {}  # name -> sorted items of its differential, on first use
+        self._diff_norm = None  # the largest L1 norm of a differential, on first use
+        self._aug_norm = max(map(abs, aug.values()), default=0)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -162,34 +166,59 @@ class Adc:
         """The boundary of a degree-q vector: the one boundary kernel.
 
         The terms are taken in name order, the vector's and each
-        differential's, and ``_ck`` checks every product and every partial
-        sum, so the order decides whether and where CoefficientOverflow is
-        raised.  Each generator's differential is sorted once, on first
-        use, and kept on the complex.
+        differential's; each generator's differential is sorted once, on
+        first use, and kept on the complex.  No product or partial sum can
+        exceed the vector's L1 norm times the largest L1 norm of a
+        differential, which is computed once too.  When that bound lies in
+        the checked 64-bit range no check could fail, and the terms are
+        added as plain ints.  Otherwise ``_ck`` checks every product and
+        every partial sum, so the order decides whether and where
+        CoefficientOverflow is raised.  Either way the result is the same
+        vector, its entries in the same order.
         """
         if q < 1:
             raise ValueError("boundary is only defined in degree >= 1")
+        entries = vector._entries.items()
+        if not entries:  # no term, and no norm to compute
+            return IntVector._trusted({})
+        norm = self._diff_norm
+        if norm is None:
+            norm = self._diff_norm = max(
+                [sum(map(abs, d._entries.values())) for d in self._diff.values()],
+                default=0)
+        checked = norm * sum(map(abs, vector._entries.values())) > INT64_MAX
         terms = self._terms
         acc = {}
-        entries = vector._entries.items()
         for name, coeff in sorted(entries) if len(entries) > 1 else entries:
             d = terms.get(name)
             if d is None:
                 d = terms[name] = self._diff[name].items()
-            for below, c in d:
-                acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
+            if checked:
+                for below, c in d:
+                    acc[below] = _ck(acc.get(below, 0) + _ck(coeff * c))
+            else:
+                for below, c in d:
+                    acc[below] = acc.get(below, 0) + coeff * c
         return IntVector._of(acc)
 
     def eps(self, vector: IntVector) -> int:
         """The augmentation of a degree-0 vector.
 
-        As in :meth:`boundary_vec`, the terms are taken in name order and
-        ``_ck`` checks every product and every partial sum, so a sum that
-        leaves the checked 64-bit range raises CoefficientOverflow.
+        No product or partial sum can exceed the vector's L1 norm times
+        the largest |augmentation|.  When that bound lies in the checked
+        64-bit range no check could fail, and the terms are added as plain
+        ints.  Otherwise, as in :meth:`boundary_vec`, they are taken in
+        name order and ``_ck`` checks every product and every partial sum,
+        so a sum that leaves the checked 64-bit range raises
+        CoefficientOverflow at its first term out of range.
         """
         aug = self._aug
-        total = 0
         entries = vector._entries.items()
+        total = 0
+        if self._aug_norm * sum(map(abs, vector._entries.values())) <= INT64_MAX:
+            for name, coeff in entries:
+                total += aug[name] * coeff
+            return total
         for name, coeff in sorted(entries) if len(entries) > 1 else entries:
             total = _ck(total + _ck(aug[name] * coeff))
         return total
@@ -336,8 +365,10 @@ def _tarjan(nodes: tuple, succ: Mapping):
     None (Tarjan, SIAM J. Comput. 1972), in one loop over an explicit
     stack whose bottom frame walks the roots in node order.  ``succ`` maps
     a node to its successor list, sorted in place on first reaching the
-    node, or leaves it out.  A component closes root first.  ``low`` holds
-    an open node's low-link and ``done`` for a closed one."""
+    node, or leaves it out.  A component closes root first, and a node
+    without successors as soon as it is reached, with no frame of its
+    own.  ``low`` holds an open node's low-link and ``done`` for a closed
+    one."""
     low, stack, done = {None: -1}, [], len(nodes) + 1
     work = [(None, iter(nodes), -1, 0)]  # node, its successors, index, stack height
     while True:
@@ -345,7 +376,10 @@ def _tarjan(nodes: tuple, succ: Mapping):
         for child in it:
             seen = low.get(child)
             if seen is None:
-                below = succ.get(child, [])
+                below = succ.get(child)
+                if not below:  # a sink closes at once, a component of one
+                    low[child] = done
+                    continue
                 low[child] = seen = len(low)
                 below.sort()
                 work.append((child, iter(below), seen, len(stack)))

@@ -131,7 +131,7 @@ class PackedRows:
 
     def decode(self, code: tuple) -> NuTable:
         pairs = iter([self.unpack(k >> 1, row) for k, row in enumerate(code)])
-        return NuTable(rows=tuple(zip(pairs, pairs)))
+        return NuTable(tuple(zip(pairs, pairs)))
 
     def identity(self, code: tuple) -> tuple:
         return code + (0, 0)
@@ -440,7 +440,7 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
 
     level0 = [v for v in vectors(0) if complex_.eps(v) == 1]
     if top == 0:
-        cells = [NuTable(rows=((v, v),)) for v in level0]
+        cells = [NuTable(((v, v),)) for v in level0]
     else:
         by_boundary = {p: {} for p in range(1, top + 1)}
         for p, bucket in by_boundary.items():
@@ -461,7 +461,7 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
             rows.append(pair)
             candidates = by_boundary[len(rows)].get(pair[1] - pair[0], ())
             if len(rows) == top:
-                cells.extend(NuTable(rows=tuple(rows) + ((v, v),)) for v in candidates)
+                cells.extend(NuTable(tuple(rows) + ((v, v),)) for v in candidates)
                 rows.pop()
             else:
                 pending.append(product(candidates, repeat=2))
@@ -473,5 +473,5 @@ def brute_force_nu(complex_: Adc, q: int, coeff_cap: int) -> tuple:
                 % (len(cells), top, q - top, MAX_BRUTE_FORCE_VECTORS))
         zero = IntVector()
         padding = ((zero, zero),) * (q - top)
-        cells = [NuTable(rows=cell.rows + padding) for cell in cells]
+        cells = [NuTable(cell.rows + padding) for cell in cells]
     return tuple(cells)

@@ -200,7 +200,7 @@ class PolyPresentation:
         diff = {}
         for name in self.dims(0):
             unit = IntVector.unit(name)
-            tables[name] = table.NuTable(rows=((unit, unit),))
+            tables[name] = table.NuTable(((unit, unit),))
         for q in range(1, len(generators)):
             for name in generators[q]:
                 src, tgt = boundary[name]
@@ -219,7 +219,7 @@ class PolyPresentation:
                 diff[name] = t_top - s_top
                 unit = IntVector.unit(name)
                 tables[name] = table.NuTable(
-                    rows=ts.rows[:-1] + ((s_top, t_top), (unit, unit)))
+                    ts.rows[:-1] + ((s_top, t_top), (unit, unit)))
         self._lambda = Adc._of(generators, dim, diff,
                                dict.fromkeys(self.dims(0), 1))
 

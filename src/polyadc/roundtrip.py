@@ -364,10 +364,7 @@ def verify_equivalence(complex_: Adc, max_cells: int = 10000,
     ...)``; enumeration caps raise.
     """
     if not is_strong_steiner_complex(complex_):
-        return RoundtripReport(
-            ok=False, reason="not a strong Steiner complex",
-            cell_counts={}, ranks={},
-        )
+        return RoundtripReport(False, "not a strong Steiner complex", {}, {})
     enum = nu.enumerate_nu(complex_, max_dim=complex_.max_degree,
                            max_cells=max_cells, max_coeff=max_coeff)
     counts = {q: len(enum.index.codes.get(q, ())) for q in range(enum.max_dim + 1)}
@@ -375,7 +372,5 @@ def verify_equivalence(complex_: Adc, max_cells: int = 10000,
     failure = top_row_certificate(enum)
     if failure is not None:
         return RoundtripReport(
-            ok=False, reason="atoms are not a basis (certificate: %s)" % failure,
-            cell_counts=counts, ranks=ranks,
-        )
-    return RoundtripReport(ok=True, reason=None, cell_counts=counts, ranks=ranks)
+            False, "atoms are not a basis (certificate: %s)" % failure, counts, ranks)
+    return RoundtripReport(True, None, counts, ranks)

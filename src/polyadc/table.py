@@ -72,7 +72,7 @@ def atom_to_table(complex_: Adc, name: str) -> NuTable:
     (negative row, positive row) in degree p, for p from 0 up to the
     generator's dimension.  The rows are built once per complex and kept
     on it."""
-    return NuTable(rows=_atom(complex_, name)[0])
+    return NuTable(_atom(complex_, name)[0])
 
 
 def is_valid_table(complex_: Adc, table: NuTable):
@@ -113,12 +113,12 @@ def face(table: NuTable, p: int, sign: int) -> NuTable:
     if not 0 <= p < table.dim:
         raise ValueError("face level %d out of range for a %d-cell" % (p, table.dim))
     picked = table.rows[p][0 if sign < 0 else 1]
-    return NuTable(rows=table.rows[:p] + ((picked, picked),))
+    return NuTable(table.rows[:p] + ((picked, picked),))
 
 
 def identity(table: NuTable) -> NuTable:
     zero = IntVector()
-    return NuTable(rows=table.rows + ((zero, zero),))
+    return NuTable(table.rows + ((zero, zero),))
 
 
 def composable(x: NuTable, y: NuTable, p: int) -> bool:
@@ -150,4 +150,4 @@ def compose(x: NuTable, y: NuTable, p: int) -> NuTable:
             rows.append((total, total))
         else:
             rows.append((xn + yn, xp + yp))
-    return NuTable(rows=tuple(rows))
+    return NuTable(tuple(rows))

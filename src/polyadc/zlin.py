@@ -118,18 +118,22 @@ class IntVector:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError("coefficients must be ints, got %r" % (coeff,))
             data[name] = data.get(name, 0) + coeff
-        self._entries = {k: _ck(v) for k, v in data.items() if v}
+        self._entries = {k: v if -INT64_MAX <= v <= INT64_MAX else _ck(v)
+                         for k, v in data.items() if v}
         self._hash = None
 
     @classmethod
     def _of(cls, data: dict) -> "IntVector":
         """A vector from a dict already known to map names to ints: zeros
         are dropped and the range is checked, the type checks are not.
-        ``_ck`` sees the values in insertion order, so an error names the
-        first one out of range.  :meth:`_trusted` skips the range check too.
+        Each value is compared with the window inline, in insertion order,
+        and only the first one outside it reaches ``_ck``, which raises; so
+        an error names the first value out of range, as a call of ``_ck``
+        on every value would.  :meth:`_trusted` skips the range check too.
         """
         vec = object.__new__(cls)
-        vec._entries = {k: _ck(v) for k, v in data.items() if v}
+        vec._entries = {k: v if -INT64_MAX <= v <= INT64_MAX else _ck(v)
+                        for k, v in data.items() if v}
         vec._hash = None
         return vec
 
@@ -146,7 +150,10 @@ class IntVector:
     def unit(cls, name: str) -> "IntVector":
         if not isinstance(name, str):
             raise TypeError("generator names must be strings, got %r" % (name,))
-        return cls._trusted({name: 1})
+        vec = object.__new__(cls)
+        vec._entries = {name: 1}
+        vec._hash = None
+        return vec
 
     def items(self) -> tuple:
         """Entries as (name, coefficient) pairs, sorted by name."""

@@ -61,12 +61,12 @@ def test_the_first_bad_name_in_order_is_refused():
     ([["a"], ["f", "g"]], {"f": {"zz": 1}}, {"a": 1},
      ValueError, "missing differential for generator 'g'"),
     ([["a", "b"], ["f"]], {"f": {"zz": 1}}, {"a": 1, "b": True},
-     ValueError, "augmentation of 'b' must be an int"),
+     TypeError, "augmentation of 'b' must be an int"),
     # and an augmentation's range after them (stage 6)
     ([["a", "b"], ["f"]], {"f": {"zz": 1}}, {"a": 2**63, "b": 1},
      ValueError, "differential of 'f' mentions non-generators ['zz']"),
     ([["a", "b"]], {}, {"a": 2**63, "b": None},
-     ValueError, "augmentation of 'b' must be an int"),
+     TypeError, "augmentation of 'b' must be an int"),
 ])
 def test_names_and_ranges_are_checked_after_every_field_has_its_shape(
         basis, differential, augmentation, error, message):
